@@ -4,6 +4,7 @@ exact small-instance oracle."""
 
 from .errors import (
     AntimagicError,
+    BijectionError,
     IdentityError,
     LoopError,
     ParallelEdgeError,
@@ -16,11 +17,9 @@ from .graph import (
     Graph,
     VertexId,
     bipartition,
-    chromatic_number_small,
     components,
     copies_of_p2_join_null,
     delete_add_edges,
-    disjoint_union,
     edge,
     join,
     merge_vertices,
@@ -28,7 +27,6 @@ from .graph import (
     null_graph,
     p2,
     parse_token,
-    split_vertex,
     u,
     v,
     x,
@@ -36,7 +34,6 @@ from .graph import (
 from .labeling import (
     EdgeLabeling,
     InducedColoring,
-    assert_three_coloring,
     chi_la_lower_bound,
     induce,
     is_local_antimagic,

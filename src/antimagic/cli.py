@@ -11,14 +11,15 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import AntimagicError, UseSpecialCase
+from .errors import AntimagicError, BijectionError, UseSpecialCase
 from .graph import components
-from .labeling import chi_la_lower_bound, induce, is_local_antimagic
-from .oracle import certify_no_2_coloring, edge_cap, exact_chi_la, find_labeling, parallel_exact_chi_la
-from .schemes import EVEN, ODD, build_matrix, check_identities
+from .labeling import induce, is_local_antimagic
+from .oracle import exact_chi_la, find_labeling
+from .schemes import EVEN, ODD, build_matrix, check_identities, scheme_m
 from .serialize import (
     dot,
     dumps,
+    graph_doc,
     graph_from_doc,
     labeling_doc,
     labeling_from_doc,
@@ -26,7 +27,7 @@ from .serialize import (
     matrix_doc,
     provenance_doc,
 )
-from .sweep import ALL_FAMILIES, SweepRow, sweep
+from .sweep import ALL_FAMILIES, sweep
 from .transforms import (
     block_merge,
     chunk_blocks,
@@ -53,7 +54,8 @@ FAMILIES = (
 )
 
 
-def _parse_ints(text: str) -> tuple[int, ...]:
+def int_list(text: str) -> tuple[int, ...]:
+    """Integers separated by commas or plus signs, e.g. ``2,4`` or ``2+4``."""
     return tuple(int(part) for part in text.replace("+", ",").split(",") if part)
 
 
@@ -74,15 +76,14 @@ def _build_family(args) -> tuple:
         return merge_all_x(from_matrix(mx)), mx
     mx = build_matrix(parity, args.n, args.k)
     base = from_matrix(mx)
-    merged = block_merge(base, args.r, args.s)
     if args.family == "block-merge":
-        return merged, mx
+        return block_merge(base, args.r, args.s), mx
     if args.family == "split-G":
-        return split_x(merged), mx
+        return split_x(block_merge(base, args.r, args.s)), mx
     if args.family == "delete-add":
-        return connecting_swaps(merged), mx
+        return connecting_swaps(block_merge(base, args.r, args.s)), mx
     side = "v" if parity == EVEN else "u"
-    pairs = block_merge(base, args.k, 1) if (args.r, args.s) != (args.k, 1) else merged
+    pairs = block_merge(base, args.k, 1)
     if args.family == "J1":
         return merge_v_blocks(pairs, chunk_blocks(args.k, args.block_size, side), side), mx
     if args.family == "J2":
@@ -90,7 +91,7 @@ def _build_family(args) -> tuple:
     if args.family == "H-group":
         if not args.ks:
             raise AntimagicError("H-group requires --ks, e.g. --ks 2,4")
-        return group_components(pairs, _parse_ints(args.ks), side), mx
+        return group_components(pairs, args.ks, side), mx
     raise AntimagicError(f"unknown family {args.family!r}")
 
 
@@ -102,8 +103,6 @@ def cmd_construct(args) -> int:
         return 2
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    from .serialize import graph_doc
-
     (out / "graph.json").write_text(dumps(graph_doc(lg.graph)))
     (out / "labeling.json").write_text(dumps(labeling_doc(lg.labeling)))
     (out / "graph.dot").write_text(dot(lg.graph, lg.labeling))
@@ -126,10 +125,21 @@ def cmd_construct(args) -> int:
     return 0
 
 
+def _load_doc(path: str) -> dict:
+    """The JSON object stored at ``path``; anything else is a parse error."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (OSError, ValueError, RecursionError) as exc:
+        raise AntimagicError(exc) from exc
+    if not isinstance(doc, dict):
+        raise AntimagicError("expected a JSON object")
+    return doc
+
+
 def cmd_verify(args) -> int:
     try:
-        doc = json.loads(Path(args.input).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        doc = _load_doc(args.input)
+    except AntimagicError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     if "rows" in doc:
@@ -139,12 +149,11 @@ def cmd_verify(args) -> int:
         return 2
     try:
         labeling = labeling_from_doc(doc)
+    except BijectionError as exc:
+        print(f"verification failed: bijection: {exc}")
+        return 1
     except AntimagicError as exc:
-        msg = str(exc)
-        if "bijection" in msg or "cover exactly" in msg:
-            print(f"verification failed: bijection: {msg}")
-            return 1
-        print(f"parse error: {msg}", file=sys.stderr)
+        print(f"parse error: {exc}", file=sys.stderr)
         return 2
     print("bijection: ok")
     ok, bad = is_local_antimagic(labeling)
@@ -153,7 +162,7 @@ def cmd_verify(args) -> int:
     print(f"colors: {colors}")
     failed = not ok
     if args.expect_colors:
-        expected = sorted(_parse_ints(args.expect_colors))
+        expected = sorted(args.expect_colors)
         match = colors == expected
         print(f"color-set: {'ok' if match else f'expected {expected}'}")
         failed = failed or not match
@@ -161,15 +170,22 @@ def cmd_verify(args) -> int:
 
 
 def _verify_matrix(doc) -> int:
+    """Compare a matrix document with the closed forms.  The document's
+    shape is checked against (2m+1) x 2k before anything is built, so
+    the work stays in proportion to the document's own size."""
     try:
         parity, n, k = doc["parity"], int(doc["n"]), int(doc["k"])
-    except (KeyError, TypeError, ValueError) as exc:
+        m = scheme_m(parity, n, k)
+        rows = doc["rows"]
+        stored = {row["row"]: tuple(row["entries"]) for row in rows}
+    except (KeyError, TypeError, ValueError, OverflowError, AntimagicError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
+    if len(rows) != 2 * m + 1 or any(len(entries) != 2 * k for entries in stored.values()):
+        print(f"verification failed: matrix shape differs from {2 * m + 1} x {2 * k}")
+        return 1
     mx = build_matrix(parity, n, k)
-    stored = {row["row"]: tuple(row["entries"]) for row in doc["rows"]}
-    built = {("uv" if side == "uv" else f"{side}{j}"): mx.row((side, j)) for side, j in mx.rows}
-    if stored != built:
+    if stored != {mx.row_name(key): mx.row(key) for key in mx.rows}:
         print("verification failed: matrix entries differ from the closed forms")
         return 1
     report = check_identities(mx, strict=False)
@@ -179,34 +195,13 @@ def _verify_matrix(doc) -> int:
     return 0 if report.ok else 1
 
 
-def _sweep_cell_args(n_max: int, k_max: int, families: tuple[str, ...]):
-    for parity in (EVEN, ODD):
-        for n in range(1, n_max + 1):
-            for k in range(1, k_max + 1):
-                yield (parity, n, k, families)
-
-
-def _sweep_worker(cell) -> list[SweepRow]:
-    from .sweep import _sweep_cell
-
-    parity, n, k, families = cell
-    return list(_sweep_cell(parity, n, k, set(families)))
-
-
 def cmd_sweep(args) -> int:
     families = tuple(args.families.split(",")) if args.families else ALL_FAMILIES
     unknown = set(families) - set(ALL_FAMILIES)
     if unknown:
         print(f"error: unknown families {sorted(unknown)}", file=sys.stderr)
         return 2
-    if args.jobs > 1:
-        from multiprocessing import Pool
-
-        cells = list(_sweep_cell_args(args.n_max, args.k_max, families))
-        with Pool(processes=args.jobs) as pool:
-            rows = [row for cell_rows in pool.map(_sweep_worker, cells) for row in cell_rows]
-    else:
-        rows = list(sweep(args.n_max, args.k_max, families))
+    rows = list(sweep(args.n_max, args.k_max, families, jobs=args.jobs))
     lines = ["family,parity,params,colors,status,detail"] + [row.csv() for row in rows]
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -220,25 +215,19 @@ def cmd_sweep(args) -> int:
 
 def cmd_oracle(args) -> int:
     try:
-        doc = json.loads(Path(args.input).read_text())
-        if not isinstance(doc, dict):
-            raise AntimagicError("expected a graph document object")
+        doc = _load_doc(args.input)
         g = graph_from_doc(doc.get("graph", doc))
-    except (OSError, json.JSONDecodeError, AntimagicError) as exc:
+    except AntimagicError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    target_colors = set(_parse_ints(args.target_colors)) if args.target_colors else None
+    target_colors = set(args.target_colors) if args.target_colors else None
     try:
         if args.mode == "chi-la":
-            res = parallel_exact_chi_la(g, args.jobs, cap=args.cap) if args.jobs > 1 else exact_chi_la(g, cap=args.cap)
+            res = exact_chi_la(g, cap=args.cap, jobs=args.jobs)
             result = res.value if res.value is not None else "no labeling exists"
-            nodes, seconds = res.nodes, res.seconds
         elif args.mode == "certify-2":
-            import time as _time
-
-            t0 = _time.perf_counter()
-            result = certify_no_2_coloring(g, cap=args.cap)
-            nodes, seconds = 0, _time.perf_counter() - t0
+            res = find_labeling(g, target_c=2, cap=args.cap)
+            result = res.labeling is None
         else:
             res = find_labeling(
                 g, target_colors=target_colors, target_c=args.target_c,
@@ -251,7 +240,6 @@ def cmd_oracle(args) -> int:
                 result = sorted(induce(res.labeling).color_set)
                 if args.save:
                     Path(args.save).write_text(dumps(labeling_doc(res.labeling)))
-            nodes, seconds = res.nodes, res.seconds
     except AntimagicError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -259,8 +247,8 @@ def cmd_oracle(args) -> int:
         "instance": Path(args.input).name,
         "mode": args.mode,
         "result": result,
-        "nodes_expanded": nodes,
-        "wall_time": round(seconds, 6),
+        "nodes_expanded": res.nodes,
+        "wall_time": round(res.seconds, 6),
     }
     print(dumps(report), end="")
     return 0
@@ -277,15 +265,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--r", type=int, default=2)
     p.add_argument("--s", type=int, default=1)
-    p.add_argument("--t", type=int, default=0)
-    p.add_argument("--ks", default="", help="group sizes for H-group, e.g. 2,4")
+    p.add_argument("--ks", type=int_list, default="", help="group sizes for H-group, e.g. 2,4")
     p.add_argument("--block-size", type=int, default=2, help="J-family block size")
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("verify", help="verify a labeling (or matrix) document")
     p.add_argument("input")
-    p.add_argument("--expect-colors", default="")
+    p.add_argument("--expect-colors", type=int_list, default="")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sweep", help="run the family grid and emit a CSV summary")
@@ -300,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--mode", choices=("chi-la", "find", "heuristic", "certify-2"), default="chi-la")
     p.add_argument("--target-c", type=int, default=None)
-    p.add_argument("--target-colors", default="")
+    p.add_argument("--target-colors", type=int_list, default="")
     p.add_argument("--cap", type=int, default=None)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)

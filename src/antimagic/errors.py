@@ -5,6 +5,10 @@ class AntimagicError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class BijectionError(AntimagicError):
+    """Edge labels do not map the edge set one-to-one onto [1..q]."""
+
+
 class LoopError(AntimagicError):
     """A vertex merge would identify two adjacent vertices."""
 

@@ -106,18 +106,24 @@ def merged(parts: Iterable[VertexId]) -> VertexId:
 
 
 def parse_token(tok: str) -> VertexId:
-    """Inverse of :meth:`VertexId.token`."""
+    """Inverse of :meth:`VertexId.token`; any other input raises
+    :class:`AntimagicError`."""
+    if not isinstance(tok, str):
+        raise AntimagicError(f"vertex token must be a string: {tok!r}")
     tok = tok.strip()
-    if tok.startswith("m(") and tok.endswith(")"):
-        inner = tok[2:-1]
-        return merged(parse_token(t) for t in inner.split("|"))
-    if tok.startswith("x"):
-        a, _, b = tok[1:].partition(".")
-        return x(int(a), int(b))
-    if tok.startswith("u"):
-        return u(int(tok[1:]))
-    if tok.startswith("v"):
-        return v(int(tok[1:]))
+    try:
+        if tok.startswith("m(") and tok.endswith(")"):
+            inner = tok[2:-1]
+            return merged(parse_token(t) for t in inner.split("|"))
+        if tok.startswith("x"):
+            a, _, b = tok[1:].partition(".")
+            return x(int(a), int(b))
+        if tok.startswith("u"):
+            return u(int(tok[1:]))
+        if tok.startswith("v"):
+            return v(int(tok[1:]))
+    except (ValueError, RecursionError) as exc:
+        raise AntimagicError(f"unparseable vertex token: {tok!r}") from exc
     raise AntimagicError(f"unparseable vertex token: {tok!r}")
 
 
@@ -127,7 +133,7 @@ class FamilyParams:
 
     ``m`` is the null-part order, ``n`` the half-order parameter
     (m = 2n or 2n+1), ``k`` the component-count parameter; ``r``/``s``
-    factor k = r*s where a construction needs it, ``t``/``ks`` describe
+    factor k = r*s where a construction needs it, ``ks`` describes
     component groupings.
     """
 
@@ -136,11 +142,10 @@ class FamilyParams:
     k: int = 0
     r: int = 0
     s: int = 0
-    t: int = 0
     ks: tuple[int, ...] = ()
 
     def __post_init__(self):
-        for name in ("m", "n", "k", "r", "s", "t"):
+        for name in ("m", "n", "k", "r", "s"):
             val = getattr(self, name)
             if val < 0:
                 raise AntimagicError(f"{name} must be >= 1 when present")
@@ -226,37 +231,6 @@ def join(g: Graph, h: Graph) -> Graph:
     )
 
 
-def disjoint_union(gs: Sequence[Graph]) -> Graph:
-    """Disjoint union; copies are re-indexed so vertex sets cannot clash.
-
-    Copy c of u_i becomes u_{(c-1)*width + i} where ``width`` is the
-    largest first index appearing in any input, and similarly for v and
-    x vertices.  Merged vertices are not supported: every family built
-    here takes its disjoint unions before any surgery.
-    """
-    if not gs:
-        return Graph.build([], [])
-    width = 0
-    for g in gs:
-        for w in g.vertices:
-            if w.role == MERGED_ROLE:
-                raise AntimagicError("disjoint_union does not re-index merged vertices")
-            width = max(width, w.i)
-
-    def shift(w: VertexId, c: int) -> VertexId:
-        off = c * width
-        if w.role == X_ROLE:
-            return x(w.i + off, w.j)
-        return VertexId(w.role, w.i + off)
-
-    vs: list[VertexId] = []
-    es: list[tuple[VertexId, VertexId]] = []
-    for c, g in enumerate(gs):
-        vs.extend(shift(w, c) for w in g.vertices)
-        es.extend((shift(a, c), shift(b, c)) for a, b in g.edges)
-    return Graph.build(vs, es)
-
-
 def copies_of_p2_join_null(a: int, m: int) -> Graph:
     """a(P_2 ∨ O_m): a disjoint copies, copy i on u_i, v_i, x_{i,1..m}."""
     vs: list[VertexId] = []
@@ -314,54 +288,6 @@ def merge_vertices_mapped(
         new_edges[ne] = (a, b)
     new_vertices = {vmap.get(w, w) for w in g.vertices}
     return Graph(frozenset(new_vertices), frozenset(new_edges)), vmap
-
-
-def split_vertex(
-    g: Graph,
-    w: VertexId,
-    first_edges: Iterable[Edge],
-    names: tuple[VertexId, VertexId] | None = None,
-) -> tuple[Graph, tuple[VertexId, VertexId]]:
-    """Replace ``w`` by two vertices, dividing its incident edges.
-
-    ``first_edges`` must be a nonempty proper subset of the edges at
-    ``w``; the complement goes to the second vertex.  ``names`` fixes
-    the identities of the two halves.  When omitted, ``w`` must be a
-    merged vertex: the halves are then named by splitting its
-    constituent list in two (callers that care about which constituent
-    carries which edge should pass ``names`` explicitly).
-    """
-    if w not in g.vertices:
-        raise AntimagicError(f"{w} not in graph")
-    incident = set(g.incident_edges(w))
-    first = {edge(*e) for e in first_edges}
-    if not first or not first < incident:
-        raise AntimagicError("first_edges must be a nonempty proper subset of the edges at the vertex")
-    second = incident - first
-    if names is None:
-        if w.role != MERGED_ROLE:
-            raise AntimagicError("names required when splitting a non-merged vertex")
-        half = len(w.parts) // 2
-        names = (merged(w.parts[:half]), merged(w.parts[half:]))
-    ya, za = names
-    if ya == za:
-        raise AntimagicError("split halves need distinct names")
-    for nm in names:
-        if nm in g.vertices - {w}:
-            raise AntimagicError(f"split name collides with existing vertex: {nm}")
-
-    def reattach(e: Edge, target: VertexId) -> Edge:
-        a, b = e
-        other = b if a == w else a
-        return edge(target, other)
-
-    new_edges = set(g.edges) - incident
-    new_edges |= {reattach(e, ya) for e in first}
-    new_edges |= {reattach(e, za) for e in second}
-    new_vertices = (g.vertices - {w}) | {ya, za}
-    if len(new_edges) != g.size:
-        raise ParallelEdgeError("split produced a parallel edge")
-    return Graph(frozenset(new_vertices), frozenset(new_edges)), (ya, za)
 
 
 def delete_add_edges(
@@ -442,69 +368,3 @@ def is_bipartite_equal_parts(g: Graph) -> bool:
     """True iff every component is bipartite with equal partite sizes."""
     parts = bipartition(g)
     return all(p is not None and len(p[0]) == len(p[1]) for p in parts)
-
-
-DEFAULT_CHROMATIC_LIMIT = 64
-
-
-def chromatic_number_small(g: Graph, cap: int | None = None, limit: int = DEFAULT_CHROMATIC_LIMIT) -> int | None:
-    """Exact chromatic number by DSATUR-style branch and bound.
-
-    Only intended for small instances (|V| <= ``limit``).  Returns the
-    chromatic number, or None when it exceeds ``cap``.
-    """
-    if g.order > limit:
-        raise AntimagicError(f"graph too large for exact coloring ({g.order} > {limit})")
-    verts = g.sorted_vertices()
-    if not verts:
-        return 0
-    if not g.edges:
-        return 1 if (cap is None or cap >= 1) else None
-    idx = {w: n for n, w in enumerate(verts)}
-    adj = [[idx[nb] for nb in g.adjacency[w]] for w in verts]
-    n_verts = len(verts)
-
-    # greedy upper bound in descending-degree order
-    best = [0] * n_verts
-    order = sorted(range(n_verts), key=lambda a: -len(adj[a]))
-    for a in order:
-        used = {best[b] for b in adj[a] if best[b]}
-        c = 1
-        while c in used:
-            c += 1
-        best[a] = c
-    best_k = max(best)
-
-    colors = [0] * n_verts
-    neighbor_colors = [set() for _ in range(n_verts)]
-
-    def pick() -> int | None:
-        cands = [a for a in range(n_verts) if colors[a] == 0]
-        if not cands:
-            return None
-        return max(cands, key=lambda a: (len(neighbor_colors[a]), len(adj[a]), -a))
-
-    def backtrack(current_k: int):
-        nonlocal best_k
-        a = pick()
-        if a is None:
-            best_k = min(best_k, current_k)
-            return
-        for c in range(1, min(current_k + 1, best_k - 1) + 1):
-            if c in neighbor_colors[a]:
-                continue
-            colors[a] = c
-            touched = []
-            for b in adj[a]:
-                if colors[b] == 0 and c not in neighbor_colors[b]:
-                    neighbor_colors[b].add(c)
-                    touched.append(b)
-            backtrack(max(current_k, c))
-            colors[a] = 0
-            for b in touched:
-                neighbor_colors[b].discard(c)
-
-    backtrack(0)
-    if cap is not None and best_k > cap:
-        return None
-    return best_k

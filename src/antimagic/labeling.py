@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import AntimagicError
+from .errors import BijectionError
 from .graph import Edge, Graph, VertexId, edge, is_bipartite_equal_parts
 
 
@@ -22,9 +22,9 @@ class EdgeLabeling:
     def __post_init__(self):
         q = self.graph.size
         if set(self.labels) != set(self.graph.edges):
-            raise AntimagicError("labels must cover exactly the edge set")
+            raise BijectionError("labels must cover exactly the edge set")
         if sorted(self.labels.values()) != list(range(1, q + 1)):
-            raise AntimagicError(f"labels must be a bijection onto [1..{q}]")
+            raise BijectionError(f"labels must be a bijection onto [1..{q}]")
 
     @property
     def q(self) -> int:
@@ -69,40 +69,6 @@ def is_local_antimagic(labeling: EdgeLabeling) -> tuple[bool, list[Edge]]:
     colors = induce(labeling).colors
     bad = sorted(e for e in labeling.graph.edges if colors[e[0]] == colors[e[1]])
     return (not bad, bad)
-
-
-@dataclass(frozen=True)
-class ThreeColorReport:
-    ok: bool
-    color_set: frozenset[int]
-    expected: frozenset[int]
-    violations: tuple[Edge, ...]
-
-    def diff(self) -> str:
-        missing = sorted(self.expected - self.color_set)
-        extra = sorted(self.color_set - self.expected)
-        parts = []
-        if missing:
-            parts.append(f"missing colors {missing}")
-        if extra:
-            parts.append(f"unexpected colors {extra}")
-        if self.violations:
-            a, b = self.violations[0]
-            parts.append(f"{len(self.violations)} equal-color edges (first: {a}-{b})")
-        return "; ".join(parts) if parts else "ok"
-
-
-def assert_three_coloring(labeling: EdgeLabeling, expected: set[int]) -> ThreeColorReport:
-    """Pass iff the labeling is local antimagic with exactly these colors."""
-    colors = induce(labeling).colors
-    bad = sorted(e for e in labeling.graph.edges if colors[e[0]] == colors[e[1]])
-    cs = frozenset(colors.values())
-    return ThreeColorReport(
-        ok=not bad and cs == frozenset(expected),
-        color_set=cs,
-        expected=frozenset(expected),
-        violations=tuple(bad),
-    )
 
 
 def chi_la_lower_bound(g: Graph) -> tuple[int, str]:

@@ -17,16 +17,17 @@ from dataclasses import dataclass
 
 from .errors import AntimagicError
 from .graph import Edge, Graph
-from .labeling import EdgeLabeling, chi_la_lower_bound, induce, is_local_antimagic
+from .labeling import EdgeLabeling, chi_la_lower_bound, induce
 
 DEFAULT_EDGE_CAP = 12
 ENV_EDGE_CAP = "ANTIMAGIC_EDGE_CAP"
 
 
-def edge_cap(override: int | None = None) -> int:
-    if override is not None:
-        return override
-    return int(os.environ.get(ENV_EDGE_CAP, DEFAULT_EDGE_CAP))
+def _check_cap(g: Graph, cap: int | None) -> None:
+    """Refuse graphs with more edges than ``cap``, else $ANTIMAGIC_EDGE_CAP, else 12."""
+    limit = cap if cap is not None else int(os.environ.get(ENV_EDGE_CAP, DEFAULT_EDGE_CAP))
+    if g.size > limit:
+        raise AntimagicError(f"graph has {g.size} edges, over the cap {limit}")
 
 
 def _edge_order(g: Graph) -> list[Edge]:
@@ -154,28 +155,43 @@ class ChiLaResult:
         return self.value is not None
 
 
-def exact_chi_la(g: Graph, cap: int | None = None) -> ChiLaResult:
+def exact_chi_la(g: Graph, cap: int | None = None, jobs: int = 1) -> ChiLaResult:
     """Minimum c(f) over all local antimagic bijections, by exhaustion.
 
     Tries color budgets upward from the sound lower bound; once every
     budget up to |V| fails, no labeling exists at all (a labeling always
-    induces at most |V| colors).
+    induces at most |V| colors).  With ``jobs > 1`` each budget's search
+    is split over worker processes by the first edge's label; the
+    branches partition the search, so the value does not depend on
+    ``jobs`` (the node count does: every branch runs to its end).
     """
-    limit = edge_cap(cap)
-    if g.size > limit:
-        raise AntimagicError(f"graph has {g.size} edges, over the cap {limit}")
+    _check_cap(g, cap)
     t0 = time.perf_counter()
     if not g.edges:
         return ChiLaResult(None, 0, time.perf_counter() - t0)
     lb, _ = chi_la_lower_bound(g)
+    jobs = min(jobs, g.size)
+    pool = None
+    if jobs > 1:
+        from multiprocessing import Pool
+
+        pool = Pool(processes=jobs)
+        chunks = [list(range(start, g.size + 1, jobs)) for start in range(1, jobs + 1)]
     nodes = 0
-    for budget in range(max(lb, 1), g.order + 1):
-        found, n = _search(g, max_colors=budget)
-        nodes += n
-        if found is not None:
-            labeling = EdgeLabeling(g, found)
-            c = induce(labeling).c
-            return ChiLaResult(c, nodes, time.perf_counter() - t0)
+    try:
+        for budget in range(max(lb, 1), g.order + 1):
+            if pool is None:
+                results = [_search(g, max_colors=budget)]
+            else:
+                results = pool.starmap(_search, [(g, None, budget, chunk) for chunk in chunks])
+            nodes += sum(n for _, n in results)
+            hits = [found for found, _ in results if found is not None]
+            if hits:
+                labeling = EdgeLabeling(g, hits[0])
+                return ChiLaResult(induce(labeling).c, nodes, time.perf_counter() - t0)
+    finally:
+        if pool is not None:
+            pool.terminate()
     return ChiLaResult(None, nodes, time.perf_counter() - t0)
 
 
@@ -207,9 +223,7 @@ def find_labeling(
         raise AntimagicError(f"contradictory constraints: {len(target_colors)} colors vs c={target_c}")
     t0 = time.perf_counter()
     if mode == "exact":
-        limit = edge_cap(cap)
-        if g.size > limit:
-            raise AntimagicError(f"graph has {g.size} edges, over the cap {limit}")
+        _check_cap(g, cap)
         max_colors = target_c if target_c is not None else (len(target_colors) if target_colors else None)
         found, nodes = _search(g, target_colors=target_colors, max_colors=max_colors)
         labeling = EdgeLabeling(g, found) if found else None
@@ -260,56 +274,4 @@ def _heuristic(g: Graph, target_colors, target_c, seed: int, restarts: int, iter
 
 def certify_no_2_coloring(g: Graph, cap: int | None = None) -> bool:
     """True iff exhaustive search finds no labeling with c(f) = 2."""
-    limit = edge_cap(cap)
-    if g.size > limit:
-        raise AntimagicError(f"graph has {g.size} edges, over the cap {limit}")
-    found, _ = _search(g, max_colors=2)
-    return found is None
-
-
-def parallel_exact_chi_la(g: Graph, jobs: int, cap: int | None = None) -> ChiLaResult:
-    """exact_chi_la with the top level of the search tree fanned out.
-
-    Branches partition the label choices of the first edge, so the
-    reduction (min over budgets, any-found per budget) is independent of
-    worker count and scheduling.
-    """
-    if jobs <= 1 or g.size <= 1:
-        return exact_chi_la(g, cap=cap)
-    limit = edge_cap(cap)
-    if g.size > limit:
-        raise AntimagicError(f"graph has {g.size} edges, over the cap {limit}")
-    from multiprocessing import Pool
-
-    t0 = time.perf_counter()
-    if not g.edges:
-        return ChiLaResult(None, 0, time.perf_counter() - t0)
-    lb, _ = chi_la_lower_bound(g)
-    q = g.size
-    chunks = [list(range(start, q + 1, jobs)) for start in range(1, min(jobs, q) + 1)]
-    nodes = 0
-    with Pool(processes=jobs) as pool:
-        for budget in range(max(lb, 1), g.order + 1):
-            results = pool.starmap(_branch_search, [(g, budget, chunk) for chunk in chunks])
-            nodes += sum(r[1] for r in results)
-            hits = [r[0] for r in results if r[0] is not None]
-            if hits:
-                labeling = EdgeLabeling(g, min(hits, key=lambda d: sorted(d.items())))
-                c = induce(labeling).c
-                return ChiLaResult(c, nodes, time.perf_counter() - t0)
-    return ChiLaResult(None, nodes, time.perf_counter() - t0)
-
-
-def _branch_search(g: Graph, budget: int, first_labels: list[int]):
-    return _search(g, max_colors=budget, first_labels=first_labels)
-
-
-def verify_labeling(labeling: EdgeLabeling) -> tuple[bool, list[str]]:
-    """Bijection is enforced on construction; check the rest, reporting
-    every failure by name."""
-    problems: list[str] = []
-    ok, bad = is_local_antimagic(labeling)
-    if not ok:
-        a, b = bad[0]
-        problems.append(f"local-antimagic: {len(bad)} equal-color edges (first: {a}-{b})")
-    return (not problems, problems)
+    return find_labeling(g, target_c=2, cap=cap).labeling is None

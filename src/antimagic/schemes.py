@@ -78,6 +78,12 @@ class LabelMatrix:
         vx = tuple(("vx", j) for j in range(1, self.m + 1))
         return ux + (("uv", 0),) + vx
 
+    @staticmethod
+    def row_name(key: RowKey) -> str:
+        """The row's name in CSV and JSON: ``ux1``, ``uv``, ``vx3``."""
+        side, j = key
+        return "uv" if side == "uv" else f"{side}{j}"
+
     def entry(self, key: RowKey, i: int) -> int:
         return self.data[key][i - 1]
 
@@ -96,17 +102,28 @@ class LabelMatrix:
         return sum(self.entry(("vx", j), i) for j in range(1, self.m + 1)) + self.entry(("uv", 0), i)
 
 
+def scheme_m(parity: str, n: int, k: int) -> int:
+    """The null order m of the scheme with these parameters.
+
+    Raises :class:`AntimagicError` when no scheme has them, and
+    :class:`UseSpecialCase` for 2(P_2 ∨ O_2), which has no matrix.
+    """
+    if parity not in (EVEN, ODD):
+        raise AntimagicError(f"unknown parity {parity!r}")
+    if n < 1 or k < 1:
+        raise AntimagicError("n and k must be >= 1")
+    if (parity, n, k) == (EVEN, 1, 1):
+        raise UseSpecialCase("2(P_2 ∨ O_2) uses the bespoke labeling; see special_2p2_o2()")
+    return 2 * n if parity == EVEN else 2 * n + 1
+
+
 def build_even_matrix(n: int, k: int) -> LabelMatrix:
     """Label matrix for 2k(P_2 ∨ O_2n), (n, k) != (1, 1).
 
     For n = 1 only the last-two-j rows exist; for k = 1 the piecewise
     segments collapse to the dedicated two-column forms.
     """
-    if n < 1 or k < 1:
-        raise AntimagicError("n and k must be >= 1")
-    if (n, k) == (1, 1):
-        raise UseSpecialCase("2(P_2 ∨ O_2) uses the bespoke labeling; see special_2p2_o2()")
-
+    scheme_m(EVEN, n, k)
     cols = 2 * k
     off = 4 * k * (n - 1)
 
@@ -159,8 +176,7 @@ def build_even_matrix(n: int, k: int) -> LabelMatrix:
 
 def build_odd_matrix(n: int, k: int) -> LabelMatrix:
     """Label matrix for 2k(P_2 ∨ O_{2n+1}); no excluded cases."""
-    if n < 1 or k < 1:
-        raise AntimagicError("n and k must be >= 1")
+    scheme_m(ODD, n, k)
     cols = 2 * k
     data: dict[RowKey, tuple[int, ...]] = {}
     for jj in range(1, n + 1):
@@ -175,11 +191,8 @@ def build_odd_matrix(n: int, k: int) -> LabelMatrix:
 
 
 def build_matrix(parity: str, n: int, k: int) -> LabelMatrix:
-    if parity == EVEN:
-        return build_even_matrix(n, k)
-    if parity == ODD:
-        return build_odd_matrix(n, k)
-    raise AntimagicError(f"unknown parity {parity!r}")
+    scheme_m(parity, n, k)
+    return build_even_matrix(n, k) if parity == EVEN else build_odd_matrix(n, k)
 
 
 # --- bespoke 2(P_2 ∨ O_2) fixture -----------------------------------------

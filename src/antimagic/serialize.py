@@ -24,7 +24,7 @@ def graph_from_doc(doc: dict[str, Any]) -> Graph:
     try:
         vs = [parse_token(item["id"]) for item in doc["vertices"]]
         es = [(parse_token(a), parse_token(b)) for a, b in doc["edges"]]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise AntimagicError(f"malformed graph document: {exc}") from exc
     return Graph.build(vs, es)
 
@@ -44,7 +44,7 @@ def labeling_from_doc(doc: dict[str, Any]) -> EdgeLabeling:
             edge(parse_token(item["edge"][0]), parse_token(item["edge"][1])): int(item["label"])
             for item in doc["labels"]
         }
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
         raise AntimagicError(f"malformed labeling document: {exc}") from exc
     return EdgeLabeling(g, labels)
 
@@ -57,9 +57,7 @@ def matrix_csv(mx: LabelMatrix) -> str:
     """Rows in canonical order: u-rows by ascending j, uv, v-rows."""
     lines = ["row," + ",".join(str(i) for i in range(1, mx.cols + 1))]
     for key in mx.rows:
-        side, j = key
-        name = "uv" if side == "uv" else f"{side}{j}"
-        lines.append(name + "," + ",".join(str(val) for val in mx.row(key)))
+        lines.append(mx.row_name(key) + "," + ",".join(str(val) for val in mx.row(key)))
     return "\n".join(lines) + "\n"
 
 
@@ -68,10 +66,7 @@ def matrix_doc(mx: LabelMatrix) -> dict[str, Any]:
         "n": mx.n,
         "k": mx.k,
         "parity": mx.parity,
-        "rows": [
-            {"row": ("uv" if side == "uv" else f"{side}{j}"), "entries": list(mx.row((side, j)))}
-            for side, j in mx.rows
-        ],
+        "rows": [{"row": mx.row_name(key), "entries": list(mx.row(key))} for key in mx.rows],
     }
 
 

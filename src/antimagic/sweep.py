@@ -76,15 +76,34 @@ def _colors_ok(lg: LabeledGraph, expected: set[int]) -> tuple[bool, str]:
     return True, ""
 
 
-def sweep(n_max: int = 12, k_max: int = 12, families: tuple[str, ...] = ALL_FAMILIES) -> Iterator[SweepRow]:
-    want = set(families)
-    for parity in (EVEN, ODD):
-        for n in range(1, n_max + 1):
-            for k in range(1, k_max + 1):
-                yield from _sweep_cell(parity, n, k, want)
+def sweep(
+    n_max: int = 12, k_max: int = 12, families: tuple[str, ...] = ALL_FAMILIES, jobs: int = 1
+) -> Iterator[SweepRow]:
+    """Rows for every (parity, n, k) cell in canonical order.
+
+    With ``jobs > 1`` a pool of that many worker processes computes the
+    cells; the rows and their order do not depend on ``jobs``.
+    """
+    want = frozenset(families)
+    cells = (
+        (parity, n, k, want) for parity in (EVEN, ODD) for n in range(1, n_max + 1) for k in range(1, k_max + 1)
+    )
+    if jobs <= 1:
+        for cell in cells:
+            yield from _sweep_cell(*cell)
+        return
+    from multiprocessing import Pool
+
+    with Pool(processes=jobs) as pool:
+        for rows in pool.map(_cell_rows, cells):
+            yield from rows
 
 
-def _sweep_cell(parity: str, n: int, k: int, want: set[str]) -> Iterator[SweepRow]:
+def _cell_rows(cell: tuple) -> list[SweepRow]:
+    return list(_sweep_cell(*cell))
+
+
+def _sweep_cell(parity: str, n: int, k: int, want: frozenset[str]) -> Iterator[SweepRow]:
     base_params = f"n={n} k={k}"
     if parity == EVEN and (n, k) == (1, 1):
         if "merge-all" in want:
@@ -166,11 +185,3 @@ def _sweep_cell(parity: str, n: int, k: int, want: set[str]) -> Iterator[SweepRo
             if ok and all(ka % 2 == 0 for ka in ks) and not is_bipartite_equal_parts(lg.graph):
                 ok, detail = False, "even groups should be bipartite with equal parts"
             yield SweepRow("H2", parity, params, tuple(sorted(lg.colors)), ok, detail)
-
-
-def sweep_summary(rows) -> tuple[int, int]:
-    total = failed = 0
-    for row in rows:
-        total += 1
-        failed += 0 if row.ok else 1
-    return total, failed

@@ -333,7 +333,7 @@ def group_components(lg: LabeledGraph, ks, side: str | None = None) -> LabeledGr
             blocks.append([mk(c_here), mk(2 * k + 1 - c_next)])
         start += ka
     out = _merge_with_labels(lg, blocks, ("group_components", kind_side, ks))
-    return replace(out, params=replace(out.params, t=len(ks), ks=ks))
+    return replace(out, params=replace(out.params, ks=ks))
 
 
 @dataclass(frozen=True)

@@ -66,6 +66,16 @@ class TestConstruct:
         assert report["components"] == 1
         assert report["local_antimagic"] is True
 
+    def test_j_family_ignores_r_and_s(self, tmp_path, capsys):
+        a, b = tmp_path / "a", tmp_path / "b"
+        args = ["construct", "--family", "J1", "--n", "1", "--k", "3", "--block-size", "3"]
+        assert main(args + ["--out", str(a)]) == 0
+        assert main(args + ["--r", "3", "--s", "1", "--out", str(b)]) == 0
+        names = sorted(f.name for f in a.iterdir())
+        assert names == sorted(f.name for f in b.iterdir())
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+
     def test_h_group(self, tmp_path, capsys):
         code, out = run(
             capsys, "construct", "--family", "H-group",
@@ -107,6 +117,48 @@ class TestVerify:
         code, out = run(capsys, "verify", str(tmp_path / "matrix.json"))
         assert code == 0
         assert "matrix identities: ok" in out
+
+
+def triangle_labeling_doc(vertex="x1.1", label=3) -> dict:
+    ids = ["u1", "v1", vertex]
+    edges = [[ids[0], ids[1]], [ids[0], ids[2]], [ids[1], ids[2]]]
+    labels = [{"edge": e, "label": lab} for e, lab in zip(edges, [1, 2, label])]
+    return {"graph": {"vertices": [{"id": w} for w in ids], "edges": edges}, "labels": labels}
+
+
+DOCUMENTS = {
+    "labeling-ok": ("verify", triangle_labeling_doc(), 0),
+    "matrix-even-n1-k1": ("verify", {"parity": "even", "n": 1, "k": 1, "rows": []}, 2),
+    "matrix-unknown-parity": ("verify", {"parity": "prime", "n": 2, "k": 2, "rows": []}, 2),
+    "matrix-row-without-entries": ("verify", {"parity": "odd", "n": 1, "k": 1, "rows": [{"row": "uv"}]}, 2),
+    "matrix-rows-not-a-list": ("verify", {"parity": "odd", "n": 1, "k": 1, "rows": 5}, 2),
+    "matrix-too-few-rows": ("verify", {"parity": "odd", "n": 1, "k": 1, "rows": []}, 1),
+    "not-an-object": ("verify", 5, 2),
+    "label-not-a-number": ("verify", triangle_labeling_doc(label="a"), 2),
+    "verify-vertex-id-not-a-string": ("verify", triangle_labeling_doc(vertex=3), 2),
+    "verify-vertex-id-without-index": ("verify", triangle_labeling_doc(vertex="ux"), 2),
+    "oracle-vertex-id-not-a-string": ("oracle", triangle_labeling_doc(vertex=3), 2),
+    "oracle-vertex-id-without-index": ("oracle", triangle_labeling_doc(vertex="ux"), 2),
+}
+
+
+@pytest.mark.parametrize("command,doc,code", DOCUMENTS.values(), ids=DOCUMENTS.keys())
+def test_document_exit_codes(tmp_path, capsys, command, doc, code):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, str(path)]) == code
+
+
+def test_matrix_shape_checked_before_building(tmp_path, capsys, monkeypatch):
+    import antimagic.cli
+
+    def refuse(*args):
+        raise AssertionError("build_matrix called on a document of the wrong shape")
+
+    monkeypatch.setattr(antimagic.cli, "build_matrix", refuse)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"parity": "odd", "n": 10**9, "k": 10**9, "rows": [{"row": "uv", "entries": [1]}]}))
+    assert main(["verify", str(path)]) == 1
 
 
 class TestSweep:
@@ -174,7 +226,9 @@ class TestOracle:
         path = self.write_graph(tmp_path, g)
         code, out = run(capsys, "oracle", path, "--mode", "certify-2")
         assert code == 0
-        assert json.loads(out)["result"] is True
+        report = json.loads(out)
+        assert report["result"] is True
+        assert report["nodes_expanded"] > 0
 
     def test_cap_violation_exit_2(self, tmp_path, capsys):
         path = self.write_graph(tmp_path, copies_of_p2_join_null(2, 3))

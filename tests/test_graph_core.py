@@ -6,11 +6,9 @@ from antimagic.errors import AntimagicError, LoopError, ParallelEdgeError
 from antimagic.graph import (
     Graph,
     bipartition,
-    chromatic_number_small,
     components,
     copies_of_p2_join_null,
     delete_add_edges,
-    disjoint_union,
     edge,
     is_bipartite_equal_parts,
     join,
@@ -20,7 +18,6 @@ from antimagic.graph import (
     null_graph,
     p2,
     parse_token,
-    split_vertex,
     u,
     v,
     x,
@@ -94,24 +91,26 @@ class TestJoin:
 
 
 class TestDisjointUnion:
+    """a(P_2 ∨ O_m) is the package's one disjoint-union builder."""
+
     def test_two_edges(self):
-        g = disjoint_union([p2(1), p2(1)])
+        g = copies_of_p2_join_null(2, 0)
         assert g.size == 2 and g.order == 4
         assert len(components(g)) == 2
 
     def test_eight_copies_order_and_size(self):
-        block = join(p2(1), null_graph(4))
-        g = disjoint_union([block] * 8)
+        g = copies_of_p2_join_null(8, 4)
         assert g.order == 48 and g.size == 72  # 2k(2n+2), 2k(4n+1) at k=4, n=2
+        assert len(components(g)) == 8
 
     def test_empty(self):
-        g = disjoint_union([])
+        g = copies_of_p2_join_null(0, 3)
         assert g.order == 0 and g.size == 0
 
-    def test_matches_indexed_builder(self):
-        a = disjoint_union([join(p2(1), null_graph(3))] * 4)
-        b = copies_of_p2_join_null(4, 3)
-        assert a.order == b.order and a.size == b.size
+    def test_closed_form_order_and_size(self):
+        # a copies of P_2 ∨ O_m: a(m+2) vertices, a(2m+1) edges
+        g = copies_of_p2_join_null(4, 3)
+        assert g.order == 20 and g.size == 28
 
 
 class TestMerge:
@@ -167,39 +166,6 @@ class TestMerge:
             out = merge_vertices(g, groups)
             assert out.order == 4 * k + 2 * n
             assert out.size == g.size
-
-
-class TestSplit:
-    def test_split_then_merge_back(self):
-        g = copies_of_p2_join_null(2, 2)
-        m1 = merge_vertices(g, [[x(1, 1), x(2, 1)]])
-        xm = merged([x(1, 1), x(2, 1)])
-        first = [edge(u(1), xm), edge(v(2), xm)]
-        split, (ya, za) = split_vertex(m1, xm, first, names=(x(1, 1), x(2, 1)))
-        assert split.order == m1.order + 1
-        assert split.size == m1.size
-        back = merge_vertices(split, [[ya, za]])
-        assert back == m1
-
-    def test_split_degree_two_vertex(self):
-        g = join(p2(1), null_graph(1))  # triangle
-        out, (a, b) = split_vertex(g, x(1, 1), [edge(u(1), x(1, 1))], names=(x(1, 1), x(1, 2)))
-        assert out.degree(a) == 1 and out.degree(b) == 1
-        assert out.size == g.size
-
-    def test_default_names_for_merged(self):
-        g = copies_of_p2_join_null(2, 1)
-        m1 = merge_vertices(g, [[x(1, 1), x(2, 1)]])
-        xm = merged([x(1, 1), x(2, 1)])
-        out, (a, b) = split_vertex(m1, xm, [edge(u(1), xm), edge(v(1), xm)])
-        assert {a, b} == {x(1, 1), x(2, 1)}
-
-    def test_invalid_parts_rejected(self):
-        g = join(p2(1), null_graph(1))
-        with pytest.raises(AntimagicError):
-            split_vertex(g, x(1, 1), [], names=(x(1, 1), x(1, 2)))
-        with pytest.raises(AntimagicError):
-            split_vertex(g, x(1, 1), g.incident_edges(x(1, 1)), names=(x(1, 1), x(1, 2)))
 
 
 class TestDeleteAdd:
@@ -270,24 +236,3 @@ class TestComponentsAndBipartition:
         assert is_bipartite_equal_parts(c4)
         assert not is_bipartite_equal_parts(join(p2(1), null_graph(1)))
 
-
-class TestChromaticNumber:
-    def test_triangle(self):
-        assert chromatic_number_small(join(p2(1), null_graph(1))) == 3
-
-    def test_null_graph(self):
-        assert chromatic_number_small(null_graph(5)) == 1
-
-    def test_merged_join_has_chromatic_three(self):
-        g = copies_of_p2_join_null(2, 2)
-        groups = [[x(1, j), x(2, j)] for j in (1, 2)]
-        out = merge_vertices(g, groups)
-        assert chromatic_number_small(out) == 3
-
-    def test_cap_reported(self):
-        assert chromatic_number_small(join(p2(1), null_graph(1)), cap=2) is None
-
-    def test_size_limit(self):
-        big = Graph.build([u(i) for i in range(1, 66)], [])
-        with pytest.raises(AntimagicError):
-            chromatic_number_small(big)

@@ -3,16 +3,16 @@ import random
 import pytest
 
 from antimagic.errors import AntimagicError
-from antimagic.graph import Graph, copies_of_p2_join_null, join, null_graph, p2, u, v, x
+from antimagic.graph import FamilyParams, Graph, copies_of_p2_join_null, join, null_graph, p2, u, v, x
 from antimagic.labeling import (
     EdgeLabeling,
-    assert_three_coloring,
     chi_la_lower_bound,
     induce,
     is_local_antimagic,
 )
 from antimagic.schemes import build_even_matrix, build_odd_matrix, special_2p2_o2
-from antimagic.transforms import block_merge, from_matrix, split_x
+from antimagic.sweep import _colors_ok
+from antimagic.transforms import LabeledGraph, block_merge, from_matrix, split_x
 
 
 def triangle_labeling() -> EdgeLabeling:
@@ -79,19 +79,27 @@ class TestIsLocalAntimagic:
 
 
 class TestAssertThreeColoring:
+    """The one three-coloring check, shared by every sweep row."""
+
     def test_odd_split_triple(self):
         lg = split_x(block_merge(from_matrix(build_odd_matrix(2, 3)), 3, 1))
-        assert assert_three_coloring(lg.labeling, {261, 111, 73}).ok
+        assert _colors_ok(lg, {261, 111, 73}) == (True, "")
 
     def test_odd_block_triple(self):
         lg = block_merge(from_matrix(build_odd_matrix(2, 3)), 3, 1)
-        assert assert_three_coloring(lg.labeling, {261, 111, 146}).ok
+        assert _colors_ok(lg, {261, 111, 146}) == (True, "")
 
     def test_wrong_set_reports_diff(self):
         lg = block_merge(from_matrix(build_odd_matrix(2, 3)), 3, 1)
-        report = assert_three_coloring(lg.labeling, {261, 111, 999})
-        assert not report.ok
-        assert "999" in report.diff() and "146" in report.diff()
+        ok, detail = _colors_ok(lg, {261, 111, 999})
+        assert not ok
+        assert "999" in detail and "146" in detail
+
+    def test_equal_color_edge_reported(self):
+        lg = LabeledGraph(EdgeLabeling(p2(1), {(u(1), v(1)): 1}), FamilyParams(), ())
+        ok, detail = _colors_ok(lg, {1})
+        assert not ok
+        assert "u1-v1" in detail
 
 
 class TestLowerBound:

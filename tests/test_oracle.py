@@ -7,7 +7,6 @@ from antimagic.oracle import (
     certify_no_2_coloring,
     exact_chi_la,
     find_labeling,
-    parallel_exact_chi_la,
 )
 from antimagic.schemes import special_2p2_o2
 
@@ -68,7 +67,7 @@ class TestExactChiLa:
     def test_parallel_matches_serial(self):
         g, _ = special_2p2_o2()
         serial = exact_chi_la(g)
-        two = parallel_exact_chi_la(g, jobs=2)
+        two = exact_chi_la(g, jobs=2)
         assert serial.value == two.value == 3
 
 
