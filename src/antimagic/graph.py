@@ -7,7 +7,7 @@ surgery.  All graph operations return new graphs; nothing mutates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -18,47 +18,40 @@ V_ROLE = "v"
 X_ROLE = "x"
 MERGED_ROLE = "m"
 
-_ROLE_RANK = {U_ROLE: 0, V_ROLE: 1, X_ROLE: 2, MERGED_ROLE: 3}
+_ROLES = (U_ROLE, V_ROLE, X_ROLE, MERGED_ROLE)
+_ROLE_RANK = {role: rank for rank, role in enumerate(_ROLES)}
 
 
-@dataclass(frozen=True)
-class VertexId:
+class VertexId(tuple):
     """Canonical vertex identity surviving merges and splits.
 
     ``role`` is one of ``u``/``v``/``x``/``m``.  Simple roles use ``i``
     (and ``j`` for x-vertices); merged vertices carry the flattened,
-    sorted tuple of their simple constituents.  Two ids are equal iff
-    their canonical forms are equal.
+    sorted tuple of their simple constituents.  The tuple itself is the
+    canonical form, ``(rank, i, j)`` for u/v/x (ranks 0/1/2) and
+    ``(3, *parts)`` for a merged id, so hashing, equality and order run
+    as tuple operations (an id also equals a plain tuple of the same
+    contents; an edge, with two entries, never equals an id).
     """
 
-    role: str
-    i: int = 0
-    j: int = 0
-    parts: tuple["VertexId", ...] = ()
-    _key: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.role == MERGED_ROLE:
-            if len(self.parts) < 2:
+    def __new__(cls, role: str, i: int = 0, j: int = 0, parts: tuple["VertexId", ...] = ()):
+        if role == MERGED_ROLE:
+            if len(parts) < 2:
                 raise AntimagicError("merged id needs at least two parts")
-            key = (3,) + tuple(p._key for p in self.parts)
-        else:
-            if self.i < 1 or (self.role == X_ROLE and self.j < 1):
-                raise AntimagicError(f"vertex indices must be >= 1: {self.role}{self.i}.{self.j}")
-            key = (_ROLE_RANK[self.role], self.i, self.j)
-        object.__setattr__(self, "_key", key)
+            return tuple.__new__(cls, (3, *parts))
+        if i < 1 or (role == X_ROLE and j < 1):
+            raise AntimagicError(f"vertex indices must be >= 1: {role}{i}.{j}")
+        return tuple.__new__(cls, (_ROLE_RANK[role], i, j))
 
-    def __lt__(self, other: "VertexId") -> bool:
-        return self._key < other._key
+    def __getnewargs__(self):
+        return (self.role, self.i, self.j, self.parts)
 
-    def __le__(self, other: "VertexId") -> bool:
-        return self._key <= other._key
-
-    def __hash__(self) -> int:
-        return hash(self._key)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, VertexId) and self._key == other._key
+    role = property(lambda self: _ROLES[self[0]])
+    i = property(lambda self: self[1] if self[0] < 3 else 0)
+    j = property(lambda self: self[2] if self[0] < 3 else 0)
+    parts = property(lambda self: self[1:] if self[0] == 3 else ())
 
     def token(self) -> str:
         """Serialized form: ``u3``, ``v12``, ``x2.7``, ``m(v1|v11)``."""
@@ -72,6 +65,9 @@ class VertexId:
 
     def __str__(self) -> str:
         return self.token()
+
+    def __repr__(self) -> str:
+        return f"VertexId({self.token()!r})"
 
 
 def u(i: int) -> VertexId:
@@ -257,8 +253,9 @@ def merge_vertices(g: Graph, groups: Sequence[Iterable[VertexId]]) -> Graph:
 
 def merge_vertices_mapped(
     g: Graph, groups: Sequence[Iterable[VertexId]]
-) -> tuple[Graph, dict[VertexId, VertexId]]:
-    """Like :func:`merge_vertices` but also returns old->new vertex map."""
+) -> tuple[Graph, dict[Edge, Edge]]:
+    """Like :func:`merge_vertices` but also maps each new edge to the old
+    edge it came from."""
     vmap: dict[VertexId, VertexId] = {}
     seen: set[VertexId] = set()
     for group in groups:
@@ -287,7 +284,7 @@ def merge_vertices_mapped(
             )
         new_edges[ne] = (a, b)
     new_vertices = {vmap.get(w, w) for w in g.vertices}
-    return Graph(frozenset(new_vertices), frozenset(new_edges)), vmap
+    return Graph(frozenset(new_vertices), frozenset(new_edges)), new_edges
 
 
 def delete_add_edges(
@@ -335,32 +332,30 @@ def components(g: Graph) -> list[Graph]:
 
 
 def bipartition(g: Graph) -> list[tuple[frozenset[VertexId], frozenset[VertexId]] | None]:
-    """Per component: its 2-coloring classes, or None if not bipartite.
+    """Per component, ordered by smallest vertex: its 2-coloring classes,
+    or None if not bipartite.
 
     The side containing the component's smallest vertex is listed first,
     making the output deterministic.
     """
-    out = []
     adj = g.adjacency
-    for comp in components(g):
-        seed = min(comp.vertices)
-        color = {seed: 0}
-        queue = [seed]
+    side: dict[VertexId, int] = {}
+    out = []
+    for seed in sorted(adj):
+        if seed in side:
+            continue
+        side[seed] = 0
+        comp = [seed]
         ok = True
-        while queue and ok:
-            cur = queue.pop()
+        for cur in comp:  # grows while it is walked: one pass over the component
             for nb in adj[cur]:
-                if nb not in color:
-                    color[nb] = 1 - color[cur]
-                    queue.append(nb)
-                elif color[nb] == color[cur]:
+                if nb not in side:
+                    side[nb] = 1 - side[cur]
+                    comp.append(nb)
+                elif side[nb] == side[cur]:
                     ok = False
-                    break
-        if not ok:
-            out.append(None)
-        else:
-            side0 = frozenset(w for w, c in color.items() if c == 0)
-            out.append((side0, comp.vertices - side0))
+        side0 = frozenset(w for w in comp if not side[w])
+        out.append((side0, frozenset(comp) - side0) if ok else None)
     return out
 
 

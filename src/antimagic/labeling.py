@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import BijectionError
-from .graph import Edge, Graph, VertexId, edge, is_bipartite_equal_parts
+from .graph import Edge, Graph, VertexId, bipartition, edge
 
 
 @dataclass(frozen=True)
@@ -51,9 +51,6 @@ class InducedColoring:
     def c(self) -> int:
         return len(self.color_set)
 
-    def total(self) -> int:
-        return sum(self.colors.values())
-
 
 def induce(labeling: EdgeLabeling) -> InducedColoring:
     """Per-vertex sums of incident labels; the total is always q(q+1)."""
@@ -82,10 +79,9 @@ def chi_la_lower_bound(g: Graph) -> tuple[int, str]:
     """
     if not g.edges:
         return 1, "edgeless"
-    if is_bipartite_equal_parts(g):
-        return 3, "equal-bipartition"
-    from .graph import bipartition
-
-    if any(p is None for p in bipartition(g)):
+    parts = bipartition(g)
+    if None in parts:
         return 3, "chromatic"
+    if all(len(a) == len(b) for a, b in parts):
+        return 3, "equal-bipartition"
     return 2, "adjacent-pair"

@@ -25,9 +25,14 @@ ENV_EDGE_CAP = "ANTIMAGIC_EDGE_CAP"
 
 def _check_cap(g: Graph, cap: int | None) -> None:
     """Refuse graphs with more edges than ``cap``, else $ANTIMAGIC_EDGE_CAP, else 12."""
-    limit = cap if cap is not None else int(os.environ.get(ENV_EDGE_CAP, DEFAULT_EDGE_CAP))
-    if g.size > limit:
-        raise AntimagicError(f"graph has {g.size} edges, over the cap {limit}")
+    if cap is None:
+        raw = os.environ.get(ENV_EDGE_CAP, str(DEFAULT_EDGE_CAP))
+        try:
+            cap = int(raw)
+        except ValueError:
+            raise AntimagicError(f"${ENV_EDGE_CAP} must be an integer, got {raw!r}") from None
+    if g.size > cap:
+        raise AntimagicError(f"graph has {g.size} edges, over the cap {cap}")
 
 
 def _edge_order(g: Graph) -> list[Edge]:
@@ -43,14 +48,18 @@ def _edge_order(g: Graph) -> list[Edge]:
 
 
 class _Search:
-    """One backtracking run; reusable across label budgets."""
+    """One backtracking run; reusable across label budgets.
 
-    def __init__(self, g: Graph, target_colors: frozenset[int] | None, max_colors: int | None,
+    ``n_colors`` asks for exactly that many colors: it caps the colors
+    while searching and is required in full at the leaf.
+    """
+
+    def __init__(self, g: Graph, target_colors: frozenset[int] | None, n_colors: int | None,
                  first_labels: list[int] | None = None):
         self.g = g
         self.q = g.size
         self.target = target_colors
-        self.max_colors = max_colors
+        self.n_colors = n_colors
         self.order = _edge_order(g)
         verts = g.sorted_vertices()
         self.vidx = {w: n for n, w in enumerate(verts)}
@@ -89,7 +98,7 @@ class _Search:
         for nb in self.adj[w]:
             if self.finished[nb] and self.sums[nb] == color:
                 return False
-        if self.max_colors is not None and color not in self.color_count and len(self.color_count) >= self.max_colors:
+        if self.n_colors is not None and color not in self.color_count and len(self.color_count) >= self.n_colors:
             return False
         self.finished[w] = True
         self.color_count[color] = self.color_count.get(color, 0) + 1
@@ -105,6 +114,8 @@ class _Search:
     def run(self, pos: int = 0) -> dict[Edge, int] | None:
         if pos == self.q:
             if self.target is not None and set(self.color_count) != set(self.target):
+                return None
+            if self.n_colors is not None and len(self.color_count) != self.n_colors:
                 return None
             return {e: lab for e, lab in zip(self.order, self.assignment)}
         a, b = self.edge_ends[pos]
@@ -139,8 +150,8 @@ class _Search:
         return None
 
 
-def _search(g: Graph, target_colors=None, max_colors=None, first_labels=None) -> tuple[dict[Edge, int] | None, int]:
-    s = _Search(g, frozenset(target_colors) if target_colors else None, max_colors, first_labels)
+def _search(g: Graph, target_colors=None, n_colors=None, first_labels=None) -> tuple[dict[Edge, int] | None, int]:
+    s = _Search(g, frozenset(target_colors) if target_colors else None, n_colors, first_labels)
     return s.run(), s.nodes
 
 
@@ -158,9 +169,9 @@ class ChiLaResult:
 def exact_chi_la(g: Graph, cap: int | None = None, jobs: int = 1) -> ChiLaResult:
     """Minimum c(f) over all local antimagic bijections, by exhaustion.
 
-    Tries color budgets upward from the sound lower bound; once every
-    budget up to |V| fails, no labeling exists at all (a labeling always
-    induces at most |V| colors).  With ``jobs > 1`` each budget's search
+    Tries color budgets upward from the sound lower bound, each asking
+    for exactly that many colors; once every budget up to |V| fails, no
+    labeling exists at all (a labeling always induces at most |V| colors).  With ``jobs > 1`` each budget's search
     is split over worker processes by the first edge's label; the
     branches partition the search, so the value does not depend on
     ``jobs`` (the node count does: every branch runs to its end).
@@ -181,7 +192,7 @@ def exact_chi_la(g: Graph, cap: int | None = None, jobs: int = 1) -> ChiLaResult
     try:
         for budget in range(max(lb, 1), g.order + 1):
             if pool is None:
-                results = [_search(g, max_colors=budget)]
+                results = [_search(g, n_colors=budget)]
             else:
                 results = pool.starmap(_search, [(g, None, budget, chunk) for chunk in chunks])
             nodes += sum(n for _, n in results)
@@ -213,7 +224,8 @@ def find_labeling(
     restarts: int = 200,
     iters: int = 2000,
 ) -> FindResult:
-    """Search for a local antimagic labeling meeting the constraints.
+    """Search for a local antimagic labeling meeting the constraints:
+    the color set ``target_colors``, exactly ``target_c`` colors, or both.
 
     Exact mode exhausts the space (None means none exists); heuristic
     mode runs seeded random restarts with local label swaps and proves
@@ -224,9 +236,9 @@ def find_labeling(
     t0 = time.perf_counter()
     if mode == "exact":
         _check_cap(g, cap)
-        max_colors = target_c if target_c is not None else (len(target_colors) if target_colors else None)
-        found, nodes = _search(g, target_colors=target_colors, max_colors=max_colors)
-        labeling = EdgeLabeling(g, found) if found else None
+        n_colors = target_c if target_c is not None else (len(target_colors) if target_colors else None)
+        found, nodes = _search(g, target_colors=target_colors, n_colors=n_colors)
+        labeling = EdgeLabeling(g, found) if found is not None else None
         return FindResult(labeling, nodes, time.perf_counter() - t0, mode)
     if mode != "heuristic":
         raise AntimagicError(f"unknown mode {mode!r}")
@@ -242,8 +254,8 @@ def _penalty(labeling: EdgeLabeling, target_colors, target_c) -> int:
     if target_colors is not None:
         pen += sum(1 for c in coloring.color_set if c not in target_colors)
         pen += sum(1 for c in target_colors if c not in coloring.color_set)
-    if target_c is not None and coloring.c > target_c:
-        pen += coloring.c - target_c
+    if target_c is not None:
+        pen += abs(coloring.c - target_c)
     return pen
 
 

@@ -104,9 +104,9 @@ def _is_fresh_matrix(lg: LabeledGraph) -> bool:
 
 
 def _merge_with_labels(lg: LabeledGraph, groups, step: Step, params: FamilyParams | None = None) -> LabeledGraph:
-    g2, vmap = merge_vertices_mapped(lg.graph, groups)
-    edge_map = {e: edge(vmap.get(e[0], e[0]), vmap.get(e[1], e[1])) for e in lg.graph.edges}
-    labeling = lg.labeling.relabel_edges(edge_map, g2)
+    g2, origin = merge_vertices_mapped(lg.graph, groups)
+    labels = lg.labeling.labels
+    labeling = EdgeLabeling(g2, {e: labels[old] for e, old in origin.items()})
     return LabeledGraph(labeling, params or lg.params, lg.provenance + (step,))
 
 

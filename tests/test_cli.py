@@ -234,6 +234,12 @@ class TestOracle:
         path = self.write_graph(tmp_path, copies_of_p2_join_null(2, 3))
         assert main(["oracle", path]) == 2
 
+    def test_non_integer_env_cap_exit_2(self, tmp_path, capsys, monkeypatch):
+        path = self.write_graph(tmp_path, p2(1))
+        monkeypatch.setenv("ANTIMAGIC_EDGE_CAP", "abc")
+        assert main(["oracle", path]) == 2
+        assert "ANTIMAGIC_EDGE_CAP" in capsys.readouterr().err
+
     def test_parse_error_exit_2(self, tmp_path, capsys):
         (tmp_path / "bad.json").write_text("[[]]")
         assert main(["oracle", str(tmp_path / "bad.json")]) == 2

@@ -144,7 +144,8 @@ class TestMerge:
     def test_round_trip_recovers_edges(self):
         g = copies_of_p2_join_null(4, 2)
         groups = [[x(i, j) for i in range(1, 5)] for j in (1, 2)]
-        out, vmap = merge_vertices_mapped(g, groups)
+        out, origin = merge_vertices_mapped(g, groups)
+        assert set(origin) == set(out.edges) and set(origin.values()) == set(g.edges)
         recovered = set()
         for a, b in out.edges:
             def expand(w, other):
@@ -227,6 +228,28 @@ class TestComponentsAndBipartition:
                     assert not colorings
                 else:
                     assert set(colorings) == {frozenset(part[0])}
+
+    def test_match_networkx_on_random_graphs(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(5)
+        for _ in range(60):
+            verts = [u(i) for i in range(1, rng.randint(1, 6))] + [x(1, j) for j in range(1, rng.randint(1, 6))]
+            edges = [(a, b) for a in verts for b in verts if a < b and rng.random() < 0.25]
+            g = Graph.build(verts, edges)
+            ref = nx.Graph()
+            ref.add_nodes_from(verts)
+            ref.add_edges_from(edges)
+            expected = sorted((ref.subgraph(c) for c in nx.connected_components(ref)), key=min)
+            assert [(comp.vertices, comp.edges) for comp in components(g)] == [
+                (frozenset(c.nodes), frozenset(edge(a, b) for a, b in c.edges)) for c in expected
+            ]
+            for part, c in zip(bipartition(g), expected):
+                if not nx.is_bipartite(c):
+                    assert part is None
+                    continue
+                seed = min(c.nodes)
+                side0 = frozenset(w for w, d in nx.shortest_path_length(c, seed).items() if d % 2 == 0)
+                assert part == (side0, frozenset(c.nodes) - side0)
 
     def test_equal_parts_check(self):
         c4 = Graph.build(

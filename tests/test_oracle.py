@@ -18,6 +18,10 @@ def c4() -> Graph:
     )
 
 
+def p4() -> Graph:
+    return Graph.build([u(1), v(1), u(2), v(2)], [(u(1), v(1)), (v(1), u(2)), (u(2), v(2))])
+
+
 def star3() -> Graph:
     return Graph.build([u(1), v(1), v(2), v(3)], [(u(1), v(1)), (u(1), v(2)), (u(1), v(3))])
 
@@ -59,6 +63,11 @@ class TestExactChiLa:
         monkeypatch.setenv("ANTIMAGIC_EDGE_CAP", "4")
         assert exact_chi_la(c4()).value == 3
 
+    def test_non_integer_env_cap_rejected(self, monkeypatch):
+        monkeypatch.setenv("ANTIMAGIC_EDGE_CAP", "abc")
+        with pytest.raises(AntimagicError, match="ANTIMAGIC_EDGE_CAP"):
+            exact_chi_la(c4())
+
     def test_deterministic(self):
         a = exact_chi_la(c4())
         b = exact_chi_la(c4())
@@ -85,6 +94,20 @@ class TestFindLabeling:
 
     def test_unreachable_two_colors_on_c4(self):
         assert find_labeling(c4(), target_c=2).labeling is None
+
+    def test_edgeless_graph_has_the_empty_labeling(self):
+        res = find_labeling(null_graph(3))
+        assert res.labeling is not None and res.labeling.labels == {}
+        assert induce(res.labeling).c == 1
+
+    def test_target_c_means_exactly_c_colors(self):
+        # labels 1, 3, 2 along P_4 give colors 1, 4, 5, 2; most orders give 3
+        runs = [find_labeling(p4(), target_c=4)]
+        runs += [find_labeling(p4(), target_c=4, mode="heuristic", seed=seed) for seed in range(8)]
+        for res in runs:
+            assert res.labeling is not None
+            assert is_local_antimagic(res.labeling)[0]
+            assert induce(res.labeling).c == 4
 
     def test_contradictory_constraints(self):
         with pytest.raises(AntimagicError):
@@ -121,6 +144,9 @@ class TestCertifyNoTwoColoring:
 
     def test_single_edge_vacuous(self):
         assert certify_no_2_coloring(p2(1))
+
+    def test_edgeless_graph_has_no_two_coloring(self):
+        assert certify_no_2_coloring(null_graph(3))
 
     def test_agrees_with_find(self):
         for g in (c4(), star3()):

@@ -163,7 +163,7 @@ class TestSpecialFixture:
 
     def test_color_total_is_twice_label_sum(self):
         _, labeling = special_2p2_o2()
-        assert induce(labeling).total() == 110  # q(q+1) at q = 10
+        assert sum(induce(labeling).colors.values()) == 110  # q(q+1) at q = 10
 
     def test_degree_four_vertices_get_22(self):
         g, labeling = special_2p2_o2()

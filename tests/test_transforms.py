@@ -150,8 +150,8 @@ def merge_vertices_back(split_lg):
         key = (j, frozenset(cols | {2 * split_lg.params.k + 1 - c for c in cols}))
         pair_of.setdefault(key, []).append(w)
     groups = [pair for pair in pair_of.values() if len(pair) == 2]
-    g2, vmap = merge_vertices_mapped(g, groups)
-    return {edge(vmap.get(a, a), vmap.get(b, b)): lab for (a, b), lab in split_lg.labeling.labels.items()}
+    _, origin = merge_vertices_mapped(g, groups)
+    return {e: split_lg.labeling.labels[old] for e, old in origin.items()}
 
 
 class TestDeleteAdd:

@@ -1,0 +1,56 @@
+"""Property tests for the tuple-backed VertexId: order, equality and hash
+agree with the canonical key the ids were defined by, and ids survive
+pickling and their token form."""
+
+import pickle
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, strategies as st
+
+from antimagic.graph import edge, merged, parse_token, u, v, x
+
+index = st.integers(min_value=1, max_value=40)
+simple_ids = st.one_of(st.builds(u, index), st.builds(v, index), st.builds(x, index, index))
+merged_ids = st.lists(simple_ids, min_size=2, max_size=4, unique=True).map(merged)
+vertex_ids = st.one_of(simple_ids, merged_ids)
+
+
+def canonical_key(w) -> tuple:
+    """The key ids are ordered, compared and hashed by: (role rank, i, j)
+    for u/v/x, and 3 followed by the parts' keys for a merged id."""
+    if w.role == "m":
+        return (3,) + tuple(canonical_key(p) for p in w.parts)
+    return ({"u": 0, "v": 1, "x": 2}[w.role], w.i, w.j)
+
+
+@given(vertex_ids, vertex_ids)
+def test_order_equality_and_hash_follow_the_canonical_key(a, b):
+    ka, kb = canonical_key(a), canonical_key(b)
+    assert (a < b) == (ka < kb)
+    assert (a <= b) == (ka <= kb)
+    assert (a == b) == (ka == kb)
+    assert (a != b) == (ka != kb)
+    assert hash(a) == hash(ka)
+
+
+@given(vertex_ids)
+def test_pickle_round_trip(w):
+    back = pickle.loads(pickle.dumps(w))
+    assert back == w and hash(back) == hash(w)
+    assert (back.role, back.i, back.j, back.parts) == (w.role, w.i, w.j, w.parts)
+    assert type(back) is type(w)
+
+
+@given(vertex_ids)
+def test_token_round_trip(w):
+    assert parse_token(w.token()) == w
+
+
+@given(vertex_ids, vertex_ids, vertex_ids)
+def test_no_id_equals_an_edge(a, b, c):
+    if a != b:
+        e = edge(a, b)
+        assert c != e and e != c
+        assert len({c, e}) == 2
