@@ -313,49 +313,53 @@ def delete_add_edges(
 
 def components(g: Graph) -> list[Graph]:
     """Connected components, ordered by their smallest vertex id."""
-    remaining = set(g.vertices)
-    comps: list[Graph] = []
     adj = g.adjacency
-    while remaining:
-        seed = min(remaining)
-        stack = [seed]
-        comp = {seed}
-        while stack:
-            cur = stack.pop()
+    index: dict[VertexId, int] = {}
+    comps: list[list[VertexId]] = []
+    for seed in sorted(adj):
+        if seed in index:
+            continue
+        index[seed] = len(comps)
+        comp = [seed]
+        for cur in comp:  # grows while it is walked: one pass over the component
             for nb in adj[cur]:
-                if nb not in comp:
-                    comp.add(nb)
-                    stack.append(nb)
-        remaining -= comp
-        comps.append(Graph(frozenset(comp), frozenset(e for e in g.edges if e[0] in comp)))
-    return comps
+                if nb not in index:
+                    index[nb] = len(comps)
+                    comp.append(nb)
+        comps.append(comp)
+    edges: list[list[Edge]] = [[] for _ in comps]
+    for e in g.edges:
+        edges[index[e[0]]].append(e)
+    return [Graph(frozenset(c), frozenset(es)) for c, es in zip(comps, edges)]
 
 
 def bipartition(g: Graph) -> list[tuple[frozenset[VertexId], frozenset[VertexId]] | None]:
-    """Per component, ordered by smallest vertex: its 2-coloring classes,
-    or None if not bipartite.
+    """Per component: its 2-coloring classes, or None if not bipartite.
 
     The side containing the component's smallest vertex is listed first,
     making the output deterministic.
     """
-    adj = g.adjacency
-    side: dict[VertexId, int] = {}
     out = []
-    for seed in sorted(adj):
-        if seed in side:
-            continue
-        side[seed] = 0
-        comp = [seed]
+    adj = g.adjacency
+    for comp in components(g):
+        seed = min(comp.vertices)
+        color = {seed: 0}
+        queue = [seed]
         ok = True
-        for cur in comp:  # grows while it is walked: one pass over the component
+        while queue and ok:
+            cur = queue.pop()
             for nb in adj[cur]:
-                if nb not in side:
-                    side[nb] = 1 - side[cur]
-                    comp.append(nb)
-                elif side[nb] == side[cur]:
+                if nb not in color:
+                    color[nb] = 1 - color[cur]
+                    queue.append(nb)
+                elif color[nb] == color[cur]:
                     ok = False
-        side0 = frozenset(w for w in comp if not side[w])
-        out.append((side0, frozenset(comp) - side0) if ok else None)
+                    break
+        if not ok:
+            out.append(None)
+        else:
+            side0 = frozenset(w for w, c in color.items() if c == 0)
+            out.append((side0, comp.vertices - side0))
     return out
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import BijectionError
-from .graph import Edge, Graph, VertexId, bipartition, edge
+from .graph import Edge, Graph, VertexId, bipartition, edge, is_bipartite_equal_parts
 
 
 @dataclass(frozen=True)
@@ -79,9 +79,8 @@ def chi_la_lower_bound(g: Graph) -> tuple[int, str]:
     """
     if not g.edges:
         return 1, "edgeless"
-    parts = bipartition(g)
-    if None in parts:
-        return 3, "chromatic"
-    if all(len(a) == len(b) for a, b in parts):
+    if is_bipartite_equal_parts(g):
         return 3, "equal-bipartition"
+    if None in bipartition(g):
+        return 3, "chromatic"
     return 2, "adjacent-pair"

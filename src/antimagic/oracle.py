@@ -268,6 +268,8 @@ def _heuristic(g: Graph, target_colors, target_c, seed: int, restarts: int, iter
         rng.shuffle(labels)
         current = EdgeLabeling(g, dict(zip(edges, labels)))
         pen = _penalty(current, target_colors, target_c)
+        if q < 2:  # the only labeling: no swap to make
+            return current if pen == 0 else None
         for _ in range(iters):
             if pen == 0:
                 return current

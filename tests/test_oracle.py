@@ -109,6 +109,12 @@ class TestFindLabeling:
             assert is_local_antimagic(res.labeling)[0]
             assert induce(res.labeling).c == 4
 
+    def test_heuristic_without_a_swap_returns_none(self):
+        # O_3 has only the empty labeling (c = 1); P_2 has one labeling, not local antimagic
+        assert find_labeling(null_graph(3), target_c=2, mode="heuristic").labeling is None
+        assert find_labeling(null_graph(3), target_c=1, mode="heuristic").labeling is not None
+        assert find_labeling(p2(1), mode="heuristic").labeling is None
+
     def test_contradictory_constraints(self):
         with pytest.raises(AntimagicError):
             find_labeling(c4(), target_colors={1, 2, 3}, target_c=2)
