@@ -5,7 +5,6 @@ exact small-instance oracle."""
 from .errors import (
     AntimagicError,
     BijectionError,
-    IdentityError,
     LoopError,
     ParallelEdgeError,
     SumDriftError,
@@ -13,7 +12,6 @@ from .errors import (
     UseSpecialCase,
 )
 from .graph import (
-    FamilyParams,
     Graph,
     VertexId,
     bipartition,
@@ -22,7 +20,6 @@ from .graph import (
     delete_add_edges,
     edge,
     join,
-    merge_vertices,
     merged,
     null_graph,
     p2,

@@ -188,7 +188,7 @@ def _verify_matrix(doc) -> int:
     if stored != {mx.row_name(key): mx.row(key) for key in mx.rows}:
         print("verification failed: matrix entries differ from the closed forms")
         return 1
-    report = check_identities(mx, strict=False)
+    report = check_identities(mx)
     for failure in report.failures:
         print(f"verification failed: {failure}")
     print("matrix identities: " + ("ok" if report.ok else "failed"))

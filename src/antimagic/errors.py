@@ -27,7 +27,3 @@ class SumMismatchError(AntimagicError):
 
 class UseSpecialCase(AntimagicError):
     """The requested parameters are served by a dedicated bespoke labeling."""
-
-
-class IdentityError(AntimagicError):
-    """A label matrix failed one of its arithmetic identities."""

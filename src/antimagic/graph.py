@@ -123,34 +123,6 @@ def parse_token(tok: str) -> VertexId:
     raise AntimagicError(f"unparseable vertex token: {tok!r}")
 
 
-@dataclass(frozen=True)
-class FamilyParams:
-    """Parameter record naming one family instance.
-
-    ``m`` is the null-part order, ``n`` the half-order parameter
-    (m = 2n or 2n+1), ``k`` the component-count parameter; ``r``/``s``
-    factor k = r*s where a construction needs it, ``ks`` describes
-    component groupings.
-    """
-
-    m: int = 0
-    n: int = 0
-    k: int = 0
-    r: int = 0
-    s: int = 0
-    ks: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        for name in ("m", "n", "k", "r", "s"):
-            val = getattr(self, name)
-            if val < 0:
-                raise AntimagicError(f"{name} must be >= 1 when present")
-        if any(ka < 1 for ka in self.ks):
-            raise AntimagicError("every group size must be >= 1")
-        if self.r and self.s and self.k and self.k != self.r * self.s:
-            raise AntimagicError(f"k = r*s required: {self.k} != {self.r}*{self.s}")
-
-
 Edge = tuple[VertexId, VertexId]
 
 
@@ -240,22 +212,16 @@ def copies_of_p2_join_null(a: int, m: int) -> Graph:
     return Graph.build(vs, es)
 
 
-def merge_vertices(g: Graph, groups: Sequence[Iterable[VertexId]]) -> Graph:
-    """Collapse each group to one merged vertex, preserving every edge.
+def merge_vertices_mapped(
+    g: Graph, groups: Sequence[Iterable[VertexId]]
+) -> tuple[Graph, dict[Edge, Edge]]:
+    """Collapse each group to one merged vertex, preserving every edge,
+    and map each new edge to the old edge it came from.
 
     Raises :class:`LoopError` if a group contains adjacent vertices and
     :class:`ParallelEdgeError` if two group members share a neighbor
     (either would break the edge bijection).
     """
-    g2, _ = merge_vertices_mapped(g, groups)
-    return g2
-
-
-def merge_vertices_mapped(
-    g: Graph, groups: Sequence[Iterable[VertexId]]
-) -> tuple[Graph, dict[Edge, Edge]]:
-    """Like :func:`merge_vertices` but also maps each new edge to the old
-    edge it came from."""
     vmap: dict[VertexId, VertexId] = {}
     seen: set[VertexId] = set()
     for group in groups:

@@ -21,6 +21,8 @@ from .labeling import EdgeLabeling, chi_la_lower_bound, induce
 
 DEFAULT_EDGE_CAP = 12
 ENV_EDGE_CAP = "ANTIMAGIC_EDGE_CAP"
+HEURISTIC_RESTARTS = 200
+HEURISTIC_ITERS = 2000  # label swaps per restart
 
 
 def _check_cap(g: Graph, cap: int | None) -> None:
@@ -161,25 +163,21 @@ class ChiLaResult:
     nodes: int
     seconds: float
 
-    @property
-    def exists(self) -> bool:
-        return self.value is not None
-
 
 def exact_chi_la(g: Graph, cap: int | None = None, jobs: int = 1) -> ChiLaResult:
     """Minimum c(f) over all local antimagic bijections, by exhaustion.
 
     Tries color budgets upward from the sound lower bound, each asking
     for exactly that many colors; once every budget up to |V| fails, no
-    labeling exists at all (a labeling always induces at most |V| colors).  With ``jobs > 1`` each budget's search
+    labeling exists at all (a labeling always induces at most |V| colors).
+    An edgeless graph has the empty labeling, found at budget 1: every
+    vertex gets color 0.  With ``jobs > 1`` each budget's search
     is split over worker processes by the first edge's label; the
     branches partition the search, so the value does not depend on
     ``jobs`` (the node count does: every branch runs to its end).
     """
     _check_cap(g, cap)
     t0 = time.perf_counter()
-    if not g.edges:
-        return ChiLaResult(None, 0, time.perf_counter() - t0)
     lb, _ = chi_la_lower_bound(g)
     jobs = min(jobs, g.size)
     pool = None
@@ -221,8 +219,6 @@ def find_labeling(
     mode: str = "exact",
     seed: int = 0,
     cap: int | None = None,
-    restarts: int = 200,
-    iters: int = 2000,
 ) -> FindResult:
     """Search for a local antimagic labeling meeting the constraints:
     the color set ``target_colors``, exactly ``target_c`` colors, or both.
@@ -242,7 +238,7 @@ def find_labeling(
         return FindResult(labeling, nodes, time.perf_counter() - t0, mode)
     if mode != "heuristic":
         raise AntimagicError(f"unknown mode {mode!r}")
-    labeling = _heuristic(g, target_colors, target_c, seed, restarts, iters)
+    labeling = _heuristic(g, target_colors, target_c, seed)
     return FindResult(labeling, 0, time.perf_counter() - t0, mode)
 
 
@@ -259,18 +255,18 @@ def _penalty(labeling: EdgeLabeling, target_colors, target_c) -> int:
     return pen
 
 
-def _heuristic(g: Graph, target_colors, target_c, seed: int, restarts: int, iters: int) -> EdgeLabeling | None:
+def _heuristic(g: Graph, target_colors, target_c, seed: int) -> EdgeLabeling | None:
     rng = random.Random(seed)
     edges = g.sorted_edges()
     q = len(edges)
-    for _ in range(restarts):
+    for _ in range(HEURISTIC_RESTARTS):
         labels = list(range(1, q + 1))
         rng.shuffle(labels)
         current = EdgeLabeling(g, dict(zip(edges, labels)))
         pen = _penalty(current, target_colors, target_c)
         if q < 2:  # the only labeling: no swap to make
             return current if pen == 0 else None
-        for _ in range(iters):
+        for _ in range(HEURISTIC_ITERS):
             if pen == 0:
                 return current
             i, j = rng.sample(range(q), 2)

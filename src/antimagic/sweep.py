@@ -20,7 +20,6 @@ from .transforms import (
     chunk_blocks,
     expected_colors_block,
     expected_colors_j,
-    expected_colors_merge_all,
     expected_colors_split,
     from_matrix,
     group_components,
@@ -81,13 +80,15 @@ def sweep(
 ) -> Iterator[SweepRow]:
     """Rows for every (parity, n, k) cell in canonical order.
 
-    With ``jobs > 1`` a pool of that many worker processes computes the
-    cells; the rows and their order do not depend on ``jobs``.
+    With ``jobs > 1`` a pool of that many worker processes, never more
+    than there are cells, computes the cells; the rows and their order do
+    not depend on ``jobs``.
     """
     want = frozenset(families)
-    cells = (
+    cells = [
         (parity, n, k, want) for parity in (EVEN, ODD) for n in range(1, n_max + 1) for k in range(1, k_max + 1)
-    )
+    ]
+    jobs = min(jobs, len(cells))
     if jobs <= 1:
         for cell in cells:
             yield from _sweep_cell(*cell)
@@ -114,7 +115,7 @@ def _sweep_cell(parity: str, n: int, k: int, want: frozenset[str]) -> Iterator[S
 
     mx = build_matrix(parity, n, k)
     if "matrix" in want:
-        report = check_identities(mx, strict=False)
+        report = check_identities(mx)
         yield SweepRow("matrix", parity, base_params, (), report.ok, "; ".join(report.failures))
 
     base = from_matrix(mx)
@@ -130,7 +131,7 @@ def _sweep_cell(parity: str, n: int, k: int, want: frozenset[str]) -> Iterator[S
 
     if "merge-all" in want:
         lg = merge_all_x(base)
-        ok, detail = _colors_ok(lg, expected_colors_merge_all(parity, n, k))
+        ok, detail = _colors_ok(lg, expected_colors_block(parity, n, k, s=k))
         yield SweepRow("merge-all", parity, base_params, tuple(sorted(lg.colors)), ok, detail)
 
     factorizations = [(r, k // r) for r in range(2, k + 1) if k % r == 0] if want & {"block", "split"} else []

@@ -9,13 +9,12 @@ carries a provenance log that replays to the value itself.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import AntimagicError, SumDriftError, SumMismatchError
 from .graph import (
     Edge,
-    FamilyParams,
     Graph,
     MERGED_ROLE,
     U_ROLE,
@@ -50,8 +49,13 @@ Step = tuple
 
 @dataclass(frozen=True)
 class LabeledGraph:
+    """A labeling and the provenance log that replays to it.
+
+    The log's first step, ``("matrix", parity, n, k)`` or ``("special",)``
+    (even, n = k = 1), is the one record of the family parameters.
+    """
+
     labeling: EdgeLabeling
-    params: FamilyParams
     provenance: tuple[Step, ...]
 
     @property
@@ -67,8 +71,18 @@ class LabeledGraph:
         return self.coloring.color_set
 
     @property
-    def parity(self) -> str:
-        return EVEN if self.params.m % 2 == 0 else ODD
+    def _family(self) -> tuple[str, int, int]:
+        first = self.provenance[0]
+        return (EVEN, 1, 1) if first[0] == "special" else first[1:]
+
+    parity = property(lambda self: self._family[0])
+    n = property(lambda self: self._family[1])
+    k = property(lambda self: self._family[2])
+
+    @property
+    def m(self) -> int:
+        """The null order: 2n for even parity, 2n+1 for odd."""
+        return 2 * self.n + (self.parity == ODD)
 
 
 @dataclass(frozen=True)
@@ -90,24 +104,23 @@ def from_matrix(mx: LabelMatrix) -> LabeledGraph:
         for j in range(1, m + 1):
             labels[edge(u(i), x(i, j))] = mx.entry(("ux", j), i)
             labels[edge(v(i), x(i, j))] = mx.entry(("vx", j), i)
-    params = FamilyParams(m=m, n=mx.n, k=k)
-    return LabeledGraph(EdgeLabeling(g, labels), params, (("matrix", mx.parity, mx.n, mx.k),))
+    return LabeledGraph(EdgeLabeling(g, labels), (("matrix", mx.parity, mx.n, mx.k),))
 
 
 def special_labeled() -> LabeledGraph:
     g, labeling = special_2p2_o2()
-    return LabeledGraph(labeling, FamilyParams(m=2, n=1, k=1), (("special",),))
+    return LabeledGraph(labeling, (("special",),))
 
 
 def _is_fresh_matrix(lg: LabeledGraph) -> bool:
     return len(lg.provenance) == 1 and lg.provenance[0][0] == "matrix"
 
 
-def _merge_with_labels(lg: LabeledGraph, groups, step: Step, params: FamilyParams | None = None) -> LabeledGraph:
+def _merge_with_labels(lg: LabeledGraph, groups, step: Step) -> LabeledGraph:
     g2, origin = merge_vertices_mapped(lg.graph, groups)
     labels = lg.labeling.labels
     labeling = EdgeLabeling(g2, {e: labels[old] for e, old in origin.items()})
-    return LabeledGraph(labeling, params or lg.params, lg.provenance + (step,))
+    return LabeledGraph(labeling, lg.provenance + (step,))
 
 
 def merge_all_x(lg: LabeledGraph) -> LabeledGraph:
@@ -115,7 +128,7 @@ def merge_all_x(lg: LabeledGraph) -> LabeledGraph:
     into (2k)P_2 ∨ O_m with the labeling kept."""
     if not _is_fresh_matrix(lg):
         raise AntimagicError("merge_all_x expects a fresh matrix graph")
-    m, k = lg.params.m, lg.params.k
+    m, k = lg.m, lg.k
     groups = [[x(i, j) for i in range(1, 2 * k + 1)] for j in range(1, m + 1)]
     return _merge_with_labels(lg, groups, ("merge_all_x",))
 
@@ -133,17 +146,16 @@ def block_merge(lg: LabeledGraph, r: int, s: int) -> LabeledGraph:
         raise AntimagicError("block_merge expects a fresh matrix graph")
     if r < 2 or s < 1:
         raise AntimagicError("block_merge needs r >= 2 and s >= 1")
-    k = lg.params.k
+    k = lg.k
     if k != r * s:
         raise AntimagicError(f"k = r*s required: {k} != {r}*{s}")
-    m = lg.params.m
+    m = lg.m
     groups = []
     for b in range(1, r + 1):
         lo, hi = _block_columns(k, r, s, b)
         for j in range(1, m + 1):
             groups.append([x(i, j) for i in lo + hi])
-    params = replace(lg.params, r=r, s=s)
-    return _merge_with_labels(lg, groups, ("block_merge", r, s), params)
+    return _merge_with_labels(lg, groups, ("block_merge", r, s))
 
 
 def split_x(lg: LabeledGraph) -> LabeledGraph:
@@ -156,7 +168,7 @@ def split_x(lg: LabeledGraph) -> LabeledGraph:
     if not lg.provenance or lg.provenance[-1][0] != "block_merge":
         raise AntimagicError("split_x expects a block_merge output")
     _, r, s = lg.provenance[-1]
-    k, m = lg.params.k, lg.params.m
+    k, m = lg.k, lg.m
     g = lg.graph
     new_vertices = set(g.vertices)
     edge_map: dict[Edge, Edge] = {e: e for e in g.edges}
@@ -178,7 +190,7 @@ def split_x(lg: LabeledGraph) -> LabeledGraph:
     if g2.size != g.size:
         raise AntimagicError("split lost an edge")
     labeling = lg.labeling.relabel_edges(edge_map, g2)
-    return LabeledGraph(labeling, lg.params, lg.provenance + (("split_x",),))
+    return LabeledGraph(labeling, lg.provenance + (("split_x",),))
 
 
 def _uv_side(w: VertexId) -> bool:
@@ -235,7 +247,7 @@ def delete_add(lg: LabeledGraph, spec: SwapSpec) -> LabeledGraph:
         tuple((a.token(), b.token()) for a, b in dels),
         tuple((a.token(), b.token(), lab) for (a, b), lab in spec.add),
     )
-    return LabeledGraph(labeling, lg.params, lg.provenance + (step,))
+    return LabeledGraph(labeling, lg.provenance + (step,))
 
 
 def _j_input_kind(lg: LabeledGraph) -> str:
@@ -295,13 +307,6 @@ def merge_v_blocks(lg: LabeledGraph, blocks, side: str | None = None) -> Labeled
     return _merge_with_labels(lg, blocks, step)
 
 
-def connected_chain_blocks(k: int, side: str = V_ROLE) -> list[list[VertexId]]:
-    """The size-2 pairing {w_i, w_{2k-i}} ∪ {w_k, w_{2k}} that chains all
-    k components of k(2P_2 ∨ O_m) into one connected graph."""
-    mk = u if side == U_ROLE else v
-    return [[mk(i), mk(2 * k - i)] for i in range(1, k)] + [[mk(k), mk(2 * k)]]
-
-
 def chunk_blocks(k: int, s: int, side: str = V_ROLE) -> list[list[VertexId]]:
     """Equal blocks of size s over all 2k side-vertices, never putting a
     complementary pair {i, 2k+1-i} together (s must divide 2k, s <= k)."""
@@ -315,9 +320,9 @@ def chunk_blocks(k: int, s: int, side: str = V_ROLE) -> list[list[VertexId]]:
 def group_components(lg: LabeledGraph, ks, side: str | None = None) -> LabeledGraph:
     """Group the k components consecutively and chain each group into one
     connected piece by pair merges, as in the connected J construction."""
-    kind_side = side or (V_ROLE if lg.params.m % 2 == 0 else U_ROLE)
+    kind_side = side or (V_ROLE if lg.parity == EVEN else U_ROLE)
     _j_input_kind(lg)
-    k = lg.params.k
+    k = lg.k
     ks = tuple(ks)
     if sum(ks) != k:
         raise AntimagicError(f"group sizes must sum to k={k}, got {ks}")
@@ -332,8 +337,7 @@ def group_components(lg: LabeledGraph, ks, side: str | None = None) -> LabeledGr
             c_here, c_next = comps[a], comps[(a + 1) % ka]
             blocks.append([mk(c_here), mk(2 * k + 1 - c_next)])
         start += ka
-    out = _merge_with_labels(lg, blocks, ("group_components", kind_side, ks))
-    return replace(out, params=replace(out.params, ks=ks))
+    return _merge_with_labels(lg, blocks, ("group_components", kind_side, ks))
 
 
 @dataclass(frozen=True)
@@ -341,10 +345,6 @@ class GenericMergeReport:
     colors: frozenset[int]
     local_antimagic: bool
     component_count: int
-
-    @property
-    def is_three_coloring(self) -> bool:
-        return self.local_antimagic and len(self.colors) == 3
 
 
 def partition_merge_generic(lg: LabeledGraph, x_partition) -> tuple[LabeledGraph, GenericMergeReport]:
@@ -364,7 +364,7 @@ def partition_merge_generic(lg: LabeledGraph, x_partition) -> tuple[LabeledGraph
     if width % 2:
         raise AntimagicError("block size must be even (2s columns per merge)")
     s = width // 2
-    n, k = lg.params.n, lg.params.k
+    n, k = lg.n, lg.k
     target = s * x_pair_constant(lg.parity, n, k)
     labels = lg.labeling.labels
     for b in blocks:
@@ -385,10 +385,6 @@ def partition_merge_generic(lg: LabeledGraph, x_partition) -> tuple[LabeledGraph
 
 
 # --- expected color triples -------------------------------------------------
-
-
-def expected_colors_merge_all(parity: str, n: int, k: int) -> set[int]:
-    return {u_color(parity, n, k), v_color(parity, n, k), k * x_pair_constant(parity, n, k)}
 
 
 def expected_colors_block(parity: str, n: int, k: int, s: int) -> set[int]:
@@ -423,7 +419,7 @@ def random_swap_spec(lg: LabeledGraph, rng: random.Random) -> SwapSpec:
     """
     g = lg.graph
     labels = lg.labeling.labels
-    k = lg.params.k
+    k = lg.k
 
     adj = g.adjacency
     xs = sorted(w for w in g.vertices if not _uv_side(w))

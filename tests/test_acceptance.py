@@ -18,7 +18,6 @@ from antimagic.sweep import sweep
 from antimagic.transforms import (
     SwapSpec,
     block_merge,
-    connected_chain_blocks,
     delete_add,
     from_matrix,
     group_components,
@@ -139,10 +138,7 @@ def test_criterion_6_lower_bound_soundness(grid):
     fixture_graphs = [
         special_2p2_o2()[0],
         block_merge(from_matrix(build_even_matrix(2, 2)), 2, 1).graph,
-        merge_v_blocks(
-            block_merge(from_matrix(build_even_matrix(1, 6)), 6, 1),
-            connected_chain_blocks(6),
-        ).graph,
+        group_components(block_merge(from_matrix(build_even_matrix(1, 6)), 6, 1), (6,)).graph,
     ]
     bounds_ok = all(chi_la_lower_bound(g)[0] <= 3 for g in fixture_graphs)
     _report(
@@ -175,8 +171,8 @@ def test_criterion_7_surgery_conservation():
     lg = block_merge(from_matrix(build_even_matrix(2, 4)), 4, 1)
     a = merged([x(1, 1), x(8, 1)])
     b = merged([x(2, 1), x(7, 1)])
-    keep = lg.labeling.label(v(1), a)
-    other = lg.labeling.label(v(2), b)
+    keep = lg.labeling.labels[edge(v(1), a)]
+    other = lg.labeling.labels[edge(v(2), b)]
     rejected = 0
     with pytest.raises(AntimagicError):
         delete_add(lg, SwapSpec((edge(v(1), a),), ((edge(v(1), b), keep + 1),)))

@@ -20,9 +20,9 @@ class TestConstruct:
         csv = (tmp_path / "matrix.csv").read_text().strip().split("\n")
         assert csv[1] == "ux1,65,66,67,68,69,70,71,72"
         assert csv[5] == "uv,44,39,37,35,38,36,34,29"
-        assert (tmp_path / "graph.json").exists()
-        assert (tmp_path / "labeling.json").exists()
-        assert (tmp_path / "graph.dot").exists()
+        assert (tmp_path / "graph.json").is_file()
+        assert (tmp_path / "labeling.json").is_file()
+        assert (tmp_path / "graph.dot").is_file()
 
     def test_special_family_colors(self, tmp_path, capsys):
         code, out = run(capsys, "construct", "--family", "special-2p2o2", "--out", str(tmp_path))
@@ -176,6 +176,31 @@ class TestSweep:
         main(["sweep", "--n-max", "2", "--k-max", "2", "--jobs", "2", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_jobs_capped_at_cell_count(self, tmp_path, capsys, monkeypatch):
+        import multiprocessing
+
+        asked = []
+
+        class SerialPool:  # records the worker count and starts no process
+            def __init__(self, processes):
+                asked.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return list(map(fn, items))
+
+        monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["sweep", "--n-max", "1", "--k-max", "1", "--out", str(a)]) == 0
+        assert main(["sweep", "--n-max", "1", "--k-max", "1", "--jobs", "64", "--out", str(b)]) == 0
+        assert asked == [2]  # two cells: (even, 1, 1) and (odd, 1, 1)
+        assert a.read_bytes() == b.read_bytes()
+
     def test_family_filter(self, tmp_path, capsys):
         code, out = run(capsys, "sweep", "--n-max", "1", "--k-max", "2", "--families", "matrix,join")
         assert code == 0
@@ -206,6 +231,12 @@ class TestOracle:
         assert code == 0
         assert json.loads(out)["result"] == "no labeling exists"
 
+    def test_edgeless_graph_has_one_color(self, tmp_path, capsys):
+        path = self.write_graph(tmp_path, null_graph(3))
+        code, out = run(capsys, "oracle", path)
+        assert code == 0
+        assert json.loads(out)["result"] == 1
+
     def test_find_with_target_colors(self, tmp_path, capsys):
         from antimagic.schemes import special_2p2_o2
 
@@ -215,7 +246,7 @@ class TestOracle:
         code, out = run(capsys, "oracle", path, "--mode", "find", "--target-colors", "14,19,22", "--save", str(save))
         assert code == 0
         assert json.loads(out)["result"] == [14, 19, 22]
-        assert save.exists()
+        assert save.is_file()
         code, _ = run(capsys, "verify", str(save), "--expect-colors", "14,19,22")
         assert code == 0
 

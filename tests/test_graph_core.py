@@ -12,7 +12,6 @@ from antimagic.graph import (
     edge,
     is_bipartite_equal_parts,
     join,
-    merge_vertices,
     merge_vertices_mapped,
     merged,
     null_graph,
@@ -116,30 +115,30 @@ class TestDisjointUnion:
 class TestMerge:
     def test_column_merge_degree(self):
         g = copies_of_p2_join_null(8, 4)
-        out = merge_vertices(g, [[x(i, 1) for i in range(1, 9)]])
+        out = merge_vertices_mapped(g, [[x(i, 1) for i in range(1, 9)]])[0]
         xm = merged([x(i, 1) for i in range(1, 9)])
         assert out.degree(xm) == 16  # degree 4k at k = 4
         assert out.size == g.size
 
     def test_single_group_is_identity(self):
         g = two_p2()
-        assert merge_vertices(g, [[v(1)]]) == g
+        assert merge_vertices_mapped(g, [[v(1)]])[0] == g
 
     def test_merge_endpoints_of_disjoint_edges_gives_path(self):
         g = two_p2()
-        out = merge_vertices(g, [[v(1), v(2)]])
+        out = merge_vertices_mapped(g, [[v(1), v(2)]])[0]
         assert out.order == 3 and out.size == 2
         deg = sorted(out.degree(w) for w in out.vertices)
         assert deg == [1, 1, 2]
 
     def test_adjacent_members_raise_loop(self):
         with pytest.raises(LoopError):
-            merge_vertices(two_p2(), [[u(1), v(1)]])
+            merge_vertices_mapped(two_p2(), [[u(1), v(1)]])
 
     def test_shared_neighbor_raises_parallel(self):
         g = join(two_p2(), null_graph(2))
         with pytest.raises(ParallelEdgeError):
-            merge_vertices(g, [[u(1), u(2)]])
+            merge_vertices_mapped(g, [[u(1), u(2)]])
 
     def test_round_trip_recovers_edges(self):
         g = copies_of_p2_join_null(4, 2)
@@ -164,7 +163,7 @@ class TestMerge:
         for n, k in [(1, 2), (2, 3), (3, 1)]:
             g = copies_of_p2_join_null(2 * k, 2 * n)
             groups = [[x(i, j) for i in range(1, 2 * k + 1)] for j in range(1, 2 * n + 1)]
-            out = merge_vertices(g, groups)
+            out = merge_vertices_mapped(g, groups)[0]
             assert out.order == 4 * k + 2 * n
             assert out.size == g.size
 

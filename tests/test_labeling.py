@@ -3,7 +3,7 @@ import random
 import pytest
 
 from antimagic.errors import AntimagicError
-from antimagic.graph import FamilyParams, Graph, copies_of_p2_join_null, join, null_graph, p2, u, v, x
+from antimagic.graph import Graph, copies_of_p2_join_null, join, null_graph, p2, u, v, x
 from antimagic.labeling import (
     EdgeLabeling,
     chi_la_lower_bound,
@@ -96,7 +96,7 @@ class TestAssertThreeColoring:
         assert "999" in detail and "146" in detail
 
     def test_equal_color_edge_reported(self):
-        lg = LabeledGraph(EdgeLabeling(p2(1), {(u(1), v(1)): 1}), FamilyParams(), ())
+        lg = LabeledGraph(EdgeLabeling(p2(1), {(u(1), v(1)): 1}), ())
         ok, detail = _colors_ok(lg, {1})
         assert not ok
         assert "u1-v1" in detail

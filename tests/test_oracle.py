@@ -31,11 +31,18 @@ class TestExactChiLa:
         assert exact_chi_la(join(p2(1), null_graph(1))).value == 3
 
     def test_single_edge_has_no_labeling(self):
-        res = exact_chi_la(p2(1))
-        assert res.value is None and not res.exists
+        assert exact_chi_la(p2(1)).value is None
 
     def test_two_edges_have_no_labeling(self):
         assert exact_chi_la(copies_of_p2_join_null(2, 0)).value is None
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_edgeless_graph_has_one_color(self, jobs):
+        # the empty labeling is local antimagic; every vertex gets color 0
+        g = null_graph(3)
+        assert exact_chi_la(g, jobs=jobs).value == 1
+        assert chi_la_lower_bound(g) == (1, "edgeless")
+        assert induce(find_labeling(g).labeling).c == 1
 
     def test_join_of_two_edges_and_two_nulls(self):
         g, _ = special_2p2_o2()
@@ -48,7 +55,7 @@ class TestExactChiLa:
     def test_bound_soundness_on_corpus(self):
         for g in (join(p2(1), null_graph(1)), c4(), star3(), special_2p2_o2()[0]):
             res = exact_chi_la(g)
-            if res.exists:
+            if res.value is not None:
                 assert res.value >= chi_la_lower_bound(g)[0]
 
     def test_cap_enforced(self):

@@ -10,7 +10,6 @@ from antimagic.transforms import (
     SwapSpec,
     block_merge,
     chunk_blocks,
-    connected_chain_blocks,
     connecting_swaps,
     delete_add,
     expected_colors_block,
@@ -147,7 +146,7 @@ def merge_vertices_back(split_lg):
     for w in xs:
         j = w.j if w.role == "x" else w.parts[0].j
         cols = {w.i} if w.role == "x" else {p.i for p in w.parts}
-        key = (j, frozenset(cols | {2 * split_lg.params.k + 1 - c for c in cols}))
+        key = (j, frozenset(cols | {2 * split_lg.k + 1 - c for c in cols}))
         pair_of.setdefault(key, []).append(w)
     groups = [pair for pair in pair_of.values() if len(pair) == 2]
     _, origin = merge_vertices_mapped(g, groups)
@@ -172,13 +171,13 @@ class TestDeleteAdd:
 
     def test_worked_swap_labels(self):
         lg, spec = self.worked_swap()
-        labels = lg.labeling
+        labels = lg.labeling.labels
         a = merged([x(1, 4), x(6, 4)])
         b = merged([x(3, 1), x(4, 1)])
-        assert labels.label(u(1), a) == 30
-        assert labels.label(v(6), a) == 25
-        assert labels.label(u(3), b) == 51
-        assert labels.label(v(4), b) == 4
+        assert labels[edge(u(1), a)] == 30
+        assert labels[edge(v(6), a)] == 25
+        assert labels[edge(u(3), b)] == 51
+        assert labels[edge(v(4), b)] == 4
 
     def test_worked_swap_preserves_coloring(self):
         lg, spec = self.worked_swap()
@@ -211,7 +210,7 @@ class TestDeleteAdd:
         lg = block_merge(even_base(2, 3), 3, 1)
         a = merged([x(1, 1), x(6, 1)])
         b = merged([x(2, 1), x(5, 1)])
-        p, q = lg.labeling.label(v(1), a), lg.labeling.label(v(2), b)
+        p, q = lg.labeling.labels[edge(v(1), a)], lg.labeling.labels[edge(v(2), b)]
         assert p != q
         spec = SwapSpec(
             delete=(edge(v(1), a), edge(v(2), b)),
@@ -224,7 +223,7 @@ class TestDeleteAdd:
         lg = block_merge(even_base(2, 3), 3, 1)
         a = merged([x(1, 1), x(6, 1)])
         a2 = merged([x(1, 2), x(6, 2)])
-        lab = lg.labeling.label(v(1), a)
+        lab = lg.labeling.labels[edge(v(1), a)]
         spec = SwapSpec(delete=(edge(v(1), a),), add=((edge(v(1), a2), lab),))
         with pytest.raises(ParallelEdgeError):
             delete_add(lg, spec)
@@ -252,8 +251,10 @@ class TestMergeVBlocks:
         assert out.colors == {127, 168, 122}
 
     def test_connected_chain_gives_one_component(self):
+        # {v_i, v_12-i} for i < 6 and {v_6, v_12} chain all six components
         pairs = block_merge(even_base(1, 6), 6, 1)
-        out = merge_v_blocks(pairs, connected_chain_blocks(6))
+        blocks = [[v(i), v(12 - i)] for i in range(1, 6)] + [[v(6), v(12)]]
+        out = merge_v_blocks(pairs, blocks)
         assert len(components(out.graph)) == 1
 
     def test_odd_side_is_u(self):
@@ -319,7 +320,7 @@ class TestPartitionMergeGeneric:
         out, report = partition_merge_generic(base, blocks)
         expected = block_merge(even_base(2, 3), 3, 1)
         assert out.labeling.labels == expected.labeling.labels
-        assert report.is_three_coloring
+        assert report.local_antimagic and len(report.colors) == 3
         assert report.component_count == 3
 
     def test_wrong_block_sum_rejected(self):
@@ -341,7 +342,7 @@ class TestCertificatesAndReplay:
 
     def test_merged_graph_certificate(self):
         pairs = block_merge(even_base(1, 6), 6, 1)
-        out = merge_v_blocks(pairs, connected_chain_blocks(6))
+        out = group_components(pairs, (6,))
         assert theorem_certificate(out.graph) == "tripartite"
 
     def test_replay_round_trip(self):
