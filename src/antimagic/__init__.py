@@ -17,7 +17,6 @@ from .graph import (
     bipartition,
     components,
     copies_of_p2_join_null,
-    delete_add_edges,
     edge,
     join,
     merged,

@@ -7,6 +7,7 @@ surgery.  All graph operations return new graphs; nothing mutates.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -168,9 +169,6 @@ class Graph:
     def degree(self, w: VertexId) -> int:
         return len(self.adjacency[w])
 
-    def incident_edges(self, w: VertexId) -> list[Edge]:
-        return sorted(edge(w, nb) for nb in self.adjacency[w])
-
     def sorted_vertices(self) -> list[VertexId]:
         return sorted(self.vertices)
 
@@ -212,11 +210,25 @@ def copies_of_p2_join_null(a: int, m: int) -> Graph:
     return Graph.build(vs, es)
 
 
+def rewire(edge_map: dict[Edge, Edge], vertices: Iterable[VertexId]) -> Graph:
+    """The graph on ``vertices`` whose edges are the images of a surgery
+    described by old-edge -> new-edge.
+
+    Raises :class:`ParallelEdgeError` if two old edges map onto one new
+    edge (the edge bijection would break).
+    """
+    edges = frozenset(edge_map.values())
+    if len(edges) != len(edge_map):
+        (a, b), _ = Counter(edge_map.values()).most_common(1)[0]
+        raise ParallelEdgeError(f"surgery maps two edges onto {a}-{b} (parallel edge)")
+    return Graph(frozenset(vertices), edges)
+
+
 def merge_vertices_mapped(
     g: Graph, groups: Sequence[Iterable[VertexId]]
 ) -> tuple[Graph, dict[Edge, Edge]]:
     """Collapse each group to one merged vertex, preserving every edge,
-    and map each new edge to the old edge it came from.
+    and map each old edge to the new edge it becomes.
 
     Raises :class:`LoopError` if a group contains adjacent vertices and
     :class:`ParallelEdgeError` if two group members share a neighbor
@@ -238,43 +250,8 @@ def merge_vertices_mapped(
         for w in members:
             vmap[w] = target
 
-    new_edges: dict[Edge, Edge] = {}
-    for a, b in g.edges:
-        na, nb = vmap.get(a, a), vmap.get(b, b)
-        if na == nb:
-            raise LoopError(f"merging adjacent vertices {a} and {b}")
-        ne = edge(na, nb)
-        if ne in new_edges:
-            raise ParallelEdgeError(
-                f"merge creates parallel edge {ne[0]}-{ne[1]} (shared neighbor)"
-            )
-        new_edges[ne] = (a, b)
-    new_vertices = {vmap.get(w, w) for w in g.vertices}
-    return Graph(frozenset(new_vertices), frozenset(new_edges)), new_edges
-
-
-def delete_add_edges(
-    g: Graph,
-    delete: Iterable[tuple[VertexId, VertexId]],
-    add: Iterable[tuple[VertexId, VertexId]],
-) -> Graph:
-    """Remove ``delete`` and insert ``add``; vertex set unchanged."""
-    dels = [edge(a, b) for a, b in delete]
-    adds = [edge(a, b) for a, b in add]
-    if len(dels) != len(adds):
-        raise AntimagicError("delete and add lists must have equal length")
-    es = set(g.edges)
-    for e in dels:
-        if e not in es:
-            raise AntimagicError(f"cannot delete missing edge {e[0]}-{e[1]}")
-        es.remove(e)
-    for e in adds:
-        if e in es:
-            raise ParallelEdgeError(f"adding existing edge {e[0]}-{e[1]}")
-        if e[0] not in g.vertices or e[1] not in g.vertices:
-            raise AntimagicError("added edge endpoint not in vertex set")
-        es.add(e)
-    return Graph(g.vertices, frozenset(es))
+    edge_map = {e: edge(vmap.get(e[0], e[0]), vmap.get(e[1], e[1])) for e in g.edges}
+    return rewire(edge_map, {vmap.get(w, w) for w in g.vertices}), edge_map
 
 
 def components(g: Graph) -> list[Graph]:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import BijectionError
-from .graph import Edge, Graph, VertexId, bipartition, edge, is_bipartite_equal_parts
+from .graph import Edge, Graph, VertexId, bipartition, is_bipartite_equal_parts
 
 
 @dataclass(frozen=True)
@@ -29,9 +29,6 @@ class EdgeLabeling:
     @property
     def q(self) -> int:
         return self.graph.size
-
-    def label(self, a: VertexId, b: VertexId) -> int:
-        return self.labels[edge(a, b)]
 
     def relabel_edges(self, edge_map: dict[Edge, Edge], new_graph: Graph) -> "EdgeLabeling":
         """Carry labels across a surgery described by old-edge -> new-edge."""
@@ -74,11 +71,13 @@ def chi_la_lower_bound(g: Graph) -> tuple[int, str]:
     A 2-coloring forces a bipartition with strictly unequal class sizes
     carrying equal total weight, so a bipartite graph whose components
     all have equal partite sizes needs at least 3 colors.  A graph that
-    is not even 2-chromatic needs at least 3 as well.  The bound never
-    overstates; it is not always attained (e.g. a single edge).
+    is not even 2-chromatic needs at least 3 as well.  An edgeless graph
+    has only the empty labeling: one color (0), or none without vertices.
+    The bound never overstates; it is not always attained (e.g. a single
+    edge).
     """
     if not g.edges:
-        return 1, "edgeless"
+        return min(g.order, 1), "edgeless"
     if is_bipartite_equal_parts(g):
         return 3, "equal-bipartition"
     if None in bipartition(g):

@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 
 from .errors import AntimagicError
-from .graph import Edge, Graph
+from .graph import Edge, Graph, edge
 from .labeling import EdgeLabeling, chi_la_lower_bound, induce
 
 DEFAULT_EDGE_CAP = 12
@@ -42,7 +42,8 @@ def _edge_order(g: Graph) -> list[Edge]:
     order: list[Edge] = []
     seen: set[Edge] = set()
     for w in verts:
-        for e in sorted(g.incident_edges(w), key=lambda e: (-max(g.degree(e[0]), g.degree(e[1])), e)):
+        incident = (edge(w, nb) for nb in g.adjacency[w])
+        for e in sorted(incident, key=lambda e: (-max(g.degree(e[0]), g.degree(e[1])), e)):
             if e not in seen:
                 seen.add(e)
                 order.append(e)
@@ -170,11 +171,12 @@ def exact_chi_la(g: Graph, cap: int | None = None, jobs: int = 1) -> ChiLaResult
     Tries color budgets upward from the sound lower bound, each asking
     for exactly that many colors; once every budget up to |V| fails, no
     labeling exists at all (a labeling always induces at most |V| colors).
-    An edgeless graph has the empty labeling, found at budget 1: every
-    vertex gets color 0.  With ``jobs > 1`` each budget's search
-    is split over worker processes by the first edge's label; the
-    branches partition the search, so the value does not depend on
-    ``jobs`` (the node count does: every branch runs to its end).
+    An edgeless graph has the empty labeling, found at budget 1 (every
+    vertex gets color 0), or at budget 0 when it has no vertices.  With
+    ``jobs > 1`` each budget's search is split over worker processes by
+    the first edge's label; the branches partition the search, so the
+    value does not depend on ``jobs`` (the node count does: every branch
+    runs to its end).
     """
     _check_cap(g, cap)
     t0 = time.perf_counter()
@@ -188,7 +190,7 @@ def exact_chi_la(g: Graph, cap: int | None = None, jobs: int = 1) -> ChiLaResult
         chunks = [list(range(start, g.size + 1, jobs)) for start in range(1, jobs + 1)]
     nodes = 0
     try:
-        for budget in range(max(lb, 1), g.order + 1):
+        for budget in range(lb, g.order + 1):
             if pool is None:
                 results = [_search(g, n_colors=budget)]
             else:

@@ -74,8 +74,8 @@ def _shape(w: VertexId) -> str:
     return _SHAPES.get(w.role, "ellipse")
 
 
-def dot(g: Graph, labeling: EdgeLabeling | None = None, name: str = "G") -> str:
-    lines = [f"graph {name} {{"]
+def dot(g: Graph, labeling: EdgeLabeling | None = None) -> str:
+    lines = ["graph G {"]
     for w in g.sorted_vertices():
         lines.append(f'  "{w.token()}" [shape={_shape(w)}];')
     for a, b in g.sorted_edges():

@@ -146,9 +146,7 @@ def _sweep_cell(parity: str, n: int, k: int, want: frozenset[str]) -> Iterator[S
         if "split" in want:
             sg = split_x(lg)
             ok, detail = _colors_ok(sg, expected_colors_split(parity, n, k, s))
-            if ok and not is_bipartite_equal_parts(sg.graph):
-                ok, detail = False, "not bipartite with equal parts"
-            if ok:
+            if ok:  # "equal-bipartition" implies bipartite with equal parts
                 bound, cert = chi_la_lower_bound(sg.graph)
                 if (bound, cert) != (3, "equal-bipartition"):
                     ok, detail = False, f"lower bound {bound} via {cert}"

@@ -23,10 +23,10 @@ from .graph import (
     X_ROLE,
     components,
     copies_of_p2_join_null,
-    delete_add_edges,
     edge,
     merge_vertices_mapped,
     merged,
+    rewire,
     u,
     v,
     x,
@@ -117,10 +117,8 @@ def _is_fresh_matrix(lg: LabeledGraph) -> bool:
 
 
 def _merge_with_labels(lg: LabeledGraph, groups, step: Step) -> LabeledGraph:
-    g2, origin = merge_vertices_mapped(lg.graph, groups)
-    labels = lg.labeling.labels
-    labeling = EdgeLabeling(g2, {e: labels[old] for e, old in origin.items()})
-    return LabeledGraph(labeling, lg.provenance + (step,))
+    g2, edge_map = merge_vertices_mapped(lg.graph, groups)
+    return LabeledGraph(lg.labeling.relabel_edges(edge_map, g2), lg.provenance + (step,))
 
 
 def merge_all_x(lg: LabeledGraph) -> LabeledGraph:
@@ -186,10 +184,7 @@ def split_x(lg: LabeledGraph) -> LabeledGraph:
             for i in hi:
                 edge_map[edge(v(i), xv)] = edge(v(i), y_id)
                 edge_map[edge(u(i), xv)] = edge(u(i), z_id)
-    g2 = Graph(frozenset(new_vertices), frozenset(edge_map.values()))
-    if g2.size != g.size:
-        raise AntimagicError("split lost an edge")
-    labeling = lg.labeling.relabel_edges(edge_map, g2)
+    labeling = lg.labeling.relabel_edges(edge_map, rewire(edge_map, new_vertices))
     return LabeledGraph(labeling, lg.provenance + (("split_x",),))
 
 
@@ -219,7 +214,9 @@ def delete_add(lg: LabeledGraph, spec: SwapSpec) -> LabeledGraph:
     add_labels = sorted(lab for _, lab in spec.add)
     if del_labels != add_labels:
         raise AntimagicError("added labels must be exactly the deleted labels")
+    g = lg.graph
     by_label = {labels[e]: e for e in dels}
+    edge_map = {e: e for e in g.edges}
     for (a, b), lab in spec.add:
         old = by_label[lab]
         uv_old = {w for w in old if _uv_side(w)}
@@ -229,14 +226,10 @@ def delete_add(lg: LabeledGraph, spec: SwapSpec) -> LabeledGraph:
             raise AntimagicError(
                 f"label {lab} must keep its u/v-side endpoint ({next(iter(uv_old))})"
             )
-
-    g2 = delete_add_edges(lg.graph, dels, [e for e, _ in spec.add])
-    new_labels = dict(labels)
-    for e in dels:
-        del new_labels[e]
-    for (a, b), lab in spec.add:
-        new_labels[edge(a, b)] = lab
-    labeling = EdgeLabeling(g2, new_labels)
+        if a not in g.vertices or b not in g.vertices:
+            raise AntimagicError(f"added edge endpoint not in vertex set: {a}-{b}")
+        edge_map[old] = edge(a, b)
+    labeling = lg.labeling.relabel_edges(edge_map, rewire(edge_map, g.vertices))
     before = lg.coloring.colors
     after = induce(labeling).colors
     if before != after:
@@ -250,13 +243,13 @@ def delete_add(lg: LabeledGraph, spec: SwapSpec) -> LabeledGraph:
     return LabeledGraph(labeling, lg.provenance + (step,))
 
 
-def _j_input_kind(lg: LabeledGraph) -> str:
-    """J/H inputs are k(2P_2 ∨ O_m) or its split; returns which."""
+def _check_j_input(lg: LabeledGraph) -> None:
+    """J/H inputs are k(2P_2 ∨ O_m) or its split."""
     tags = [st[0] for st in lg.provenance]
     if tags[-1:] == ["block_merge"] and lg.provenance[-1][2] == 1:
-        return "merged"
+        return
     if tags[-2:] == ["block_merge", "split_x"] and lg.provenance[-2][2] == 1:
-        return "split"
+        return
     raise AntimagicError("expected k(2P_2 ∨ O_m) or its split graph")
 
 
@@ -287,7 +280,7 @@ def merge_v_blocks(lg: LabeledGraph, blocks, side: str | None = None) -> Labeled
     the odd families) into blocks of one size s >= 2 whose members share
     no neighbor.  The merged vertices pick up s times the old color.
     """
-    _j_input_kind(lg)
+    _check_j_input(lg)
     blocks = [sorted(b) for b in blocks]
     if not blocks:
         raise AntimagicError("no blocks given")
@@ -321,7 +314,7 @@ def group_components(lg: LabeledGraph, ks, side: str | None = None) -> LabeledGr
     """Group the k components consecutively and chain each group into one
     connected piece by pair merges, as in the connected J construction."""
     kind_side = side or (V_ROLE if lg.parity == EVEN else U_ROLE)
-    _j_input_kind(lg)
+    _check_j_input(lg)
     k = lg.k
     ks = tuple(ks)
     if sum(ks) != k:

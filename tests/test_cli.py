@@ -237,6 +237,13 @@ class TestOracle:
         assert code == 0
         assert json.loads(out)["result"] == 1
 
+    def test_graph_without_vertices_has_no_color(self, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        path.write_text('{"vertices": [], "edges": []}')
+        code, out = run(capsys, "oracle", str(path))
+        assert code == 0
+        assert json.loads(out)["result"] == 0
+
     def test_find_with_target_colors(self, tmp_path, capsys):
         from antimagic.schemes import special_2p2_o2
 

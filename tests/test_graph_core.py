@@ -8,7 +8,6 @@ from antimagic.graph import (
     bipartition,
     components,
     copies_of_p2_join_null,
-    delete_add_edges,
     edge,
     is_bipartite_equal_parts,
     join,
@@ -17,6 +16,7 @@ from antimagic.graph import (
     null_graph,
     p2,
     parse_token,
+    rewire,
     u,
     v,
     x,
@@ -143,20 +143,18 @@ class TestMerge:
     def test_round_trip_recovers_edges(self):
         g = copies_of_p2_join_null(4, 2)
         groups = [[x(i, j) for i in range(1, 5)] for j in (1, 2)]
-        out, origin = merge_vertices_mapped(g, groups)
-        assert set(origin) == set(out.edges) and set(origin.values()) == set(g.edges)
-        recovered = set()
-        for a, b in out.edges:
-            def expand(w, other):
-                if w.role != "m":
-                    return w
-                cands = [p for p in w.parts if edge(p, other) in g.edges]
-                assert len(cands) == 1
-                return cands[0]
-            ra = expand(a, b)
-            rb = expand(b, a)
-            recovered.add(edge(ra, rb))
-        assert recovered == set(g.edges)
+        out, edge_map = merge_vertices_mapped(g, groups)
+        assert set(edge_map) == set(g.edges) and set(edge_map.values()) == set(out.edges)
+
+        def expand(w, other):
+            if w.role != "m":
+                return w
+            cands = [p for p in w.parts if edge(p, other) in g.edges]
+            assert len(cands) == 1
+            return cands[0]
+
+        for old, (a, b) in edge_map.items():
+            assert edge(expand(a, b), expand(b, a)) == old
 
     def test_merged_join_order(self):
         # order 2k(2n+2) - (2k-1)(2n) = 4k + 2n after merging all columns
@@ -168,33 +166,17 @@ class TestMerge:
             assert out.size == g.size
 
 
-class TestDeleteAdd:
-    def test_identity_on_empty_lists(self):
+class TestRewire:
+    def test_builds_the_images_on_the_given_vertices(self):
         g = two_p2()
-        assert delete_add_edges(g, [], []) == g
+        edge_map = {edge(u(1), v(1)): edge(u(1), v(2)), edge(u(2), v(2)): edge(u(2), v(1))}
+        out = rewire(edge_map, g.vertices)
+        assert out.vertices == g.vertices and out.edges == {edge(u(1), v(2)), edge(u(2), v(1))}
 
-    def test_delete_then_readd(self):
+    def test_two_edges_onto_one_raise_parallel(self):
         g = two_p2()
-        assert delete_add_edges(g, [(u(1), v(1))], [(u(1), v(1))]) == g
-
-    def test_rewire_keeps_degree_sequence(self):
-        g = copies_of_p2_join_null(2, 1)
-        out = delete_add_edges(
-            g,
-            [(v(1), x(1, 1)), (v(2), x(2, 1))],
-            [(v(1), x(2, 1)), (v(2), x(1, 1))],
-        )
-        assert sorted(g.degree(w) for w in g.vertices) == sorted(out.degree(w) for w in out.vertices)
-        assert len(components(out)) == 1
-
-    def test_adding_existing_edge_rejected(self):
-        g = two_p2()
-        with pytest.raises(ParallelEdgeError):
-            delete_add_edges(g, [(u(1), v(1))], [(u(2), v(2))])
-
-    def test_deleting_missing_edge_rejected(self):
-        with pytest.raises(AntimagicError):
-            delete_add_edges(two_p2(), [(u(1), v(2))], [(u(1), v(1))])
+        with pytest.raises(ParallelEdgeError, match="u1-v1"):
+            rewire({e: edge(u(1), v(1)) for e in g.edges}, g.vertices)
 
 
 class TestComponentsAndBipartition:

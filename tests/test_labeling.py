@@ -118,6 +118,9 @@ class TestLowerBound:
     def test_edgeless(self):
         assert chi_la_lower_bound(null_graph(4)) == (1, "edgeless")
 
+    def test_no_vertices(self):
+        assert chi_la_lower_bound(null_graph(0)) == (0, "edgeless")
+
     def test_unequal_bipartite_graph_gets_two(self):
         star = Graph.build([u(1), v(1), v(2), v(3)], [(u(1), v(1)), (u(1), v(2)), (u(1), v(3))])
         assert chi_la_lower_bound(star)[0] == 2

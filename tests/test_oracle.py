@@ -44,6 +44,13 @@ class TestExactChiLa:
         assert chi_la_lower_bound(g) == (1, "edgeless")
         assert induce(find_labeling(g).labeling).c == 1
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_graph_without_vertices_has_no_color(self, jobs):
+        g = null_graph(0)
+        assert exact_chi_la(g, jobs=jobs).value == 0
+        assert chi_la_lower_bound(g) == (0, "edgeless")
+        assert induce(find_labeling(g).labeling).c == 0
+
     def test_join_of_two_edges_and_two_nulls(self):
         g, _ = special_2p2_o2()
         assert exact_chi_la(g).value == 3

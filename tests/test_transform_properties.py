@@ -126,9 +126,9 @@ def test_merging_the_split_halves_back_restores_the_block_merge(cell, data):
         whole = next(xv for xv in block.graph.vertices if parts <= set(xv.parts))
         halves.setdefault(whole, []).append(w)
     assert all(len(pair) == 2 and merged(pair) == whole for whole, pair in halves.items())
-    g, origin = merge_vertices_mapped(split.graph, list(halves.values()))
+    g, edge_map = merge_vertices_mapped(split.graph, list(halves.values()))
     labels = split.labeling.labels
-    assert EdgeLabeling(g, {e: labels[old] for e, old in origin.items()}) == block.labeling
+    assert EdgeLabeling(g, {edge_map[old]: lab for old, lab in labels.items()}) == block.labeling
 
 
 @SETTINGS

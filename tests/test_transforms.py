@@ -149,8 +149,8 @@ def merge_vertices_back(split_lg):
         key = (j, frozenset(cols | {2 * split_lg.k + 1 - c for c in cols}))
         pair_of.setdefault(key, []).append(w)
     groups = [pair for pair in pair_of.values() if len(pair) == 2]
-    _, origin = merge_vertices_mapped(g, groups)
-    return {e: split_lg.labeling.labels[old] for e, old in origin.items()}
+    _, edge_map = merge_vertices_mapped(g, groups)
+    return {edge_map[old]: lab for old, lab in split_lg.labeling.labels.items()}
 
 
 class TestDeleteAdd:
@@ -189,7 +189,42 @@ class TestDeleteAdd:
     def test_empty_spec_is_identity(self):
         lg = block_merge(even_base(2, 2), 2, 1)
         out = delete_add(lg, SwapSpec((), ()))
-        assert out.labeling.labels == lg.labeling.labels
+        assert out.labeling == lg.labeling
+
+    def test_delete_then_readd(self):
+        lg = block_merge(even_base(2, 2), 2, 1)
+        e = edge(u(1), v(1))
+        out = delete_add(lg, SwapSpec((e,), ((e, lg.labeling.labels[e]),)))
+        assert out.labeling == lg.labeling
+
+    def test_rewire_keeps_degree_sequence(self):
+        lg, spec = self.worked_swap()
+        g, out = lg.graph, delete_add(lg, spec).graph
+        assert out.vertices == g.vertices
+        assert all(out.degree(w) == g.degree(w) for w in g.vertices)
+
+    @pytest.mark.parametrize(
+        "case, error, match",
+        [
+            pytest.param("missing-edge", AntimagicError, "missing edge", id="missing-edge"),
+            pytest.param("duplicate-delete", AntimagicError, "duplicate", id="duplicate-delete"),
+            pytest.param("endpoint-outside", AntimagicError, "not in vertex set", id="endpoint-outside"),
+            pytest.param("existing-edge", ParallelEdgeError, "parallel", id="existing-edge"),
+        ],
+    )
+    def test_rejected_specs(self, case, error, match):
+        lg = block_merge(even_base(2, 3), 3, 1)
+        e = edge(u(1), merged([x(1, 1), x(6, 1)]))
+        lab = lg.labeling.labels[e]
+        to_a2 = (edge(u(1), merged([x(1, 2), x(6, 2)])), lab)  # u1 already touches it
+        spec = {
+            "missing-edge": SwapSpec((edge(u(1), v(2)),), ((e, lab),)),
+            "duplicate-delete": SwapSpec((e, e), (to_a2, to_a2)),
+            "endpoint-outside": SwapSpec((e,), ((edge(u(1), x(9, 9)), lab),)),
+            "existing-edge": SwapSpec((e,), (to_a2,)),
+        }[case]
+        with pytest.raises(error, match=match):
+            delete_add(lg, spec)
 
     def test_label_multiset_mismatch_rejected(self):
         lg, spec = self.worked_swap()
