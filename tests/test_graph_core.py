@@ -179,6 +179,14 @@ class TestRewire:
             rewire({e: edge(u(1), v(1)) for e in g.edges}, g.vertices)
 
 
+
+class TestDeleteAdd:
+    def test_identity_on_empty_lists(self):
+        # Deleting and adding nothing is the identity edge map: rewire
+        # must hand back the same graph.
+        g = two_p2()
+        assert rewire({e: e for e in g.edges}, g.vertices) == g
+
 class TestComponentsAndBipartition:
     def test_two_p2_components(self):
         assert len(components(two_p2())) == 2
