@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .errors import AntimagicError, BijectionError, UseSpecialCase
 from .graph import components
-from .labeling import induce, is_local_antimagic
+from .labeling import is_local_antimagic
 from .oracle import exact_chi_la, find_labeling
 from .schemes import EVEN, ODD, build_matrix, check_identities, scheme_m
 from .serialize import (
@@ -82,16 +82,15 @@ def _build_family(args) -> tuple:
         return split_x(block_merge(base, args.r, args.s)), mx
     if args.family == "delete-add":
         return connecting_swaps(block_merge(base, args.r, args.s)), mx
-    side = "v" if parity == EVEN else "u"
     pairs = block_merge(base, args.k, 1)
     if args.family == "J1":
-        return merge_v_blocks(pairs, chunk_blocks(args.k, args.block_size, side), side), mx
+        return merge_v_blocks(pairs, chunk_blocks(pairs, args.block_size)), mx
     if args.family == "J2":
-        return merge_v_blocks(split_x(pairs), chunk_blocks(args.k, args.block_size, side), side), mx
+        return merge_v_blocks(split_x(pairs), chunk_blocks(pairs, args.block_size)), mx
     if args.family == "H-group":
         if not args.ks:
             raise AntimagicError("H-group requires --ks, e.g. --ks 2,4")
-        return group_components(pairs, args.ks, side), mx
+        return group_components(pairs, args.ks), mx
     raise AntimagicError(f"unknown family {args.family!r}")
 
 
@@ -158,7 +157,7 @@ def cmd_verify(args) -> int:
     print("bijection: ok")
     ok, bad = is_local_antimagic(labeling)
     print(f"local-antimagic: {'ok' if ok else f'{len(bad)} violations'}")
-    colors = sorted(induce(labeling).color_set)
+    colors = sorted(labeling.coloring.color_set)
     print(f"colors: {colors}")
     failed = not ok
     if args.expect_colors:
@@ -237,7 +236,7 @@ def cmd_oracle(args) -> int:
             if res.labeling is None:
                 result = "none" if args.mode == "find" else "not found"
             else:
-                result = sorted(induce(res.labeling).color_set)
+                result = sorted(res.labeling.coloring.color_set)
                 if args.save:
                     Path(args.save).write_text(dumps(labeling_doc(res.labeling)))
     except AntimagicError as exc:

@@ -21,6 +21,7 @@ MERGED_ROLE = "m"
 
 _ROLES = (U_ROLE, V_ROLE, X_ROLE, MERGED_ROLE)
 _ROLE_RANK = {role: rank for rank, role in enumerate(_ROLES)}
+_SIMPLE_ROLES = tuple(frozenset((role,)) for role in _ROLES[:3])
 
 
 class VertexId(tuple):
@@ -53,6 +54,11 @@ class VertexId(tuple):
     i = property(lambda self: self[1] if self[0] < 3 else 0)
     j = property(lambda self: self[2] if self[0] < 3 else 0)
     parts = property(lambda self: self[1:] if self[0] == 3 else ())
+
+    @property
+    def roles(self) -> frozenset[str]:
+        """``{role}`` for a simple id; the roles of its parts for a merged id."""
+        return _SIMPLE_ROLES[self[0]] if self[0] < 3 else frozenset(p.role for p in self[1:])
 
     def token(self) -> str:
         """Serialized form: ``u3``, ``v12``, ``x2.7``, ``m(v1|v11)``."""

@@ -35,6 +35,10 @@ class EdgeLabeling:
         moved = {edge_map[e]: lab for e, lab in self.labels.items()}
         return EdgeLabeling(new_graph, moved)
 
+    @cached_property
+    def coloring(self) -> "InducedColoring":
+        return induce(self)
+
 
 @dataclass(frozen=True)
 class InducedColoring:
@@ -60,7 +64,7 @@ def induce(labeling: EdgeLabeling) -> InducedColoring:
 
 def is_local_antimagic(labeling: EdgeLabeling) -> tuple[bool, list[Edge]]:
     """Check the defining condition; violating edges are listed sorted."""
-    colors = induce(labeling).colors
+    colors = labeling.coloring.colors
     bad = sorted(e for e in labeling.graph.edges if colors[e[0]] == colors[e[1]])
     return (not bad, bad)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import AntimagicError
 from .graph import Edge, Graph, edge
-from .labeling import EdgeLabeling, chi_la_lower_bound, induce
+from .labeling import EdgeLabeling, chi_la_lower_bound, is_local_antimagic
 
 DEFAULT_EDGE_CAP = 12
 ENV_EDGE_CAP = "ANTIMAGIC_EDGE_CAP"
@@ -198,8 +198,7 @@ def exact_chi_la(g: Graph, cap: int | None = None, jobs: int = 1) -> ChiLaResult
             nodes += sum(n for _, n in results)
             hits = [found for found, _ in results if found is not None]
             if hits:
-                labeling = EdgeLabeling(g, hits[0])
-                return ChiLaResult(induce(labeling).c, nodes, time.perf_counter() - t0)
+                return ChiLaResult(EdgeLabeling(g, hits[0]).coloring.c, nodes, time.perf_counter() - t0)
     finally:
         if pool is not None:
             pool.terminate()
@@ -245,10 +244,8 @@ def find_labeling(
 
 
 def _penalty(labeling: EdgeLabeling, target_colors, target_c) -> int:
-    coloring = induce(labeling)
-    colors = coloring.colors
-    bad = sum(1 for a, b in labeling.graph.edges if colors[a] == colors[b])
-    pen = bad * 1000
+    coloring = labeling.coloring
+    pen = 1000 * len(is_local_antimagic(labeling)[1])
     if target_colors is not None:
         pen += sum(1 for c in coloring.color_set if c not in target_colors)
         pen += sum(1 for c in target_colors if c not in coloring.color_set)

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .graph import is_bipartite_equal_parts
-from .labeling import chi_la_lower_bound
-from .schemes import EVEN, ODD, build_matrix, check_identities
+from .labeling import chi_la_lower_bound, is_local_antimagic
+from .schemes import EVEN, ODD, SPECIAL_COLOR_SET, build_matrix, check_identities, u_color, v_color
 from .transforms import (
     LabeledGraph,
     block_merge,
@@ -29,7 +29,6 @@ from .transforms import (
     split_x,
     theorem_certificate,
 )
-from .schemes import SPECIAL_COLOR_SET, u_color, v_color
 
 ALL_FAMILIES = ("matrix", "join", "merge-all", "block", "split", "J1", "J2", "H")
 
@@ -65,10 +64,9 @@ def compositions_min2(k: int) -> Iterator[tuple[int, ...]]:
 
 
 def _colors_ok(lg: LabeledGraph, expected: set[int]) -> tuple[bool, str]:
-    colors = lg.coloring.colors
-    for a, b in lg.graph.edges:
-        if colors[a] == colors[b]:
-            return False, f"equal colors across {a}-{b}"
+    ok, bad = is_local_antimagic(lg.labeling)
+    if not ok:
+        return False, f"equal colors across {bad[0][0]}-{bad[0][1]}"
     cs = set(lg.colors)
     if cs != expected:
         return False, f"colors {sorted(cs)} != expected {sorted(expected)}"
@@ -154,19 +152,18 @@ def _sweep_cell(parity: str, n: int, k: int, want: frozenset[str]) -> Iterator[S
 
     if k < 2 or not (want & {"J1", "J2", "H"}):
         return
-    side = "v" if parity == EVEN else "u"
     pairs_graph = merged_by_s.get(1) or block_merge(base, k, 1)
     split_graph = split_x(pairs_graph) if want & {"J2", "H"} else None
 
     j_sizes = [s for s in range(2, k + 1) if (2 * k) % s == 0]
     for s in j_sizes:
-        blocks = chunk_blocks(k, s, side)
+        blocks = chunk_blocks(pairs_graph, s)
         if "J1" in want:
-            lg = merge_v_blocks(pairs_graph, blocks, side)
+            lg = merge_v_blocks(pairs_graph, blocks)
             ok, detail = _colors_ok(lg, expected_colors_j(parity, n, k, s, split=False))
             yield SweepRow("J1", parity, f"{base_params} s={s}", tuple(sorted(lg.colors)), ok, detail)
         if "J2" in want:
-            lg = merge_v_blocks(split_graph, blocks, side)
+            lg = merge_v_blocks(split_graph, blocks)
             ok, detail = _colors_ok(lg, expected_colors_j(parity, n, k, s, split=True))
             cert = theorem_certificate(lg.graph)
             if ok and cert == "unverified by theorem":
@@ -176,10 +173,10 @@ def _sweep_cell(parity: str, n: int, k: int, want: frozenset[str]) -> Iterator[S
     if "H" in want:
         for ks in compositions_min2(k):
             params = f"{base_params} ks={'+'.join(map(str, ks))}"
-            lg = group_components(pairs_graph, ks, side)
+            lg = group_components(pairs_graph, ks)
             ok, detail = _colors_ok(lg, expected_colors_j(parity, n, k, 2, split=False))
             yield SweepRow("H1", parity, params, tuple(sorted(lg.colors)), ok, detail)
-            lg = group_components(split_graph, ks, side)
+            lg = group_components(split_graph, ks)
             ok, detail = _colors_ok(lg, expected_colors_j(parity, n, k, 2, split=True))
             if ok and all(ka % 2 == 0 for ka in ks) and not is_bipartite_equal_parts(lg.graph):
                 ok, detail = False, "even groups should be bipartite with equal parts"

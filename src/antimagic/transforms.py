@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import AntimagicError, SumDriftError, SumMismatchError
 from .graph import (
@@ -24,6 +23,7 @@ from .graph import (
     components,
     copies_of_p2_join_null,
     edge,
+    is_bipartite_equal_parts,
     merge_vertices_mapped,
     merged,
     rewire,
@@ -31,7 +31,7 @@ from .graph import (
     v,
     x,
 )
-from .labeling import EdgeLabeling, InducedColoring, induce, is_local_antimagic
+from .labeling import EdgeLabeling, InducedColoring, is_local_antimagic
 from .schemes import (
     EVEN,
     LabelMatrix,
@@ -62,13 +62,13 @@ class LabeledGraph:
     def graph(self) -> Graph:
         return self.labeling.graph
 
-    @cached_property
+    @property
     def coloring(self) -> InducedColoring:
-        return induce(self.labeling)
+        return self.labeling.coloring
 
     @property
     def colors(self) -> frozenset[int]:
-        return self.coloring.color_set
+        return self.labeling.coloring.color_set
 
     @property
     def _family(self) -> tuple[str, int, int]:
@@ -83,6 +83,11 @@ class LabeledGraph:
     def m(self) -> int:
         """The null order: 2n for even parity, 2n+1 for odd."""
         return 2 * self.n + (self.parity == ODD)
+
+    @property
+    def side(self) -> str:
+        """The J/H families merge degree-(m+1) vertices: v (even) or u (odd)."""
+        return V_ROLE if self.parity == EVEN else U_ROLE
 
 
 @dataclass(frozen=True)
@@ -189,11 +194,7 @@ def split_x(lg: LabeledGraph) -> LabeledGraph:
 
 
 def _uv_side(w: VertexId) -> bool:
-    if w.role in (U_ROLE, V_ROLE):
-        return True
-    if w.role == MERGED_ROLE:
-        return all(p.role in (U_ROLE, V_ROLE) for p in w.parts)
-    return False
+    return X_ROLE not in w.roles
 
 
 def delete_add(lg: LabeledGraph, spec: SwapSpec) -> LabeledGraph:
@@ -231,7 +232,7 @@ def delete_add(lg: LabeledGraph, spec: SwapSpec) -> LabeledGraph:
         edge_map[old] = edge(a, b)
     labeling = lg.labeling.relabel_edges(edge_map, rewire(edge_map, g.vertices))
     before = lg.coloring.colors
-    after = induce(labeling).colors
+    after = labeling.coloring.colors
     if before != after:
         drifted = sorted(w for w in before if before[w] != after[w])
         raise SumDriftError(f"induced sum changed at {drifted[0]}")
@@ -255,30 +256,19 @@ def _check_j_input(lg: LabeledGraph) -> None:
 
 def theorem_certificate(g: Graph) -> str:
     """Structural applicability certificate for the merge theorems."""
-    from .graph import is_bipartite_equal_parts
-
     if is_bipartite_equal_parts(g):
         return "bipartite-equal-parts"
-    classes = {}
-    for w in g.vertices:
-        if w.role in (U_ROLE, X_ROLE):
-            classes[w] = w.role
-        elif w.role == V_ROLE:
-            classes[w] = V_ROLE
-        else:
-            roles = {p.role for p in w.parts}
-            classes[w] = roles.pop() if len(roles) == 1 else "?"
-    if all(classes[a] != "?" and classes[a] != classes[b] for a, b in g.edges):
+    if all(len(a.roles) == 1 == len(b.roles) and a.roles != b.roles for a, b in g.edges):
         return "tripartite"
     return "unverified by theorem"
 
 
-def merge_v_blocks(lg: LabeledGraph, blocks, side: str | None = None) -> LabeledGraph:
+def merge_v_blocks(lg: LabeledGraph, blocks) -> LabeledGraph:
     """Merge same-colored degree-(m+1) vertices in equal-size blocks.
 
-    ``blocks`` partitions a subset of the v-vertices (or u-vertices for
-    the odd families) into blocks of one size s >= 2 whose members share
-    no neighbor.  The merged vertices pick up s times the old color.
+    ``blocks`` partitions a subset of the ``lg.side`` vertices into
+    blocks of one size s >= 2 whose members share no neighbor.  The
+    merged vertices pick up s times the old color.
     """
     _check_j_input(lg)
     blocks = [sorted(b) for b in blocks]
@@ -290,30 +280,27 @@ def merge_v_blocks(lg: LabeledGraph, blocks, side: str | None = None) -> Labeled
     s = sizes.pop()
     if s < 1:
         raise AntimagicError("block size must be >= 1")
-    roles = {w.role for b in blocks for w in b}
-    if len(roles) != 1 or roles & {X_ROLE, MERGED_ROLE}:
-        raise AntimagicError("blocks must contain only u-vertices or only v-vertices")
-    role = roles.pop()
-    if side and side != role:
-        raise AntimagicError(f"blocks are {role}-side, expected {side}-side")
-    step = ("merge_v_blocks", role, tuple(tuple(w.token() for w in b) for b in blocks))
+    side = lg.side
+    if any(w.roles != {side} for b in blocks for w in b):
+        raise AntimagicError(f"blocks must contain only {side}-vertices for {lg.parity} parity")
+    step = ("merge_v_blocks", side, tuple(tuple(w.token() for w in b) for b in blocks))
     return _merge_with_labels(lg, blocks, step)
 
 
-def chunk_blocks(k: int, s: int, side: str = V_ROLE) -> list[list[VertexId]]:
-    """Equal blocks of size s over all 2k side-vertices, never putting a
-    complementary pair {i, 2k+1-i} together (s must divide 2k, s <= k)."""
+def chunk_blocks(lg: LabeledGraph, s: int) -> list[list[VertexId]]:
+    """Equal blocks of size s over all 2k ``lg.side`` vertices, never putting
+    a complementary pair {i, 2k+1-i} together (s must divide 2k, s <= k)."""
+    k, side = lg.k, lg.side
     if s < 2 or s > k or (2 * k) % s:
         raise AntimagicError(f"need 2 <= s <= k with s | 2k, got s={s}, k={k}")
-    mk = u if side == U_ROLE else v
     order = list(range(1, k + 1)) + list(range(2 * k, k, -1))
-    return [[mk(i) for i in order[t : t + s]] for t in range(0, 2 * k, s)]
+    return [[VertexId(side, i) for i in order[t : t + s]] for t in range(0, 2 * k, s)]
 
 
-def group_components(lg: LabeledGraph, ks, side: str | None = None) -> LabeledGraph:
+def group_components(lg: LabeledGraph, ks) -> LabeledGraph:
     """Group the k components consecutively and chain each group into one
-    connected piece by pair merges, as in the connected J construction."""
-    kind_side = side or (V_ROLE if lg.parity == EVEN else U_ROLE)
+    connected piece by ``lg.side`` pair merges, as in the connected J
+    construction."""
     _check_j_input(lg)
     k = lg.k
     ks = tuple(ks)
@@ -321,16 +308,15 @@ def group_components(lg: LabeledGraph, ks, side: str | None = None) -> LabeledGr
         raise AntimagicError(f"group sizes must sum to k={k}, got {ks}")
     if any(ka < 2 for ka in ks):
         raise AntimagicError("every group must hold at least 2 components")
-    mk = u if kind_side == U_ROLE else v
     blocks: list[list[VertexId]] = []
     start = 1
     for ka in ks:
         comps = list(range(start, start + ka))
         for a in range(ka):
             c_here, c_next = comps[a], comps[(a + 1) % ka]
-            blocks.append([mk(c_here), mk(2 * k + 1 - c_next)])
+            blocks.append([VertexId(lg.side, c_here), VertexId(lg.side, 2 * k + 1 - c_next)])
         start += ka
-    return _merge_with_labels(lg, blocks, ("group_components", kind_side, ks))
+    return _merge_with_labels(lg, blocks, ("group_components", lg.side, ks))
 
 
 @dataclass(frozen=True)
@@ -491,6 +477,8 @@ def replay(provenance: tuple[Step, ...]) -> LabeledGraph:
     lg: LabeledGraph | None = None
     for step in provenance:
         tag = step[0]
+        if tag in ("merge_v_blocks", "group_components") and step[1] != lg.side:
+            raise AntimagicError(f"{tag} step records side {step[1]!r}, {lg.parity} parity gives {lg.side!r}")
         if tag == "matrix":
             _, parity, n, k = step
             lg = from_matrix(build_matrix(parity, n, k))
@@ -507,10 +495,9 @@ def replay(provenance: tuple[Step, ...]) -> LabeledGraph:
             adds = tuple((edge(parse_token(a), parse_token(b)), lab) for a, b, lab in step[2])
             lg = delete_add(lg, SwapSpec(dels, adds))
         elif tag == "merge_v_blocks":
-            blocks = [[parse_token(t) for t in b] for b in step[2]]
-            lg = merge_v_blocks(lg, blocks, side=step[1])
+            lg = merge_v_blocks(lg, [[parse_token(t) for t in b] for b in step[2]])
         elif tag == "group_components":
-            lg = group_components(lg, step[2], side=step[1])
+            lg = group_components(lg, step[2])
         elif tag == "partition_merge":
             blocks = [[parse_token(t) for t in b] for b in step[1]]
             lg, _ = partition_merge_generic(lg, blocks)

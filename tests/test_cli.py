@@ -85,6 +85,24 @@ class TestConstruct:
         assert "[112, 122, 127]" in out
 
 
+    def test_each_labeling_is_induced_once(self, tmp_path, capsys, monkeypatch):
+        import sys
+
+        import antimagic.labeling
+
+        calls = []
+        real = antimagic.labeling.induce
+        for name, module in list(sys.modules.items()):  # every binding of induce in the package
+            if name.startswith("antimagic") and getattr(module, "induce", None) is real:
+                monkeypatch.setattr(module, "induce", lambda labeling: calls.append(labeling) or real(labeling))
+        args = ["--family", "delete-add", "--n", "8", "--k", "6", "--r", "2", "--s", "3", "--out", str(tmp_path)]
+        assert main(["construct"] + args) == 0
+        assert len(calls) == 2  # one swap: its input and its output
+        calls.clear()
+        assert main(["verify", str(tmp_path / "labeling.json")]) == 0
+        assert len(calls) == 1
+
+
 class TestVerify:
     def test_valid_labeling_exit_0(self, tmp_path, capsys):
         run(capsys, "construct", "--family", "special-2p2o2", "--out", str(tmp_path))

@@ -51,7 +51,6 @@ def chains(draw):
     if (parity, n, k) == (EVEN, 1, 1):
         return (parity, n, k), [special_labeled()]
     base = from_matrix(build_matrix(parity, n, k))
-    side = "v" if parity == EVEN else "u"
     kinds = ["matrix", "merge-all"]
     if k >= 2:
         kinds += ["block", "split", "J1", "J2"]
@@ -75,10 +74,10 @@ def chains(draw):
             chain.append(split_x(chain[-1]))
         if kind.startswith("J"):
             s = draw(st.sampled_from([s for s in range(2, k + 1) if (2 * k) % s == 0]))
-            chain.append(merge_v_blocks(chain[-1], chunk_blocks(k, s, side), side))
+            chain.append(merge_v_blocks(chain[-1], chunk_blocks(chain[-1], s)))
         else:
             ks = draw(st.sampled_from(list(compositions_min2(k))))
-            chain.append(group_components(chain[-1], ks, side))
+            chain.append(group_components(chain[-1], ks))
     return (parity, n, k), chain
 
 

@@ -3,9 +3,9 @@ import random
 import pytest
 
 from antimagic.errors import AntimagicError, ParallelEdgeError, SumDriftError, SumMismatchError
-from antimagic.graph import components, edge, is_bipartite_equal_parts, merged, u, v, x
+from antimagic.graph import Graph, components, edge, is_bipartite_equal_parts, merged, u, v, x
 from antimagic.labeling import induce
-from antimagic.schemes import EVEN, ODD, build_even_matrix, build_odd_matrix
+from antimagic.schemes import EVEN, ODD, build_even_matrix, build_matrix, build_odd_matrix
 from antimagic.transforms import (
     SwapSpec,
     block_merge,
@@ -294,9 +294,19 @@ class TestMergeVBlocks:
 
     def test_odd_side_is_u(self):
         pairs = block_merge(odd_base(1, 2), 2, 1)
-        out = merge_v_blocks(pairs, chunk_blocks(2, 2, "u"), "u")
+        out = merge_v_blocks(pairs, chunk_blocks(pairs, 2))
         uc = (1 + 1) * (12 * 1 * 2 + 4 * 2 + 1) + 2 * 2  # 70
         assert out.colors == {2 * uc, 34, 66}
+
+    @pytest.mark.parametrize("base,blocks", [
+        pytest.param(lambda: even_base(1, 2), [[u(1), u(2)], [u(3), u(4)]], id="u-blocks-on-even"),
+        pytest.param(lambda: odd_base(1, 2), [[v(1), v(2)], [v(3), v(4)]], id="v-blocks-on-odd"),
+        pytest.param(lambda: even_base(1, 2), [[v(1), u(2)], [v(3), v(4)]], id="mixed-on-even"),
+    ])
+    def test_blocks_off_the_parity_side_rejected(self, base, blocks):
+        pairs = block_merge(base(), 2, 1)
+        with pytest.raises(AntimagicError, match=f"only {pairs.side}-vertices"):
+            merge_v_blocks(pairs, blocks)
 
     def test_size_one_blocks_are_identity(self):
         pairs = block_merge(even_base(1, 6), 6, 1)
@@ -380,6 +390,12 @@ class TestCertificatesAndReplay:
         out = group_components(pairs, (6,))
         assert theorem_certificate(out.graph) == "tripartite"
 
+    def test_mixed_role_vertex_is_not_tripartite(self):
+        # u1, v1 and m(u2|x1.1): the merged vertex has no single role class
+        w = merged([u(2), x(1, 1)])
+        g = Graph.build([u(1), v(1), w], [(u(1), v(1)), (u(1), w), (v(1), w)])
+        assert theorem_certificate(g) == "unverified by theorem"
+
     def test_replay_round_trip(self):
         rng = random.Random(5)
         lg = split_x(block_merge(even_base(2, 4), 2, 2))
@@ -390,9 +406,20 @@ class TestCertificatesAndReplay:
 
     def test_replay_j_chain(self):
         pairs = block_merge(odd_base(1, 3), 3, 1)
-        out = group_components(pairs, (3,), "u")
+        out = group_components(pairs, (3,))
         again = replay(out.provenance)
         assert again.labeling.labels == out.labeling.labels
+
+    @pytest.mark.parametrize("parity", [EVEN, ODD])
+    @pytest.mark.parametrize("family", ["merge_v_blocks", "group_components"])
+    def test_replay_rejects_a_side_against_the_parity(self, parity, family):
+        pairs = block_merge(from_matrix(build_matrix(parity, 1, 2)), 2, 1)
+        out = merge_v_blocks(pairs, chunk_blocks(pairs, 2)) if family == "merge_v_blocks" else group_components(pairs, (2,))
+        tag, side, rest = out.provenance[-1]
+        assert (tag, side) == (family, pairs.side)
+        wrong = out.provenance[:-1] + ((tag, "u" if side == "v" else "v", rest),)
+        with pytest.raises(AntimagicError, match="records side"):
+            replay(wrong)
 
 
 class TestExpectedColorFormulas:

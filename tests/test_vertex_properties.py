@@ -54,3 +54,12 @@ def test_no_id_equals_an_edge(a, b, c):
         e = edge(a, b)
         assert c != e and e != c
         assert len({c, e}) == 2
+
+
+@given(vertex_ids)
+def test_roles_are_the_role_of_a_simple_id_or_of_each_part(w):
+    if w.role == "m":
+        assert w.roles == {p.role for p in w.parts}
+    else:
+        assert w.roles == {w.role}
+    assert "m" not in w.roles
