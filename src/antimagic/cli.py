@@ -21,6 +21,7 @@ from .serialize import (
     dumps,
     graph_doc,
     graph_from_doc,
+    json_int,
     labeling_doc,
     labeling_from_doc,
     matrix_csv,
@@ -100,15 +101,15 @@ def cmd_construct(args) -> int:
     except AntimagicError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "graph.json").write_text(dumps(graph_doc(lg.graph)))
-    (out / "labeling.json").write_text(dumps(labeling_doc(lg.labeling)))
-    (out / "graph.dot").write_text(dot(lg.graph, lg.labeling))
-    (out / "provenance.json").write_text(dumps({"provenance": provenance_doc(lg.provenance)}))
+    files = {
+        "graph.json": dumps(graph_doc(lg.graph)),
+        "labeling.json": dumps(labeling_doc(lg.labeling)),
+        "graph.dot": dot(lg.graph, lg.labeling),
+        "provenance.json": dumps({"provenance": provenance_doc(lg.provenance)}),
+    }
     if mx is not None:
-        (out / "matrix.csv").write_text(matrix_csv(mx))
-        (out / "matrix.json").write_text(dumps(matrix_doc(mx)))
+        files["matrix.csv"] = matrix_csv(mx)
+        files["matrix.json"] = dumps(matrix_doc(mx))
     colors = sorted(lg.colors)
     ok, bad = is_local_antimagic(lg.labeling)
     report = {
@@ -119,7 +120,15 @@ def cmd_construct(args) -> int:
         "colors": colors,
         "local_antimagic": ok,
     }
-    (out / "report.json").write_text(dumps(report))
+    files["report.json"] = dumps(report)
+    out = Path(args.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            (out / name).write_text(text)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"{args.family}: order {lg.graph.order}, size {lg.graph.size}, colors {colors}")
     return 0
 
@@ -173,11 +182,11 @@ def _verify_matrix(doc) -> int:
     shape is checked against (2m+1) x 2k before anything is built, so
     the work stays in proportion to the document's own size."""
     try:
-        parity, n, k = doc["parity"], int(doc["n"]), int(doc["k"])
+        parity, n, k = doc["parity"], json_int(doc["n"], "n"), json_int(doc["k"], "k")
         m = scheme_m(parity, n, k)
         rows = doc["rows"]
-        stored = {row["row"]: tuple(row["entries"]) for row in rows}
-    except (KeyError, TypeError, ValueError, OverflowError, AntimagicError) as exc:
+        stored = {row["row"]: tuple(json_int(e, "matrix entry") for e in row["entries"]) for row in rows}
+    except (KeyError, TypeError, AntimagicError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     if len(rows) != 2 * m + 1 or any(len(entries) != 2 * k for entries in stored.values()):
@@ -204,7 +213,11 @@ def cmd_sweep(args) -> int:
     lines = ["family,parity,params,colors,status,detail"] + [row.csv() for row in rows]
     text = "\n".join(lines) + "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     failed = sum(1 for row in rows if not row.ok)
@@ -239,7 +252,7 @@ def cmd_oracle(args) -> int:
                 result = sorted(res.labeling.coloring.color_set)
                 if args.save:
                     Path(args.save).write_text(dumps(labeling_doc(res.labeling)))
-    except AntimagicError as exc:
+    except (AntimagicError, OSError) as exc:  # OSError: --save could not be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report = {

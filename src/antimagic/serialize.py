@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .errors import AntimagicError
+from .errors import AntimagicError, BijectionError
 from .graph import Graph, MERGED_ROLE, U_ROLE, V_ROLE, VertexId, edge, parse_token
 from .labeling import EdgeLabeling
 from .schemes import LabelMatrix
@@ -20,13 +20,25 @@ def graph_doc(g: Graph) -> dict[str, Any]:
     }
 
 
+def json_int(value: Any, what: str) -> int:
+    """``value`` if it is a JSON integer; a float, string or boolean raises."""
+    if type(value) is not int:
+        raise AntimagicError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def graph_from_doc(doc: dict[str, Any]) -> Graph:
+    """The graph a document lists; a vertex or edge listed twice (also as
+    ``v01`` beside ``v1``, or as ``[b, a]`` beside ``[a, b]``) raises."""
     try:
         vs = [parse_token(item["id"]) for item in doc["vertices"]]
         es = [(parse_token(a), parse_token(b)) for a, b in doc["edges"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise AntimagicError(f"malformed graph document: {exc}") from exc
-    return Graph.build(vs, es)
+    g = Graph.build(vs, es)
+    if g.order != len(vs) or g.size != len(es):
+        raise AntimagicError("graph document lists a vertex or an edge twice")
+    return g
 
 
 def labeling_doc(labeling: EdgeLabeling) -> dict[str, Any]:
@@ -40,12 +52,15 @@ def labeling_doc(labeling: EdgeLabeling) -> dict[str, Any]:
 def labeling_from_doc(doc: dict[str, Any]) -> EdgeLabeling:
     g = graph_from_doc(doc.get("graph", {}))
     try:
+        items = doc["labels"]
         labels = {
-            edge(parse_token(item["edge"][0]), parse_token(item["edge"][1])): int(item["label"])
-            for item in doc["labels"]
+            edge(parse_token(item["edge"][0]), parse_token(item["edge"][1])): json_int(item["label"], "label")
+            for item in items
         }
-    except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, IndexError) as exc:
         raise AntimagicError(f"malformed labeling document: {exc}") from exc
+    if len(labels) != len(items):
+        raise BijectionError("an edge is labeled twice")
     return EdgeLabeling(g, labels)
 
 

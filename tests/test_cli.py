@@ -3,8 +3,9 @@ import json
 import pytest
 
 from antimagic.cli import main
-from antimagic.serialize import dumps, graph_doc
+from antimagic.serialize import dumps, graph_doc, matrix_doc
 from antimagic.graph import null_graph, p2, join, copies_of_p2_join_null
+from antimagic.schemes import ODD, build_matrix
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -144,6 +145,36 @@ def triangle_labeling_doc(vertex="x1.1", label=3) -> dict:
     return {"graph": {"vertices": [{"id": w} for w in ids], "edges": edges}, "labels": labels}
 
 
+def relabeled(doc: dict, labels) -> dict:
+    doc = json.loads(json.dumps(doc))
+    for item, lab in zip(doc["labels"], labels):
+        item["label"] = lab
+    return doc
+
+
+def with_extra(doc: dict, vertices=(), edges=(), labels=()) -> dict:
+    """``doc`` with entries appended to its vertex, edge and label lists."""
+    doc = json.loads(json.dumps(doc))
+    doc["graph"]["vertices"] += [{"id": w} for w in vertices]
+    doc["graph"]["edges"] += [list(e) for e in edges]
+    doc["labels"] += [{"edge": list(e), "label": lab} for e, lab in labels]
+    return doc
+
+
+def odd_matrix_doc(n=1, entry=int) -> dict:
+    doc = matrix_doc(build_matrix(ODD, 1, 1))
+    doc["n"] = n
+    doc["rows"][0]["entries"] = [entry(e) for e in doc["rows"][0]["entries"]]
+    return doc
+
+
+# four vertices, four edges and labels 1-4, but v01 is v1, so the edge
+# u1-v01 is u1-v1 again; read without the repeat check it is a valid triangle
+V01_DOC = relabeled(
+    with_extra(triangle_labeling_doc(), vertices=["v01"], edges=[("u1", "v01")], labels=[(("u1", "v01"), 1)]),
+    [4, 2, 3],
+)
+
 DOCUMENTS = {
     "labeling-ok": ("verify", triangle_labeling_doc(), 0),
     "matrix-even-n1-k1": ("verify", {"parity": "even", "n": 1, "k": 1, "rows": []}, 2),
@@ -157,6 +188,16 @@ DOCUMENTS = {
     "verify-vertex-id-without-index": ("verify", triangle_labeling_doc(vertex="ux"), 2),
     "oracle-vertex-id-not-a-string": ("oracle", triangle_labeling_doc(vertex=3), 2),
     "oracle-vertex-id-without-index": ("oracle", triangle_labeling_doc(vertex="ux"), 2),
+    "labels-float-string-bool": ("verify", relabeled(triangle_labeling_doc(), [3.9, "2", True]), 2),
+    "label-float": ("verify", relabeled(triangle_labeling_doc(), [1, 2, 3.0]), 2),
+    "matrix-ok": ("verify", odd_matrix_doc(), 0),
+    "matrix-n-float": ("verify", odd_matrix_doc(n=1.9), 2),
+    "matrix-n-bool": ("verify", odd_matrix_doc(n=True), 2),
+    "matrix-float-entries": ("verify", odd_matrix_doc(entry=float), 2),
+    "verify-vertex-listed-twice": ("verify", V01_DOC, 2),
+    "oracle-vertex-listed-twice": ("oracle", V01_DOC, 2),
+    "edge-listed-twice": ("verify", with_extra(triangle_labeling_doc(), edges=[("v1", "u1")]), 2),
+    "edge-labeled-twice": ("verify", with_extra(triangle_labeling_doc(), labels=[(("u1", "v1"), 1)]), 1),
 }
 
 
@@ -165,6 +206,21 @@ def test_document_exit_codes(tmp_path, capsys, command, doc, code):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     assert main([command, str(path)]) == code
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(lambda d: ["construct", "--family", "special-2p2o2", "--out", str(d / "file")], id="construct-out-is-a-file"),
+    pytest.param(lambda d: ["sweep", "--n-max", "1", "--k-max", "1", "--out", str(d / "missing" / "x.csv")],
+                 id="sweep-out-in-missing-dir"),
+    pytest.param(lambda d: ["oracle", str(d / "graph.json"), "--mode", "find", "--save", str(d / "missing" / "l.json")],
+                 id="oracle-save-in-missing-dir"),
+])
+def test_unwritable_output_exit_2(tmp_path, capsys, argv):
+    (tmp_path / "file").write_text("")
+    (tmp_path / "graph.json").write_text(dumps(graph_doc(join(p2(1), null_graph(1)))))
+    assert main(argv(tmp_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
 
 
 def test_matrix_shape_checked_before_building(tmp_path, capsys, monkeypatch):
