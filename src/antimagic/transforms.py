@@ -477,6 +477,8 @@ def replay(provenance: tuple[Step, ...]) -> LabeledGraph:
     lg: LabeledGraph | None = None
     for step in provenance:
         tag = step[0]
+        if lg is None and tag not in ("matrix", "special"):
+            raise AntimagicError(f"provenance must start with a matrix or special step, not {tag!r}")
         if tag in ("merge_v_blocks", "group_components") and step[1] != lg.side:
             raise AntimagicError(f"{tag} step records side {step[1]!r}, {lg.parity} parity gives {lg.side!r}")
         if tag == "matrix":

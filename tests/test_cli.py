@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -85,10 +86,7 @@ class TestConstruct:
         assert code == 0
         assert "[112, 122, 127]" in out
 
-
     def test_each_labeling_is_induced_once(self, tmp_path, capsys, monkeypatch):
-        import sys
-
         import antimagic.labeling
 
         calls = []

@@ -421,6 +421,11 @@ class TestCertificatesAndReplay:
         with pytest.raises(AntimagicError, match="records side"):
             replay(wrong)
 
+    @pytest.mark.parametrize("log", [(("merge_all_x",),), (("group_components", "v", (2,)),)], ids=["merge-all", "group"])
+    def test_replay_rejects_a_log_without_a_base_step(self, log):
+        with pytest.raises(AntimagicError, match="must start with"):
+            replay(log)
+
 
 class TestExpectedColorFormulas:
     def test_block_formula_matches_worked_values(self):
