@@ -7,13 +7,14 @@ All outputs are byte-stable across runs for identical inputs and flags.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
 
 from .errors import AntimagicError, BijectionError, UseSpecialCase
 from .graph import components
-from .labeling import is_local_antimagic
+from .labeling import chi_la_lower_bound, is_local_antimagic
 from .oracle import exact_chi_la, find_labeling
 from .schemes import EVEN, ODD, build_matrix, check_identities, scheme_m
 from .serialize import (
@@ -209,17 +210,14 @@ def cmd_sweep(args) -> int:
     if unknown:
         print(f"error: unknown families {sorted(unknown)}", file=sys.stderr)
         return 2
-    rows = list(sweep(args.n_max, args.k_max, families, jobs=args.jobs))
-    lines = ["family,parity,params,colors,status,detail"] + [row.csv() for row in rows]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        try:
-            Path(args.out).write_text(text)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(text)
+    try:  # the output is opened first, so an unwritable path fails before the grid runs
+        with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as out:
+            rows = list(sweep(args.n_max, args.k_max, families, jobs=args.jobs))
+            lines = ["family,parity,params,colors,status,detail"] + [row.csv() for row in rows]
+            out.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     failed = sum(1 for row in rows if not row.ok)
     print(f"# {len(rows)} instances, {failed} failures", file=sys.stderr)
     return 1 if failed else 0
@@ -259,6 +257,7 @@ def cmd_oracle(args) -> int:
         "instance": Path(args.input).name,
         "mode": args.mode,
         "result": result,
+        "lower_bound": list(chi_la_lower_bound(g)),
         "nodes_expanded": res.nodes,
         "wall_time": round(res.seconds, 6),
     }

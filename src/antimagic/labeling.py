@@ -75,7 +75,9 @@ def chi_la_lower_bound(g: Graph) -> tuple[int, str]:
     A 2-coloring forces a bipartition with strictly unequal class sizes
     carrying equal total weight, so a bipartite graph whose components
     all have equal partite sizes needs at least 3 colors.  A graph that
-    is not even 2-chromatic needs at least 3 as well.  An edgeless graph
+    is not even 2-chromatic needs at least 3 as well, and so does one
+    whose components' side ratios differ or whose smaller and larger
+    sides, summed, do not both divide q(q+1)/2.  An edgeless graph
     has only the empty labeling: one color (0), or none without vertices.
     The bound never overstates; it is not always attained (e.g. a single
     edge).
@@ -84,6 +86,12 @@ def chi_la_lower_bound(g: Graph) -> tuple[int, str]:
         return min(g.order, 1), "edgeless"
     if is_bipartite_equal_parts(g):
         return 3, "equal-bipartition"
-    if None in bipartition(g):
+    parts = bipartition(g)
+    if None in parts:
         return 3, "chromatic"
+    small = [min(len(s), len(t)) for s, t in parts]
+    big = [max(len(s), len(t)) for s, t in parts]
+    alpha, beta, half = sum(small), sum(big), g.size * (g.size + 1) // 2
+    if half % alpha or half % beta or any(s * beta != b * alpha for s, b in zip(small, big)):
+        return 3, "two-color-divisibility"
     return 2, "adjacent-pair"

@@ -4,8 +4,9 @@ Ground truth for tiny graphs: the minimum color count over all local
 antimagic labelings, labelings hitting a prescribed color set, and
 certified impossibility of 2-colorings.  Backtracking assigns labels
 edge by edge (edges clustered around high-degree vertices so vertices
-finish early) and prunes on finished-vertex ties, color budgets and
-forced last labels.  Exact-mode results are deterministic.
+finish early) and prunes on finished-vertex ties, color budgets, forced
+last labels and twin-vertex symmetry; the pruning keeps the first
+(lex-least) labeling found.  Exact-mode results are deterministic.
 """
 
 from __future__ import annotations
@@ -38,15 +39,15 @@ def _check_cap(g: Graph, cap: int | None) -> None:
 
 
 def _edge_order(g: Graph) -> list[Edge]:
-    verts = sorted(g.vertices, key=lambda w: (-g.degree(w), w))
+    adj = g.adjacency
+    deg = {w: len(nbs) for w, nbs in adj.items()}
     order: list[Edge] = []
     seen: set[Edge] = set()
-    for w in verts:
-        incident = (edge(w, nb) for nb in g.adjacency[w])
-        for e in sorted(incident, key=lambda e: (-max(g.degree(e[0]), g.degree(e[1])), e)):
-            if e not in seen:
-                seen.add(e)
-                order.append(e)
+    for w in sorted(adj, key=lambda w: (-deg[w], w)):
+        fresh = [e for e in (edge(w, nb) for nb in adj[w]) if e not in seen]
+        fresh.sort(key=lambda e: (-max(deg[e[0]], deg[e[1]]), e))
+        seen.update(fresh)
+        order += fresh
     return order
 
 
@@ -54,28 +55,43 @@ class _Search:
     """One backtracking run; reusable across label budgets.
 
     ``n_colors`` asks for exactly that many colors: it caps the colors
-    while searching and is required in full at the leaf.
+    while searching and is required in full at the leaf.  ``closes[pos]``
+    lists the vertices whose last edge sits at ``pos``; ``less[pos]``
+    lists earlier positions whose label must be smaller (twin symmetry
+    breaking, see README).
     """
 
     def __init__(self, g: Graph, target_colors: frozenset[int] | None, n_colors: int | None,
                  first_labels: list[int] | None = None):
-        self.g = g
         self.q = g.size
         self.target = target_colors
         self.n_colors = n_colors
         self.order = _edge_order(g)
         verts = g.sorted_vertices()
-        self.vidx = {w: n for n, w in enumerate(verts)}
-        self.adj = [[self.vidx[nb] for nb in g.adjacency[w]] for w in verts]
-        self.deg = [g.degree(w) for w in verts]
-        self.edge_ends = [(self.vidx[a], self.vidx[b]) for a, b in self.order]
+        vidx = {w: n for n, w in enumerate(verts)}
+        self.adj = [[vidx[nb] for nb in g.adjacency[w]] for w in verts]
+        self.edge_ends = [(vidx[a], vidx[b]) for a, b in self.order]
+        last = [0] * len(verts)
+        for pos, (a, b) in enumerate(self.edge_ends):
+            last[a] = last[b] = pos
+        self.closes = [[w for w in ends if last[w] == pos] for pos, ends in enumerate(self.edge_ends)]
+        self.less: list[list[int]] = [[] for _ in self.order]
+        twins: dict[frozenset, list[int]] = {}
+        for w, vert in enumerate(verts):  # open twins share N(w), closed twins N[w]; the keys never clash
+            twins.setdefault(g.adjacency[vert], []).append(w)
+            twins.setdefault(g.adjacency[vert] | {vert}, []).append(w)
+        position = {ends: pos for pos, ends in enumerate(self.edge_ends)}
+        for members in [m for m in twins.values() if len(m) > 1]:
+            for a, b in zip(members, members[1:]):  # swapping a and b is an automorphism
+                for pos, (x, y) in enumerate(self.edge_ends):
+                    if (a in (x, y)) != (b in (x, y)):  # the first edge the swap moves: the smaller label
+                        image = (a + b - x, y) if x in (a, b) else (x, a + b - y)
+                        self.less[position[min(image), max(image)]].append(pos)
+                        break
         self.sums = [0] * len(verts)
-        self.remaining = list(self.deg)
-        self.finished = [w_deg == 0 for w_deg in self.deg]
-        self.color_count: dict[int, int] = {}
-        for n, w_deg in enumerate(self.deg):
-            if w_deg == 0:
-                self.color_count[0] = self.color_count.get(0, 0) + 1
+        self.finished = [not nbs for nbs in self.adj]
+        isolated = self.finished.count(True)
+        self.color_count: dict[int, int] = {0: isolated} if isolated else {}
         self.free = [True] * (self.q + 1)
         self.assignment: list[int] = [0] * self.q
         self.nodes = 0
@@ -85,13 +101,18 @@ class _Search:
         if pos == 0 and self.first_labels is not None:
             labs = [lab for lab in self.first_labels if self.free[lab]]
         else:
-            labs = [lab for lab in range(1, self.q + 1) if self.free[lab]]
-        if self.target:
-            a, b = self.edge_ends[pos]
-            for w in (a, b):
-                if self.remaining[w] == 1:
-                    forced = {t - self.sums[w] for t in self.target}
-                    labs = [lab for lab in labs if lab in forced]
+            less = self.less[pos]
+            start = max([self.assignment[i] for i in less]) + 1 if less else 1
+            labs = [lab for lab in range(start, self.q + 1) if self.free[lab]]
+        closes = self.closes[pos]
+        if closes:
+            allowed = self.target
+            if allowed is None and self.n_colors is not None and len(self.color_count) >= self.n_colors:
+                allowed = self.color_count  # the budget is full: closing vertices reuse a color
+            if allowed is not None:
+                for w in closes:  # the closing vertex's color fixes the label
+                    s = self.sums[w]
+                    labs = [lab for lab in labs if lab + s in allowed]
         return labs
 
     def _finish(self, w: int) -> bool:
@@ -128,17 +149,14 @@ class _Search:
             self.assignment[pos] = lab
             self.sums[a] += lab
             self.sums[b] += lab
-            self.remaining[a] -= 1
-            self.remaining[b] -= 1
             done: list[int] = []
             ok = True
-            for w in (a, b):
-                if self.remaining[w] == 0:
-                    if self._finish(w):
-                        done.append(w)
-                    else:
-                        ok = False
-                        break
+            for w in self.closes[pos]:
+                if self._finish(w):
+                    done.append(w)
+                else:
+                    ok = False
+                    break
             if ok:
                 found = self.run(pos + 1)
                 if found is not None:
@@ -147,8 +165,6 @@ class _Search:
                 self._unfinish(w)
             self.sums[a] -= lab
             self.sums[b] -= lab
-            self.remaining[a] += 1
-            self.remaining[b] += 1
             self.free[lab] = True
         return None
 
@@ -188,11 +204,14 @@ def exact_chi_la(g: Graph, cap: int | None = None, jobs: int = 1) -> ChiLaResult
 
         pool = Pool(processes=jobs)
         chunks = [list(range(start, g.size + 1, jobs)) for start in range(1, jobs + 1)]
+    else:
+        search = _Search(g, None, None)  # a failed run leaves it as built
     nodes = 0
     try:
         for budget in range(lb, g.order + 1):
             if pool is None:
-                results = [_search(g, n_colors=budget)]
+                search.n_colors, search.nodes = budget, 0
+                results = [(search.run(), search.nodes)]
             else:
                 results = pool.starmap(_search, [(g, None, budget, chunk) for chunk in chunks])
             nodes += sum(n for _, n in results)
@@ -224,7 +243,8 @@ def find_labeling(
     """Search for a local antimagic labeling meeting the constraints:
     the color set ``target_colors``, exactly ``target_c`` colors, or both.
 
-    Exact mode exhausts the space (None means none exists); heuristic
+    Exact mode exhausts the space (None means none exists), skipping the
+    search when fewer colors are asked for than the lower bound; heuristic
     mode runs seeded random restarts with local label swaps and proves
     nothing when it fails.
     """
@@ -234,6 +254,8 @@ def find_labeling(
     if mode == "exact":
         _check_cap(g, cap)
         n_colors = target_c if target_c is not None else (len(target_colors) if target_colors else None)
+        if n_colors is not None and n_colors < chi_la_lower_bound(g)[0]:
+            return FindResult(None, 0, time.perf_counter() - t0, mode)
         found, nodes = _search(g, target_colors=target_colors, n_colors=n_colors)
         labeling = EdgeLabeling(g, found) if found is not None else None
         return FindResult(labeling, nodes, time.perf_counter() - t0, mode)

@@ -282,6 +282,16 @@ class TestSweep:
     def test_unknown_family_exit_2(self, capsys):
         assert main(["sweep", "--families", "nonsense"]) == 2
 
+    def test_unwritable_out_fails_before_the_grid_runs(self, tmp_path, capsys, monkeypatch):
+        import antimagic.cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("sweep ran before the output path was opened")
+
+        monkeypatch.setattr(antimagic.cli, "sweep", refuse)
+        assert main(["sweep", "--n-max", "12", "--k-max", "12", "--out", str(tmp_path / "missing" / "x.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestOracle:
     def write_graph(self, tmp_path, g, name="g.json"):
@@ -332,13 +342,40 @@ class TestOracle:
     def test_certify_mode(self, tmp_path, capsys):
         from antimagic.graph import Graph, u, v
 
+        # K_{1,3}: the lower bound is 2 (sides 1 and 3 both divide 6), so exhaustion decides
+        g = Graph.build([u(1), v(1), v(2), v(3)], [(u(1), v(1)), (u(1), v(2)), (u(1), v(3))])
+        path = self.write_graph(tmp_path, g)
+        code, out = run(capsys, "oracle", path, "--mode", "certify-2")
+        assert code == 0
+        report = json.loads(out)
+        assert report["result"] is True
+        assert report["lower_bound"] == [2, "adjacent-pair"]
+        assert report["nodes_expanded"] > 0
+
+    def test_certify_mode_settled_by_the_bound(self, tmp_path, capsys):
+        from antimagic.graph import Graph, u, v
+
+        # C4 has equal sides: the bound is 3 and no search runs
         g = Graph.build([u(1), v(1), u(2), v(2)], [(u(1), v(1)), (v(1), u(2)), (u(2), v(2)), (v(2), u(1))])
         path = self.write_graph(tmp_path, g)
         code, out = run(capsys, "oracle", path, "--mode", "certify-2")
         assert code == 0
         report = json.loads(out)
         assert report["result"] is True
-        assert report["nodes_expanded"] > 0
+        assert report["lower_bound"] == [3, "equal-bipartition"]
+        assert report["nodes_expanded"] == 0
+
+    def test_lower_bound_reports_its_reason(self, tmp_path, capsys):
+        from antimagic.graph import Graph, u, v
+
+        # K_{2,5}: a 2-coloring needs the side of 2 to divide q(q+1)/2 = 55
+        us, vs = [u(1), u(2)], [v(j) for j in range(1, 6)]
+        path = self.write_graph(tmp_path, Graph.build(us + vs, [(a, b) for a in us for b in vs]))
+        code, out = run(capsys, "oracle", path)
+        assert code == 0
+        report = json.loads(out)
+        assert report["result"] == 3
+        assert report["lower_bound"] == [3, "two-color-divisibility"]
 
     def test_cap_violation_exit_2(self, tmp_path, capsys):
         path = self.write_graph(tmp_path, copies_of_p2_join_null(2, 3))

@@ -1,9 +1,13 @@
+import itertools
+import random
+
 import pytest
 
 from antimagic.errors import AntimagicError
 from antimagic.graph import Graph, copies_of_p2_join_null, join, null_graph, p2, u, v
 from antimagic.labeling import chi_la_lower_bound, induce, is_local_antimagic
 from antimagic.oracle import (
+    _edge_order,
     certify_no_2_coloring,
     exact_chi_la,
     find_labeling,
@@ -171,3 +175,70 @@ class TestCertifyNoTwoColoring:
     def test_agrees_with_find(self):
         for g in (c4(), star3()):
             assert certify_no_2_coloring(g) == (find_labeling(g, target_c=2).labeling is None)
+
+
+def path(n: int) -> Graph:
+    return Graph.build([u(i) for i in range(1, n + 1)], [(u(i), u(i + 1)) for i in range(1, n)])
+
+
+def complete_bipartite(a: int, b: int) -> Graph:
+    us, vs = [u(i) for i in range(1, a + 1)], [v(j) for j in range(1, b + 1)]
+    return Graph.build(us + vs, [(p, q) for p in us for q in vs])
+
+
+def random_graph(seed: int) -> Graph:
+    rng = random.Random(seed)
+    n = rng.randint(3, 7)
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    return Graph.build([u(i) for i in range(1, n + 1)],
+                       [(u(a), u(b)) for a, b in rng.sample(pairs, rng.randint(1, min(7, len(pairs))))])
+
+
+def plain_exhaustion(g: Graph) -> dict[int, dict]:
+    """c -> the lex-first local antimagic labeling with c colors over
+    ``_edge_order(g)``, from every permutation of the labels, unpruned."""
+    order = _edge_order(g)
+    first: dict[int, dict] = {}
+    for labels in itertools.permutations(range(1, len(order) + 1)):
+        color = dict.fromkeys(g.vertices, 0)
+        for (a, b), lab in zip(order, labels):
+            color[a] += lab
+            color[b] += lab
+        if all(color[a] != color[b] for a, b in order):
+            first.setdefault(len(set(color.values())), dict(zip(order, labels)))
+    return first
+
+
+# one graph per pruning rule at least: two-color divisibility (P5, P7, K2,3, an
+# isolated vertex, mixed side ratios), forced closing labels (all), open twins
+# (K1,3, K2,3, P3 + C4) and closed twins (2(P2 v O1))
+RULE_GRAPHS = {
+    "P5": path(5),
+    "P7": path(7),
+    "K2,3": complete_bipartite(2, 3),
+    "K1,3": complete_bipartite(1, 3),
+    "2(P2vO1)": copies_of_p2_join_null(2, 1),
+    "P3+C4": Graph.build([u(i) for i in range(1, 8)],
+                         [(u(1), u(2)), (u(2), u(3)), (u(4), u(5)), (u(5), u(6)), (u(6), u(7)), (u(7), u(4))]),
+    "P3+O1": Graph.build([u(1), u(2), u(3), u(4)], [(u(1), u(2)), (u(2), u(3))]),  # 1 and 3 divide 3: ratios alone
+}
+
+
+@pytest.mark.parametrize("g", list(RULE_GRAPHS.values()) + [random_graph(seed) for seed in range(40)],
+                         ids=list(RULE_GRAPHS) + [f"random-{seed}" for seed in range(40)])
+def test_pruned_search_agrees_with_plain_exhaustion(g):
+    first = plain_exhaustion(g)
+    assert exact_chi_la(g).value == (min(first) if first else None)
+    if first:
+        assert chi_la_lower_bound(g)[0] <= min(first)
+    for c in (2, 3):
+        found = find_labeling(g, target_c=c).labeling
+        assert (None if found is None else found.labels) == first.get(c)
+
+
+@pytest.mark.parametrize("name, reason", [
+    ("P5", "two-color-divisibility"), ("P7", "two-color-divisibility"), ("K2,3", "two-color-divisibility"),
+    ("P3+C4", "two-color-divisibility"), ("P3+O1", "two-color-divisibility"), ("K1,3", "adjacent-pair"),
+])
+def test_rule_graphs_get_their_bound(name, reason):
+    assert chi_la_lower_bound(RULE_GRAPHS[name]) == ((3 if reason != "adjacent-pair" else 2), reason)
