@@ -8,7 +8,6 @@ from .errors import (
     LoopError,
     ParallelEdgeError,
     SumDriftError,
-    SumMismatchError,
     UseSpecialCase,
 )
 from .graph import (
@@ -54,7 +53,6 @@ from .transforms import (
     group_components,
     merge_all_x,
     merge_v_blocks,
-    partition_merge_generic,
     replay,
     split_x,
 )

@@ -21,9 +21,5 @@ class SumDriftError(AntimagicError):
     """A delete-add swap changed some vertex's induced label sum."""
 
 
-class SumMismatchError(AntimagicError):
-    """A merge block's label sum differs from the required target color."""
-
-
 class UseSpecialCase(AntimagicError):
     """The requested parameters are served by a dedicated bespoke labeling."""

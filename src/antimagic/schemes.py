@@ -52,6 +52,13 @@ def cross_pair_constant(parity: str, n: int, k: int) -> int:
     return 8 * k * n + 8 * k + 1
 
 
+def block_columns(k: int, s: int, b: int) -> tuple[list[int], list[int]]:
+    """Columns of block b (width s) and their mirrors 2k+1-i, the
+    complementary block, both ascending."""
+    lo = list(range((b - 1) * s + 1, b * s + 1))
+    return lo, [2 * k + 1 - i for i in reversed(lo)]
+
+
 @dataclass(frozen=True)
 class LabelMatrix:
     n: int
@@ -268,11 +275,10 @@ def check_identities(mx: LabelMatrix) -> MatrixReport:
     Covers: the bijection onto [1..q]; the per-column u-block and
     v-block sums; complementary-column pair sums per row; per-row
     totals; the block pairing constant for every factorization k = rs
-    with r >= 2; and the cross pair constant.  Returns every violated
-    identity in the report; nothing is raised.
+    with r >= 2, both read off the four-term pair sums; and the cross
+    pair constant.  Returns every violated identity; nothing is raised.
     """
     n, k, m, parity = mx.n, mx.k, mx.m, mx.parity
-    cols = mx.cols
     failures: list[str] = []
 
     all_entries = sorted(val for row in mx.data.values() for val in row)
@@ -280,58 +286,35 @@ def check_identities(mx: LabelMatrix) -> MatrixReport:
         failures.append(f"bijection: entries are not a permutation of [1..{mx.q}]")
 
     uc, vc = u_color(parity, n, k), v_color(parity, n, k)
-    if not all(mx.u_block_sum(i) == uc for i in range(1, cols + 1)):
+    if not all(mx.u_block_sum(i) == uc for i in range(1, mx.cols + 1)):
         failures.append(f"u-block: some column sum != {uc}")
-    if not all(mx.v_block_sum(i) == vc for i in range(1, cols + 1)):
+    if not all(mx.v_block_sum(i) == vc for i in range(1, mx.cols + 1)):
         failures.append(f"v-block: some column sum != {vc}")
 
-    pair_sums_ok = True
-    four_term = 2 * cross_pair_constant(parity, n, k)
+    # quads of x-row j: (ux[i], vx[i], ux[2k+1-i], vx[2k+1-i]) for i = 1..k
+    pair_const, cross = x_pair_constant(parity, n, k), cross_pair_constant(parity, n, k)
+    four_terms: list[list[int]] = []
+    pair_sums_ok = cross_pairs_ok = True
     for j in range(1, m + 1):
         ux_row, vx_row = mx.row(("ux", j)), mx.row(("vx", j))
-        for i in range(1, k + 1):
-            lhs = ux_row[i - 1] + vx_row[i - 1] + ux_row[cols - i] + vx_row[cols - i]
-            if parity == EVEN:
-                want = _even_pair_constant(("ux", j), n, k) + _even_pair_constant(("vx", j), n, k)
-                if ux_row[i - 1] + ux_row[cols - i] != _even_pair_constant(("ux", j), n, k):
-                    pair_sums_ok = False
-                if vx_row[i - 1] + vx_row[cols - i] != _even_pair_constant(("vx", j), n, k):
-                    pair_sums_ok = False
-            else:
-                want = four_term
-            if lhs != want:
-                pair_sums_ok = False
+        quads = list(zip(ux_row[:k], vx_row[:k], reversed(ux_row[k:]), reversed(vx_row[k:])))
+        sums = [a + b + c + d for a, b, c, d in quads]
+        four_terms.append(sums)
+        pair_sums_ok &= all(t == pair_const for t in sums)
+        if parity == EVEN:
+            cu, cv = _even_pair_constant(("ux", j), n, k), _even_pair_constant(("vx", j), n, k)
+            pair_sums_ok &= all(a + c == cu and b + d == cv for a, b, c, d in quads)
+        cross_pairs_ok &= all(a + d == cross == b + c for a, b, c, d in quads)
     if not pair_sums_ok:
         failures.append("pair-sums: complementary column pair sum off for some row")
 
-    pair_const = x_pair_constant(parity, n, k)
-    if not all(sum(mx.row(("ux", j))) + sum(mx.row(("vx", j))) == k * pair_const for j in range(1, m + 1)):
+    if not all(sum(sums) == k * pair_const for sums in four_terms):
         failures.append(f"row-totals: some u+v row pair total != {k * pair_const}")
 
-    block_pairing_ok = True
-    for r in range(2, k + 1):
-        if k % r:
-            continue
-        s = k // r
-        for j in range(1, m + 1):
-            ux_row, vx_row = mx.row(("ux", j)), mx.row(("vx", j))
-            for b in range(1, r + 1):
-                lo = range((b - 1) * s + 1, b * s + 1)
-                hi = range(cols - b * s + 1, cols - (b - 1) * s + 1)
-                total = sum(ux_row[i - 1] + vx_row[i - 1] for i in lo)
-                total += sum(ux_row[i - 1] + vx_row[i - 1] for i in hi)
-                if total != s * pair_const:
-                    block_pairing_ok = False
-    if not block_pairing_ok:
+    blocks = [block_columns(k, k // r, b)[0] for r in range(2, k + 1) if k % r == 0 for b in range(1, r + 1)]
+    if not all(sum(sums[i - 1] for i in lo) == len(lo) * pair_const for lo in blocks for sums in four_terms):
         failures.append("block-pairing: some 2r-block pair sum off")
 
-    cross = cross_pair_constant(parity, n, k)
-    cross_pairs_ok = True
-    for j in range(1, m + 1):
-        ux_row, vx_row = mx.row(("ux", j)), mx.row(("vx", j))
-        for i in range(1, k + 1):
-            if ux_row[i - 1] + vx_row[cols - i] != cross or vx_row[i - 1] + ux_row[cols - i] != cross:
-                cross_pairs_ok = False
     if not cross_pairs_ok:
         failures.append(f"cross-pairs: some u/v complementary pair != {cross}")
 

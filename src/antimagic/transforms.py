@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import AntimagicError, SumDriftError, SumMismatchError
+from .errors import AntimagicError, SumDriftError
 from .graph import (
     Edge,
     Graph,
@@ -26,16 +26,18 @@ from .graph import (
     is_bipartite_equal_parts,
     merge_vertices_mapped,
     merged,
+    parse_token,
     rewire,
     u,
     v,
     x,
 )
-from .labeling import EdgeLabeling, InducedColoring, is_local_antimagic
+from .labeling import EdgeLabeling, InducedColoring
 from .schemes import (
     EVEN,
     LabelMatrix,
     ODD,
+    block_columns,
     build_matrix,
     cross_pair_constant,
     special_2p2_o2,
@@ -136,13 +138,6 @@ def merge_all_x(lg: LabeledGraph) -> LabeledGraph:
     return _merge_with_labels(lg, groups, ("merge_all_x",))
 
 
-def _block_columns(k: int, r: int, s: int, b: int) -> tuple[list[int], list[int]]:
-    """Columns of block b and its complementary block 2r+1-b."""
-    lo = list(range((b - 1) * s + 1, b * s + 1))
-    hi = list(range(2 * k - b * s + 1, 2 * k - (b - 1) * s + 1))
-    return lo, hi
-
-
 def block_merge(lg: LabeledGraph, r: int, s: int) -> LabeledGraph:
     """Merge x's of complementary column blocks, giving r((2s)P_2 ∨ O_m)."""
     if not _is_fresh_matrix(lg):
@@ -155,7 +150,7 @@ def block_merge(lg: LabeledGraph, r: int, s: int) -> LabeledGraph:
     m = lg.m
     groups = []
     for b in range(1, r + 1):
-        lo, hi = _block_columns(k, r, s, b)
+        lo, hi = block_columns(k, s, b)
         for j in range(1, m + 1):
             groups.append([x(i, j) for i in lo + hi])
     return _merge_with_labels(lg, groups, ("block_merge", r, s))
@@ -176,11 +171,11 @@ def split_x(lg: LabeledGraph) -> LabeledGraph:
     new_vertices = set(g.vertices)
     edge_map: dict[Edge, Edge] = {e: e for e in g.edges}
     for b in range(1, r + 1):
-        lo, hi = _block_columns(k, r, s, b)
+        lo, hi = block_columns(k, s, b)
         for j in range(1, m + 1):
             xv = merged(x(i, j) for i in lo + hi)
-            y_id = merged(x(i, j) for i in lo) if s > 1 else x(lo[0], j)
-            z_id = merged(x(i, j) for i in hi) if s > 1 else x(hi[0], j)
+            y_id = merged(x(i, j) for i in lo)
+            z_id = merged(x(i, j) for i in hi)
             new_vertices.remove(xv)
             new_vertices.update((y_id, z_id))
             for i in lo:
@@ -267,8 +262,8 @@ def merge_v_blocks(lg: LabeledGraph, blocks) -> LabeledGraph:
     """Merge same-colored degree-(m+1) vertices in equal-size blocks.
 
     ``blocks`` partitions a subset of the ``lg.side`` vertices into
-    blocks of one size s >= 2 whose members share no neighbor.  The
-    merged vertices pick up s times the old color.
+    blocks of one size s >= 1 (s = 1 merges nothing) whose members share
+    no neighbor.  The merged vertices pick up s times the old color.
     """
     _check_j_input(lg)
     blocks = [sorted(b) for b in blocks]
@@ -317,50 +312,6 @@ def group_components(lg: LabeledGraph, ks) -> LabeledGraph:
             blocks.append([VertexId(lg.side, c_here), VertexId(lg.side, 2 * k + 1 - c_next)])
         start += ka
     return _merge_with_labels(lg, blocks, ("group_components", lg.side, ks))
-
-
-@dataclass(frozen=True)
-class GenericMergeReport:
-    colors: frozenset[int]
-    local_antimagic: bool
-    component_count: int
-
-
-def partition_merge_generic(lg: LabeledGraph, x_partition) -> tuple[LabeledGraph, GenericMergeReport]:
-    """Merge x-vertices of a fresh matrix graph in user-supplied blocks.
-
-    Every block must carry the same label sum s * (column-pair constant)
-    where 2s is the common block size; the outcome (color count, local
-    antimagic, component count) is verified and reported, never assumed.
-    """
-    if not _is_fresh_matrix(lg):
-        raise AntimagicError("partition_merge_generic expects a fresh matrix graph")
-    blocks = [sorted(b) for b in x_partition]
-    sizes = {len(b) for b in blocks}
-    if len(sizes) != 1 or sizes & {0}:
-        raise AntimagicError("blocks must all have one nonzero size")
-    width = sizes.pop()
-    if width % 2:
-        raise AntimagicError("block size must be even (2s columns per merge)")
-    s = width // 2
-    n, k = lg.n, lg.k
-    target = s * x_pair_constant(lg.parity, n, k)
-    labels = lg.labeling.labels
-    for b in blocks:
-        if any(w.role != X_ROLE for w in b):
-            raise AntimagicError("partition blocks must contain x-vertices")
-        total = sum(labels[edge(u(w.i), w)] + labels[edge(v(w.i), w)] for w in b)
-        if total != target:
-            raise SumMismatchError(f"block {[w.token() for w in b]} sums to {total}, target {target}")
-    step = ("partition_merge", tuple(tuple(w.token() for w in b) for b in blocks))
-    out = _merge_with_labels(lg, blocks, step)
-    ok, _ = is_local_antimagic(out.labeling)
-    report = GenericMergeReport(
-        colors=out.colors,
-        local_antimagic=ok,
-        component_count=len(components(out.graph)),
-    )
-    return out, report
 
 
 # --- expected color triples -------------------------------------------------
@@ -470,41 +421,47 @@ def connecting_swaps(lg: LabeledGraph) -> LabeledGraph:
 # --- provenance replay --------------------------------------------------------
 
 
-def replay(provenance: tuple[Step, ...]) -> LabeledGraph:
-    """Rebuild a labeled graph from its provenance log."""
-    from .graph import parse_token
+# fields per provenance step, the tag included
+_STEP_FIELDS = {"matrix": 4, "special": 1, "merge_all_x": 1, "split_x": 1,
+                "block_merge": 3, "delete_add": 3, "merge_v_blocks": 3, "group_components": 3}
 
+
+def replay(provenance: tuple[Step, ...]) -> LabeledGraph:
+    """Rebuild a labeled graph from its provenance log; a malformed step
+    raises :class:`AntimagicError` naming the step."""
     lg: LabeledGraph | None = None
     for step in provenance:
-        tag = step[0]
-        if lg is None and tag not in ("matrix", "special"):
-            raise AntimagicError(f"provenance must start with a matrix or special step, not {tag!r}")
-        if tag in ("merge_v_blocks", "group_components") and step[1] != lg.side:
-            raise AntimagicError(f"{tag} step records side {step[1]!r}, {lg.parity} parity gives {lg.side!r}")
-        if tag == "matrix":
-            _, parity, n, k = step
-            lg = from_matrix(build_matrix(parity, n, k))
-        elif tag == "special":
-            lg = special_labeled()
-        elif tag == "merge_all_x":
-            lg = merge_all_x(lg)
-        elif tag == "block_merge":
-            lg = block_merge(lg, step[1], step[2])
-        elif tag == "split_x":
-            lg = split_x(lg)
-        elif tag == "delete_add":
-            dels = tuple(edge(parse_token(a), parse_token(b)) for a, b in step[1])
-            adds = tuple((edge(parse_token(a), parse_token(b)), lab) for a, b, lab in step[2])
-            lg = delete_add(lg, SwapSpec(dels, adds))
-        elif tag == "merge_v_blocks":
-            lg = merge_v_blocks(lg, [[parse_token(t) for t in b] for b in step[2]])
-        elif tag == "group_components":
-            lg = group_components(lg, step[2])
-        elif tag == "partition_merge":
-            blocks = [[parse_token(t) for t in b] for b in step[1]]
-            lg, _ = partition_merge_generic(lg, blocks)
-        else:
-            raise AntimagicError(f"unknown provenance step {tag!r}")
+        try:
+            tag = step[0]
+            if lg is None and tag not in ("matrix", "special"):
+                raise AntimagicError(f"provenance must start with a matrix or special step, not {tag!r}")
+            if tag not in _STEP_FIELDS:
+                raise AntimagicError(f"unknown provenance step {tag!r}")
+            if len(step) != _STEP_FIELDS[tag]:
+                raise ValueError(f"expected {_STEP_FIELDS[tag]} fields, got {len(step)}")
+            if tag in ("merge_v_blocks", "group_components") and step[1] != lg.side:
+                raise AntimagicError(f"{tag} step records side {step[1]!r}, {lg.parity} parity gives {lg.side!r}")
+            if tag == "matrix":
+                _, parity, n, k = step
+                lg = from_matrix(build_matrix(parity, n, k))
+            elif tag == "special":
+                lg = special_labeled()
+            elif tag == "merge_all_x":
+                lg = merge_all_x(lg)
+            elif tag == "block_merge":
+                lg = block_merge(lg, step[1], step[2])
+            elif tag == "split_x":
+                lg = split_x(lg)
+            elif tag == "delete_add":
+                dels = tuple(edge(parse_token(a), parse_token(b)) for a, b in step[1])
+                adds = tuple((edge(parse_token(a), parse_token(b)), lab) for a, b, lab in step[2])
+                lg = delete_add(lg, SwapSpec(dels, adds))
+            elif tag == "merge_v_blocks":
+                lg = merge_v_blocks(lg, [[parse_token(t) for t in b] for b in step[2]])
+            else:
+                lg = group_components(lg, step[2])
+        except (IndexError, TypeError, ValueError) as exc:
+            raise AntimagicError(f"malformed provenance step {step!r}: {exc}") from exc
     if lg is None:
         raise AntimagicError("empty provenance")
     return lg

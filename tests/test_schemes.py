@@ -217,3 +217,97 @@ class TestCheckIdentities:
         data[("uv", 0)] = tuple(row)
         report = check_identities(LabelMatrix(n=2, k=2, parity=EVEN, data=data))
         assert "u-block" in failed_identities(report)
+
+
+def tampered(parity, n, k, swaps=(), copies=()):
+    """The (parity, n, k) matrix with each pair of cells ((row, column),
+    (row, column)) in ``swaps`` swapped, and each first cell in ``copies``
+    overwritten with the second.  Column -1 is column 2k."""
+    data = {key: list(row) for key, row in build_matrix(parity, n, k).data.items()}
+
+    def at(i):
+        return i - 1 if i > 0 else i
+
+    for (ka, ia), (kb, ib) in swaps:
+        data[ka][at(ia)], data[kb][at(ib)] = data[kb][at(ib)], data[ka][at(ia)]
+    for (ka, ia), (kb, ib) in copies:
+        data[ka][at(ia)] = data[kb][at(ib)]
+    return LabelMatrix(n=n, k=k, parity=parity, data={key: tuple(row) for key, row in data.items()})
+
+
+# Every failure message check_identities can give, for the two tampered shapes.
+REPORT_LINES = {
+    (EVEN, 2, 4): {
+        "bijection": "bijection: entries are not a permutation of [1..72]",
+        "u-block": "u-block: some column sum != 214",
+        "v-block": "v-block: some column sum != 151",
+        "pair-sums": "pair-sums: complementary column pair sum off for some row",
+        "row-totals": "row-totals: some u+v row pair total != 584",
+        "block-pairing": "block-pairing: some 2r-block pair sum off",
+        "cross-pairs": "cross-pairs: some u/v complementary pair != 73",
+    },
+    (ODD, 2, 3): {
+        "bijection": "bijection: entries are not a permutation of [1..66]",
+        "u-block": "u-block: some column sum != 261",
+        "v-block": "v-block: some column sum != 111",
+        "pair-sums": "pair-sums: complementary column pair sum off for some row",
+        "row-totals": "row-totals: some u+v row pair total != 438",
+        "block-pairing": "block-pairing: some 2r-block pair sum off",
+        "cross-pairs": "cross-pairs: some u/v complementary pair != 73",
+    },
+}
+
+UX1, UX2, VX1 = ("ux", 1), ("ux", 2), ("vx", 1)
+
+
+class TestIdentityReport:
+    """One tamper per identity; the whole failures tuple is pinned."""
+
+    @pytest.mark.parametrize("parity,n,k", [(EVEN, 2, 4), (ODD, 2, 3)])
+    @pytest.mark.parametrize(
+        "tamper,names",
+        [
+            # a repeated entry breaks every sum that reads it
+            (
+                {"copies": [((UX1, 1), (UX1, 2))]},
+                ("bijection", "u-block", "pair-sums", "row-totals", "block-pairing", "cross-pairs"),
+            ),
+            # two columns swapped inside one row keep the row total
+            (
+                {"swaps": [((UX1, 1), (UX1, 2))]},
+                ("u-block", "pair-sums", "block-pairing", "cross-pairs"),
+            ),
+            # two u-rows swapped inside one column keep the column sums
+            (
+                {"swaps": [((UX1, 1), (UX2, 1))]},
+                ("pair-sums", "row-totals", "block-pairing", "cross-pairs"),
+            ),
+            # the same column swap in a u-row and its v-row
+            (
+                {"swaps": [((UX1, 1), (UX1, 2)), ((VX1, 1), (VX1, 2))]},
+                ("u-block", "v-block", "pair-sums", "block-pairing", "cross-pairs"),
+            ),
+            # mirror columns swapped inside one row keep every pair sum
+            (
+                {"swaps": [((UX1, 1), (UX1, -1))]},
+                ("u-block", "cross-pairs"),
+            ),
+        ],
+        ids=["bijection", "pair-sums", "row-totals", "block-pairing", "cross-pairs"],
+    )
+    def test_tamper_report(self, parity, n, k, tamper, names):
+        report = check_identities(tampered(parity, n, k, **tamper))
+        assert report.failures == tuple(REPORT_LINES[parity, n, k][name] for name in names)
+
+    @pytest.mark.parametrize(
+        "parity,n,k,names",
+        [
+            (EVEN, 2, 4, ("u-block", "v-block", "pair-sums", "cross-pairs")),
+            (ODD, 2, 3, ("u-block", "v-block", "cross-pairs")),
+        ],
+    )
+    def test_u_v_swap_trips_only_the_even_row_constants(self, parity, n, k, names):
+        # moving one entry's worth between ux1 and vx1 keeps every four-term
+        # sum; only even parity pins each row's own pair constant
+        report = check_identities(tampered(parity, n, k, swaps=[((UX1, 1), (VX1, 1))]))
+        assert report.failures == tuple(REPORT_LINES[parity, n, k][name] for name in names)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from antimagic.errors import AntimagicError, ParallelEdgeError, SumDriftError, SumMismatchError
+from antimagic.errors import AntimagicError, ParallelEdgeError, SumDriftError
 from antimagic.graph import Graph, components, edge, is_bipartite_equal_parts, merged, u, v, x
 from antimagic.labeling import induce
 from antimagic.schemes import EVEN, ODD, build_even_matrix, build_matrix, build_odd_matrix
@@ -18,7 +18,6 @@ from antimagic.transforms import (
     group_components,
     merge_all_x,
     merge_v_blocks,
-    partition_merge_generic,
     random_swap_spec,
     replay,
     split_x,
@@ -358,28 +357,6 @@ class TestGroupComponents:
             assert len(part[0]) == len(part[1]) == 7
 
 
-class TestPartitionMergeGeneric:
-    def test_complementary_pairs_reproduce_block_merge(self):
-        base = even_base(2, 3)
-        blocks = [[x(i, j), x(7 - i, j)] for j in range(1, 5) for i in range(1, 4)]
-        out, report = partition_merge_generic(base, blocks)
-        expected = block_merge(even_base(2, 3), 3, 1)
-        assert out.labeling.labels == expected.labeling.labels
-        assert report.local_antimagic and len(report.colors) == 3
-        assert report.component_count == 3
-
-    def test_wrong_block_sum_rejected(self):
-        base = even_base(2, 3)
-        blocks = [[x(1, 1), x(2, 1)]] + [[x(i, j), x(7 - i, j)] for j in range(1, 5) for i in range(1, 4) if (i, j) != (1, 1) and (i, j) != (2, 1)]
-        with pytest.raises(SumMismatchError):
-            partition_merge_generic(base, blocks)
-
-    def test_requires_fresh_matrix(self):
-        lg = block_merge(even_base(2, 3), 3, 1)
-        with pytest.raises(AntimagicError):
-            partition_merge_generic(lg, [[x(1, 1), x(6, 1)]])
-
-
 class TestCertificatesAndReplay:
     def test_split_graph_certificate(self):
         sp = split_x(block_merge(even_base(1, 2), 2, 1))
@@ -424,6 +401,21 @@ class TestCertificatesAndReplay:
     @pytest.mark.parametrize("log", [(("merge_all_x",),), (("group_components", "v", (2,)),)], ids=["merge-all", "group"])
     def test_replay_rejects_a_log_without_a_base_step(self, log):
         with pytest.raises(AntimagicError, match="must start with"):
+            replay(log)
+
+    @pytest.mark.parametrize(
+        "log",
+        [
+            (("matrix", "even", 1),),
+            (("matrix", "even", 2, 2), ("block_merge",)),
+            (("matrix", "even", 2, 2), ("delete_add",)),
+            (("matrix", "even", 2, 2), ("block_merge", 2, "x")),
+            (("matrix", "even", 2, 2), ("block_merge", 2, 1), ("split_x", 1)),
+        ],
+        ids=["short-matrix", "bare-block-merge", "bare-delete-add", "string-s", "long-split"],
+    )
+    def test_replay_names_a_malformed_step(self, log):
+        with pytest.raises(AntimagicError, match=r"malformed provenance step \(" + repr(log[-1][0])):
             replay(log)
 
 
