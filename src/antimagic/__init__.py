@@ -38,9 +38,7 @@ from .schemes import (
     EVEN,
     LabelMatrix,
     ODD,
-    build_even_matrix,
     build_matrix,
-    build_odd_matrix,
     check_identities,
     special_2p2_o2,
 )

@@ -11,7 +11,6 @@ last labels and twin-vertex symmetry; the pruning keeps the first
 
 from __future__ import annotations
 
-import os
 import random
 import time
 from dataclasses import dataclass
@@ -21,19 +20,14 @@ from .graph import Edge, Graph, edge
 from .labeling import EdgeLabeling, chi_la_lower_bound, is_local_antimagic
 
 DEFAULT_EDGE_CAP = 12
-ENV_EDGE_CAP = "ANTIMAGIC_EDGE_CAP"
 HEURISTIC_RESTARTS = 200
 HEURISTIC_ITERS = 2000  # label swaps per restart
 
 
 def _check_cap(g: Graph, cap: int | None) -> None:
-    """Refuse graphs with more edges than ``cap``, else $ANTIMAGIC_EDGE_CAP, else 12."""
+    """Refuse graphs with more edges than ``cap``, or than ``DEFAULT_EDGE_CAP`` when it is None."""
     if cap is None:
-        raw = os.environ.get(ENV_EDGE_CAP, str(DEFAULT_EDGE_CAP))
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise AntimagicError(f"${ENV_EDGE_CAP} must be an integer, got {raw!r}") from None
+        cap = DEFAULT_EDGE_CAP
     if g.size > cap:
         raise AntimagicError(f"graph has {g.size} edges, over the cap {cap}")
 

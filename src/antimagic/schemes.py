@@ -1,10 +1,12 @@
 """Explicit edge-label matrices for 2k(P_2 ∨ O_m) and their identities.
 
 The even scheme (m = 2n) fills a (4n+1) x 2k matrix, the odd scheme
-(m = 2n+1) a (4n+3) x 2k matrix.  Entries are closed piecewise-linear
-forms in the column index, regression-checked against the frozen worked
-fixtures in the test suite.  Rows are keyed by edge role so both
-parities share one type.
+(m = 2n+1) a (4n+3) x 2k matrix.  ``build_matrix`` writes each row as a
+few arithmetic runs (count, first entry, step), read left to right: one
+run for every odd row and every leading even row, at most four for an
+even tail row, split at columns 1, k and 2k - 1 (for k = 1 the middle
+runs are empty).  A run sums in closed form to c*a + d*c(c-1)/2.  Rows
+are keyed by edge role so both parities share one type.
 """
 
 from __future__ import annotations
@@ -121,82 +123,39 @@ def scheme_m(parity: str, n: int, k: int) -> int:
     return 2 * n if parity == EVEN else 2 * n + 1
 
 
-def build_even_matrix(n: int, k: int) -> LabelMatrix:
-    """Label matrix for 2k(P_2 ∨ O_2n), (n, k) != (1, 1).
-
-    For n = 1 only the last-two-j rows exist; for k = 1 the piecewise
-    segments collapse to the dedicated two-column forms.
-    """
-    scheme_m(EVEN, n, k)
-    cols = 2 * k
-    off = 4 * k * (n - 1)
-
-    def tail_ux_low(i: int) -> int:  # row u x_{2n-1}
-        if i == 1:
-            return off + 8 * k + 1
-        if i <= k:
-            return off + 9 * k + i - 1
-        if i <= 2 * k - 1:
-            return off + 7 * k + i + 1
-        return off + 10 * k
-
-    def tail_ux_high(i: int) -> int:  # row u x_{2n}
-        return off + 6 * k + i - 1 if i <= k else off + 6 * k + i
-
-    def row_uv(i: int) -> int:
-        if i == 1:
-            return off + 7 * k
-        if i <= k:
-            return off + 6 * k + 3 - 2 * i
-        if i <= 2 * k - 1:
-            return off + 8 * k - 2 * i
-        return off + 3 * k + 1
-
-    def tail_vx_low(i: int) -> int:  # row v x_{2n-1}
-        if i == 1:
-            return off + 1
-        if i <= k:
-            return off + k + i - 1
-        if i <= 2 * k - 1:
-            return off + i - k + 1
-        return off + 2 * k
-
-    def tail_vx_high(i: int) -> int:  # row v x_{2n}
-        return off + 2 * k + i if i <= k else off + 2 * k + i + 1
-
-    data: dict[RowKey, tuple[int, ...]] = {}
-    for jj in range(1, n):  # leading rows, empty when n = 1
-        data[("ux", 2 * jj - 1)] = tuple(2 * k * (4 * n + 3 - 2 * jj) - 2 * k + i for i in range(1, cols + 1))
-        data[("ux", 2 * jj)] = tuple(2 * k * (2 * jj - 1) + 2 * k + 1 - i for i in range(1, cols + 1))
-        data[("vx", 2 * jj - 1)] = tuple(4 * k * (jj - 1) + i for i in range(1, cols + 1))
-        data[("vx", 2 * jj)] = tuple(2 * k * (4 * n + 2 - 2 * jj) + 1 - i for i in range(1, cols + 1))
-    data[("ux", 2 * n - 1)] = tuple(tail_ux_low(i) for i in range(1, cols + 1))
-    data[("ux", 2 * n)] = tuple(tail_ux_high(i) for i in range(1, cols + 1))
-    data[("uv", 0)] = tuple(row_uv(i) for i in range(1, cols + 1))
-    data[("vx", 2 * n - 1)] = tuple(tail_vx_low(i) for i in range(1, cols + 1))
-    data[("vx", 2 * n)] = tuple(tail_vx_high(i) for i in range(1, cols + 1))
-    return LabelMatrix(n=n, k=k, parity=EVEN, data=data)
-
-
-def build_odd_matrix(n: int, k: int) -> LabelMatrix:
-    """Label matrix for 2k(P_2 ∨ O_{2n+1}); no excluded cases."""
-    scheme_m(ODD, n, k)
-    cols = 2 * k
-    data: dict[RowKey, tuple[int, ...]] = {}
-    for jj in range(1, n + 1):
-        data[("ux", 2 * jj - 1)] = tuple(4 * k * (2 * n - jj) + 10 * k + 1 - i for i in range(1, cols + 1))
-        data[("ux", 2 * jj)] = tuple(4 * k * (2 * n - jj) + 6 * k + i for i in range(1, cols + 1))
-        data[("vx", 2 * jj)] = tuple(4 * k * jj + i for i in range(1, cols + 1))
-        data[("vx", 2 * jj + 1)] = tuple(4 * k * jj + 4 * k + 1 - i for i in range(1, cols + 1))
-    data[("ux", 2 * n + 1)] = tuple(4 * k * n + 6 * k + 1 - i for i in range(1, cols + 1))
-    data[("uv", 0)] = tuple(range(1, cols + 1))
-    data[("vx", 1)] = tuple(4 * k + 1 - i for i in range(1, cols + 1))
-    return LabelMatrix(n=n, k=k, parity=ODD, data=data)
+def _runs(runs: list[tuple[int, int, int]]) -> tuple[int, ...]:
+    """The row spelled by arithmetic runs (count, first entry, step), left to right."""
+    return tuple(first + step * t for count, first, step in runs for t in range(count))
 
 
 def build_matrix(parity: str, n: int, k: int) -> LabelMatrix:
-    scheme_m(parity, n, k)
-    return build_even_matrix(n, k) if parity == EVEN else build_odd_matrix(n, k)
+    """Label matrix for 2k(P_2 ∨ O_m), m = 2n (even, (n, k) != (1, 1)) or
+    m = 2n + 1 (odd)."""
+    m = scheme_m(parity, n, k)
+    c = 2 * k
+    runs: dict[RowKey, list[tuple[int, int, int]]] = {}
+    if parity == EVEN:
+        o = 4 * k * (n - 1)
+        for jj in range(1, n):  # leading rows, none when n = 1
+            runs[("ux", 2 * jj - 1)] = [(c, 4 * k * (2 * n + 1 - jj) + 1, 1)]
+            runs[("ux", 2 * jj)] = [(c, 4 * k * jj, -1)]
+            runs[("vx", 2 * jj - 1)] = [(c, 4 * k * (jj - 1) + 1, 1)]
+            runs[("vx", 2 * jj)] = [(c, 4 * k * (2 * n + 1 - jj), -1)]
+        runs[("ux", m - 1)] = [(1, o + 8 * k + 1, 0), (k - 1, o + 9 * k + 1, 1), (k - 1, o + 8 * k + 2, 1), (1, o + 10 * k, 0)]
+        runs[("ux", m)] = [(k, o + 6 * k, 1), (k, o + 7 * k + 1, 1)]
+        runs[("uv", 0)] = [(1, o + 7 * k, 0), (k - 1, o + 6 * k - 1, -2), (k - 1, o + 6 * k - 2, -2), (1, o + 3 * k + 1, 0)]
+        runs[("vx", m - 1)] = [(1, o + 1, 0), (k - 1, o + k + 1, 1), (k - 1, o + 2, 1), (1, o + 2 * k, 0)]
+        runs[("vx", m)] = [(k, o + 2 * k + 1, 1), (k, o + 3 * k + 2, 1)]
+    else:
+        for jj in range(1, n + 1):
+            runs[("ux", 2 * jj - 1)] = [(c, 4 * k * (2 * n - jj) + 10 * k, -1)]
+            runs[("ux", 2 * jj)] = [(c, 4 * k * (2 * n - jj) + 6 * k + 1, 1)]
+            runs[("vx", 2 * jj)] = [(c, 4 * k * jj + 1, 1)]
+            runs[("vx", 2 * jj + 1)] = [(c, 4 * k * (jj + 1), -1)]
+        runs[("ux", m)] = [(c, 4 * k * n + 6 * k, -1)]
+        runs[("uv", 0)] = [(c, 1, 1)]
+        runs[("vx", 1)] = [(c, 4 * k, -1)]
+    return LabelMatrix(n=n, k=k, parity=parity, data={key: _runs(r) for key, r in runs.items()})
 
 
 # --- bespoke 2(P_2 ∨ O_2) fixture -----------------------------------------

@@ -50,14 +50,16 @@ def labeling_doc(labeling: EdgeLabeling) -> dict[str, Any]:
 
 
 def labeling_from_doc(doc: dict[str, Any]) -> EdgeLabeling:
+    """The labeling a document lists; an edge that does not name exactly
+    two vertices raises."""
     g = graph_from_doc(doc.get("graph", {}))
     try:
         items = doc["labels"]
         labels = {
-            edge(parse_token(item["edge"][0]), parse_token(item["edge"][1])): json_int(item["label"], "label")
-            for item in items
+            edge(parse_token(a), parse_token(b)): json_int(lab, "label")
+            for (a, b), lab in ((item["edge"], item["label"]) for item in items)
         }
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise AntimagicError(f"malformed labeling document: {exc}") from exc
     if len(labels) != len(items):
         raise BijectionError("an edge is labeled twice")

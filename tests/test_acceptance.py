@@ -13,7 +13,7 @@ from antimagic.errors import AntimagicError, ParallelEdgeError, SumDriftError
 from antimagic.graph import Graph, copies_of_p2_join_null, edge, join, merged, null_graph, p2, u, v, x
 from antimagic.labeling import chi_la_lower_bound, induce
 from antimagic.oracle import certify_no_2_coloring, exact_chi_la
-from antimagic.schemes import EVEN, ODD, build_even_matrix, build_odd_matrix, special_2p2_o2
+from antimagic.schemes import EVEN, ODD, build_matrix, special_2p2_o2
 from antimagic.sweep import sweep
 from antimagic.transforms import (
     SwapSpec,
@@ -49,10 +49,10 @@ def _report(name: str, ok: bool, detail: str = ""):
 def test_criterion_1_matrix_fixtures():
     t0 = time.perf_counter()
     fixtures = [
-        (build_even_matrix(2, 4), MATRIX_N2_K4),
-        (build_odd_matrix(2, 3), MATRIX_ODD_N2_K3),
-        (build_even_matrix(2, 2), MATRIX_N2_K2),
-        (build_even_matrix(2, 3), MATRIX_N2_K3),
+        (build_matrix(EVEN, 2, 4), MATRIX_N2_K4),
+        (build_matrix(ODD, 2, 3), MATRIX_ODD_N2_K3),
+        (build_matrix(EVEN, 2, 2), MATRIX_N2_K2),
+        (build_matrix(EVEN, 2, 3), MATRIX_N2_K3),
     ]
     entries = 0
     for mx, fixture in fixtures:
@@ -70,11 +70,11 @@ def test_criterion_2_color_triples():
     _, special = special_2p2_o2()
     cases = [
         ("2P2 v O2 bespoke", special, {14, 19, 22}),
-        ("even block n=2 k=2", block_merge(from_matrix(build_even_matrix(2, 2)), 2, 1).labeling, {108, 77, 74}),
-        ("odd block n=2 k=3", block_merge(from_matrix(build_odd_matrix(2, 3)), 3, 1).labeling, {261, 111, 146}),
-        ("odd split n=2 k=3", split_x(block_merge(from_matrix(build_odd_matrix(2, 3)), 3, 1)).labeling, {261, 111, 73}),
+        ("even block n=2 k=2", block_merge(from_matrix(build_matrix(EVEN, 2, 2)), 2, 1).labeling, {108, 77, 74}),
+        ("odd block n=2 k=3", block_merge(from_matrix(build_matrix(ODD, 2, 3)), 3, 1).labeling, {261, 111, 146}),
+        ("odd split n=2 k=3", split_x(block_merge(from_matrix(build_matrix(ODD, 2, 3)), 3, 1)).labeling, {261, 111, 73}),
     ]
-    pairs6 = block_merge(from_matrix(build_even_matrix(1, 6)), 6, 1)
+    pairs6 = block_merge(from_matrix(build_matrix(EVEN, 1, 6)), 6, 1)
     cases.append(
         ("J blocks of three", merge_v_blocks(pairs6, [[v(3 * a - 2), v(3 * a - 1), v(3 * a)] for a in range(1, 5)]).labeling, {127, 168, 122})
     )
@@ -137,8 +137,8 @@ def test_criterion_6_lower_bound_soundness(grid):
     bad = [r for r in split_rows if not r.ok]
     fixture_graphs = [
         special_2p2_o2()[0],
-        block_merge(from_matrix(build_even_matrix(2, 2)), 2, 1).graph,
-        group_components(block_merge(from_matrix(build_even_matrix(1, 6)), 6, 1), (6,)).graph,
+        block_merge(from_matrix(build_matrix(EVEN, 2, 2)), 2, 1).graph,
+        group_components(block_merge(from_matrix(build_matrix(EVEN, 1, 6)), 6, 1), (6,)).graph,
     ]
     bounds_ok = all(chi_la_lower_bound(g)[0] <= 3 for g in fixture_graphs)
     _report(
@@ -151,11 +151,11 @@ def test_criterion_6_lower_bound_soundness(grid):
 def test_criterion_7_surgery_conservation():
     rng = random.Random(2024)
     bases = [
-        block_merge(from_matrix(build_even_matrix(2, 4)), 2, 2),
-        block_merge(from_matrix(build_even_matrix(1, 6)), 3, 2),
-        block_merge(from_matrix(build_odd_matrix(1, 4)), 2, 2),
-        split_x(block_merge(from_matrix(build_even_matrix(2, 4)), 2, 2)),
-        split_x(block_merge(from_matrix(build_odd_matrix(2, 6)), 3, 2)),
+        block_merge(from_matrix(build_matrix(EVEN, 2, 4)), 2, 2),
+        block_merge(from_matrix(build_matrix(EVEN, 1, 6)), 3, 2),
+        block_merge(from_matrix(build_matrix(ODD, 1, 4)), 2, 2),
+        split_x(block_merge(from_matrix(build_matrix(EVEN, 2, 4)), 2, 2)),
+        split_x(block_merge(from_matrix(build_matrix(ODD, 2, 6)), 3, 2)),
     ]
     count = 0
     for base in bases:
@@ -168,7 +168,7 @@ def test_criterion_7_surgery_conservation():
             count += 1
 
     # invalid specs must be rejected
-    lg = block_merge(from_matrix(build_even_matrix(2, 4)), 4, 1)
+    lg = block_merge(from_matrix(build_matrix(EVEN, 2, 4)), 4, 1)
     a = merged([x(1, 1), x(8, 1)])
     b = merged([x(2, 1), x(7, 1)])
     keep = lg.labeling.labels[edge(v(1), a)]
@@ -197,13 +197,13 @@ def test_criterion_8_regularity():
         outputs = []
         if (n + 1) % 2 == 0:
             k = (n + 1) // 2
-            outputs.append(("merge-all 2k=n+1", merge_all_x(from_matrix(build_odd_matrix(n, k)))))
+            outputs.append(("merge-all 2k=n+1", merge_all_x(from_matrix(build_matrix(ODD, n, k)))))
             s = (n + 1) // 2
             for r in (2, 3):
-                outputs.append((f"block 2s=n+1 r={r}", block_merge(from_matrix(build_odd_matrix(n, r * s)), r, s)))
+                outputs.append((f"block 2s=n+1 r={r}", block_merge(from_matrix(build_matrix(ODD, n, r * s)), r, s)))
         s_split = n + 1
         for r in (2, 3):
-            lg = block_merge(from_matrix(build_odd_matrix(n, r * s_split)), r, s_split)
+            lg = block_merge(from_matrix(build_matrix(ODD, n, r * s_split)), r, s_split)
             outputs.append((f"split 2s=2n+2 r={r}", split_x(lg)))
         for name, lg in outputs:
             degs = {lg.graph.degree(w) for w in lg.graph.vertices}

@@ -173,6 +173,10 @@ V01_DOC = relabeled(
     [4, 2, 3],
 )
 
+# the label of u1-v1 names a third id; read by its first two ids only it is a valid triangle
+THREE_ID_DOC = triangle_labeling_doc()
+THREE_ID_DOC["labels"][0]["edge"] = ["u1", "v1", "zzz"]
+
 DOCUMENTS = {
     "labeling-ok": ("verify", triangle_labeling_doc(), 0),
     "matrix-even-n1-k1": ("verify", {"parity": "even", "n": 1, "k": 1, "rows": []}, 2),
@@ -196,6 +200,7 @@ DOCUMENTS = {
     "oracle-vertex-listed-twice": ("oracle", V01_DOC, 2),
     "edge-listed-twice": ("verify", with_extra(triangle_labeling_doc(), edges=[("v1", "u1")]), 2),
     "edge-labeled-twice": ("verify", with_extra(triangle_labeling_doc(), labels=[(("u1", "v1"), 1)]), 1),
+    "label-edge-three-ids": ("verify", THREE_ID_DOC, 2),
 }
 
 
@@ -378,14 +383,16 @@ class TestOracle:
         assert report["lower_bound"] == [3, "two-color-divisibility"]
 
     def test_cap_violation_exit_2(self, tmp_path, capsys):
+        from antimagic.graph import Graph, u, v
+
         path = self.write_graph(tmp_path, copies_of_p2_join_null(2, 3))
         assert main(["oracle", path]) == 2
-
-    def test_non_integer_env_cap_exit_2(self, tmp_path, capsys, monkeypatch):
-        path = self.write_graph(tmp_path, p2(1))
-        monkeypatch.setenv("ANTIMAGIC_EDGE_CAP", "abc")
-        assert main(["oracle", path]) == 2
-        assert "ANTIMAGIC_EDGE_CAP" in capsys.readouterr().err
+        # C4 has 4 edges: under the default cap, over --cap 3
+        us, vs = [u(1), u(2)], [v(1), v(2)]
+        c4 = self.write_graph(tmp_path, Graph.build(us + vs, [(a, b) for a in us for b in vs]), name="c4.json")
+        assert main(["oracle", c4, "--cap", "3"]) == 2
+        assert "over the cap 3" in capsys.readouterr().err
+        assert main(["oracle", c4, "--cap", "4"]) == 0
 
     def test_parse_error_exit_2(self, tmp_path, capsys):
         (tmp_path / "bad.json").write_text("[[]]")

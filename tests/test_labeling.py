@@ -10,7 +10,7 @@ from antimagic.labeling import (
     induce,
     is_local_antimagic,
 )
-from antimagic.schemes import build_even_matrix, build_odd_matrix, special_2p2_o2
+from antimagic.schemes import EVEN, ODD, build_matrix, special_2p2_o2
 from antimagic.sweep import _colors_ok
 from antimagic.transforms import LabeledGraph, block_merge, from_matrix, split_x
 
@@ -42,7 +42,7 @@ class TestInduce:
     def test_total_is_q_q_plus_one(self):
         _, labeling = special_2p2_o2()
         assert sum(induce(labeling).colors.values()) == 10 * 11
-        lg = from_matrix(build_even_matrix(2, 2))
+        lg = from_matrix(build_matrix(EVEN, 2, 2))
         q = lg.graph.size
         assert sum(induce(lg.labeling).colors.values()) == q * (q + 1)
 
@@ -82,15 +82,15 @@ class TestAssertThreeColoring:
     """The one three-coloring check, shared by every sweep row."""
 
     def test_odd_split_triple(self):
-        lg = split_x(block_merge(from_matrix(build_odd_matrix(2, 3)), 3, 1))
+        lg = split_x(block_merge(from_matrix(build_matrix(ODD, 2, 3)), 3, 1))
         assert _colors_ok(lg, {261, 111, 73}) == (True, "")
 
     def test_odd_block_triple(self):
-        lg = block_merge(from_matrix(build_odd_matrix(2, 3)), 3, 1)
+        lg = block_merge(from_matrix(build_matrix(ODD, 2, 3)), 3, 1)
         assert _colors_ok(lg, {261, 111, 146}) == (True, "")
 
     def test_wrong_set_reports_diff(self):
-        lg = block_merge(from_matrix(build_odd_matrix(2, 3)), 3, 1)
+        lg = block_merge(from_matrix(build_matrix(ODD, 2, 3)), 3, 1)
         ok, detail = _colors_ok(lg, {261, 111, 999})
         assert not ok
         assert "999" in detail and "146" in detail
@@ -104,7 +104,7 @@ class TestAssertThreeColoring:
 
 class TestLowerBound:
     def test_split_instances_reach_three_by_bipartition(self):
-        lg = split_x(block_merge(from_matrix(build_even_matrix(2, 3)), 3, 1))
+        lg = split_x(block_merge(from_matrix(build_matrix(EVEN, 2, 3)), 3, 1))
         assert chi_la_lower_bound(lg.graph) == (3, "equal-bipartition")
         # parts of size 2n+2s per component
         from antimagic.graph import bipartition
@@ -127,8 +127,8 @@ class TestLowerBound:
 
     def test_bound_never_exceeds_achieved_color_count(self):
         for lg in (
-            block_merge(from_matrix(build_even_matrix(2, 2)), 2, 1),
-            split_x(block_merge(from_matrix(build_odd_matrix(1, 2)), 2, 1)),
+            block_merge(from_matrix(build_matrix(EVEN, 2, 2)), 2, 1),
+            split_x(block_merge(from_matrix(build_matrix(ODD, 1, 2)), 2, 1)),
         ):
             bound, _ = chi_la_lower_bound(lg.graph)
             assert bound <= len(lg.colors) == 3

@@ -74,17 +74,10 @@ class TestExactChiLa:
         with pytest.raises(AntimagicError):
             exact_chi_la(g)
 
-    def test_env_cap_override(self, monkeypatch):
-        monkeypatch.setenv("ANTIMAGIC_EDGE_CAP", "3")
+    def test_cap_override(self):
         with pytest.raises(AntimagicError):
-            exact_chi_la(c4())
-        monkeypatch.setenv("ANTIMAGIC_EDGE_CAP", "4")
-        assert exact_chi_la(c4()).value == 3
-
-    def test_non_integer_env_cap_rejected(self, monkeypatch):
-        monkeypatch.setenv("ANTIMAGIC_EDGE_CAP", "abc")
-        with pytest.raises(AntimagicError, match="ANTIMAGIC_EDGE_CAP"):
-            exact_chi_la(c4())
+            exact_chi_la(c4(), cap=3)
+        assert exact_chi_la(c4(), cap=4).value == 3
 
     def test_deterministic(self):
         a = exact_chi_la(c4())

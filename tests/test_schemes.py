@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from antimagic.errors import UseSpecialCase
@@ -7,12 +9,11 @@ from antimagic.schemes import (
     LabelMatrix,
     ODD,
     SPECIAL_COLOR_SET,
-    build_even_matrix,
     build_matrix,
-    build_odd_matrix,
     check_identities,
     special_2p2_o2,
 )
+from antimagic.serialize import matrix_csv
 
 # Worked 9x8 matrix for n=2, k=4 (frozen fixture).
 MATRIX_N2_K4 = {
@@ -77,23 +78,23 @@ def assert_matrix_equals(mx: LabelMatrix, fixture: dict):
 
 class TestEvenMatrix:
     def test_worked_9x8(self):
-        assert_matrix_equals(build_even_matrix(2, 4), MATRIX_N2_K4)
+        assert_matrix_equals(build_matrix(EVEN, 2, 4), MATRIX_N2_K4)
 
     def test_worked_9x4(self):
-        assert_matrix_equals(build_even_matrix(2, 2), MATRIX_N2_K2)
+        assert_matrix_equals(build_matrix(EVEN, 2, 2), MATRIX_N2_K2)
 
     def test_worked_9x6(self):
-        assert_matrix_equals(build_even_matrix(2, 3), MATRIX_N2_K3)
+        assert_matrix_equals(build_matrix(EVEN, 2, 3), MATRIX_N2_K3)
 
     def test_tail_column_sum(self):
-        mx = build_even_matrix(2, 4)
+        mx = build_matrix(EVEN, 2, 4)
         total = mx.entry(("ux", 3), 1) + mx.entry(("ux", 4), 1) + mx.entry(("uv", 0), 1)
         assert total == 49 + 40 + 44 == 133 == 12 * 4 * 2 + 9 * 4 + 1
 
     def test_single_component_pair_columns(self):
         # k = 1, n = 2: column 1 top to bottom, then the two columns
         # jointly exhaust [1..18]
-        mx = build_even_matrix(2, 1)
+        mx = build_matrix(EVEN, 2, 1)
         col1 = tuple(mx.entry(key, 1) for key in mx.rows)
         col2 = tuple(mx.entry(key, 2) for key in mx.rows)
         assert col1 == (17, 4, 13, 10, 11, 1, 16, 5, 7)
@@ -102,7 +103,7 @@ class TestEvenMatrix:
     @pytest.mark.parametrize("n", range(2, 7))
     def test_two_column_closed_forms(self, n):
         # the k = 1 matrix must match the dedicated two-column forms
-        mx = build_even_matrix(n, 1)
+        mx = build_matrix(EVEN, n, 1)
         for jj in range(1, n):
             assert mx.row(("ux", 2 * jj - 1)) == (8 * n + 5 - 4 * jj, 8 * n + 6 - 4 * jj)
             assert mx.row(("ux", 2 * jj)) == (4 * jj, 4 * jj - 1)
@@ -115,45 +116,59 @@ class TestEvenMatrix:
         assert mx.row(("vx", 2 * n)) == (4 * n - 1, 4 * n + 1)
 
     def test_n1_has_only_tail_rows(self):
-        mx = build_even_matrix(1, 3)
+        mx = build_matrix(EVEN, 1, 3)
         assert len(mx.rows) == 5  # 4n+1
         assert sorted(val for row in mx.data.values() for val in row) == list(range(1, 31))
 
     def test_smallest_case_is_special(self):
         with pytest.raises(UseSpecialCase):
-            build_even_matrix(1, 1)
+            build_matrix(EVEN, 1, 1)
 
     @pytest.mark.parametrize("n,k", [(1, 2), (2, 2), (3, 4), (5, 1), (4, 7)])
     def test_bijection_range(self, n, k):
-        mx = build_even_matrix(n, k)
+        mx = build_matrix(EVEN, n, k)
         assert sorted(val for row in mx.data.values() for val in row) == list(range(1, mx.q + 1))
 
 
 class TestOddMatrix:
     def test_worked_11x6(self):
-        assert_matrix_equals(build_odd_matrix(2, 3), MATRIX_ODD_N2_K3)
+        assert_matrix_equals(build_matrix(ODD, 2, 3), MATRIX_ODD_N2_K3)
 
     def test_u_block_column_sum(self):
-        mx = build_odd_matrix(2, 3)
+        mx = build_matrix(ODD, 2, 3)
         assert mx.u_block_sum(1) == 66 + 55 + 54 + 43 + 42 + 1 == 261
         assert mx.u_block_sum(1) == (2 + 1) * (12 * 2 * 3 + 4 * 3 + 1) + 2 * 3
 
     def test_v_block_column_sum(self):
-        mx = build_odd_matrix(2, 3)
+        mx = build_matrix(ODD, 2, 3)
         assert mx.v_block_sum(1) == (2 + 1) * (4 * 2 * 3 + 4 * 3 + 1) == 111
 
     def test_uv_row_is_identity(self):
-        mx = build_odd_matrix(3, 2)
+        mx = build_matrix(ODD, 3, 2)
         assert mx.row(("uv", 0)) == tuple(range(1, 5))
 
     @pytest.mark.parametrize("n,k", [(1, 1), (1, 3), (2, 2), (4, 5)])
     def test_bijection_range(self, n, k):
-        mx = build_odd_matrix(n, k)
+        mx = build_matrix(ODD, n, k)
         assert sorted(val for row in mx.data.values() for val in row) == list(range(1, mx.q + 1))
 
     def test_smallest_case_allowed(self):
-        mx = build_odd_matrix(1, 1)
+        mx = build_matrix(ODD, 1, 1)
         assert mx.q == 14
+
+
+# sha256 of matrix_csv over both parities, then n, then k, each in 1..12,
+# (even, 1, 1) skipped: pins every entry of all 287 matrices.
+ALL_MATRICES_SHA256 = "bec2b7a7c3c0784e546feeb50371cb930bc0140a6ede5dbecd6b12cc1a6d3755"
+
+
+def test_every_matrix_pinned():
+    digest = hashlib.sha256()
+    cells = [(p, n, k) for p in (EVEN, ODD) for n in range(1, 13) for k in range(1, 13) if (p, n, k) != (EVEN, 1, 1)]
+    for cell in cells:
+        digest.update(matrix_csv(build_matrix(*cell)).encode())
+    assert len(cells) == 287
+    assert digest.hexdigest() == ALL_MATRICES_SHA256
 
 
 class TestSpecialFixture:
@@ -186,17 +201,17 @@ class TestCheckIdentities:
         assert report.ok, report.failures
 
     def test_cross_pair_constants(self):
-        even = check_identities(build_even_matrix(2, 4))
+        even = check_identities(build_matrix(EVEN, 2, 4))
         assert not failed_identities(even)  # cross pairs 8kn+2k+1 = 73; e.g. 65 + 8
-        odd = check_identities(build_odd_matrix(2, 3))
+        odd = check_identities(build_matrix(ODD, 2, 3))
         assert not failed_identities(odd)  # cross pairs 8kn+8k+1 = 73; e.g. 66 + 7
-        mx = build_even_matrix(2, 4)
+        mx = build_matrix(EVEN, 2, 4)
         assert mx.entry(("ux", 1), 1) + mx.entry(("vx", 1), 8) == 73
-        mo = build_odd_matrix(2, 3)
+        mo = build_matrix(ODD, 2, 3)
         assert mo.entry(("ux", 1), 1) + mo.entry(("vx", 1), 6) == 73
 
     def test_swapped_entries_fail_column_sums_only(self):
-        mx = build_even_matrix(2, 4)
+        mx = build_matrix(EVEN, 2, 4)
         data = dict(mx.data)
         ux1 = list(data[("ux", 1)])
         vx1 = list(data[("vx", 1)])
@@ -210,7 +225,7 @@ class TestCheckIdentities:
         assert not report.ok
 
     def test_failure_named_after_its_identity(self):
-        mx = build_even_matrix(2, 2)
+        mx = build_matrix(EVEN, 2, 2)
         data = dict(mx.data)
         row = list(data[("uv", 0)])
         row[0], row[1] = row[1], row[0]

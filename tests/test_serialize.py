@@ -1,7 +1,7 @@
 import json
 
 from antimagic.graph import merged, u, v, x
-from antimagic.schemes import build_even_matrix, special_2p2_o2
+from antimagic.schemes import EVEN, build_matrix, special_2p2_o2
 from antimagic.serialize import (
     dot,
     dumps,
@@ -22,11 +22,11 @@ class TestGraphDoc:
         assert graph_from_doc(graph_doc(g)) == g
 
     def test_round_trip_with_merged_ids(self):
-        lg = block_merge(from_matrix(build_even_matrix(2, 2)), 2, 1)
+        lg = block_merge(from_matrix(build_matrix(EVEN, 2, 2)), 2, 1)
         assert graph_from_doc(graph_doc(lg.graph)) == lg.graph
 
     def test_id_grammar(self):
-        doc = graph_doc(split_x(block_merge(from_matrix(build_even_matrix(1, 2)), 2, 1)).graph)
+        doc = graph_doc(split_x(block_merge(from_matrix(build_matrix(EVEN, 1, 2)), 2, 1)).graph)
         ids = {item["id"] for item in doc["vertices"]}
         assert "u1" in ids and "v4" in ids
         assert any(tok.startswith("x") and "." in tok for tok in ids)
@@ -50,16 +50,16 @@ class TestLabelingDoc:
         assert labs == sorted(labs) == list(range(1, 11))
 
     def test_byte_stable(self):
-        lg = block_merge(from_matrix(build_even_matrix(2, 2)), 2, 1)
+        lg = block_merge(from_matrix(build_matrix(EVEN, 2, 2)), 2, 1)
         assert dumps(labeling_doc(lg.labeling)) == dumps(labeling_doc(lg.labeling))
         assert dumps(labeling_doc(lg.labeling)) == dumps(
-            labeling_doc(block_merge(from_matrix(build_even_matrix(2, 2)), 2, 1).labeling)
+            labeling_doc(block_merge(from_matrix(build_matrix(EVEN, 2, 2)), 2, 1).labeling)
         )
 
 
 class TestMatrixCsv:
     def test_row_order_and_header(self):
-        text = matrix_csv(build_even_matrix(2, 4))
+        text = matrix_csv(build_matrix(EVEN, 2, 4))
         lines = text.strip().split("\n")
         assert lines[0] == "row,1,2,3,4,5,6,7,8"
         names = [line.split(",")[0] for line in lines[1:]]
@@ -77,13 +77,13 @@ class TestDot:
         assert '-- "x1.1" [label=' in text
 
     def test_merged_shape(self):
-        lg = block_merge(from_matrix(build_even_matrix(1, 2)), 2, 1)
+        lg = block_merge(from_matrix(build_matrix(EVEN, 1, 2)), 2, 1)
         assert "[shape=octagon]" in dot(lg.graph)
 
 
 class TestProvenanceDoc:
     def test_json_round_trip(self):
-        lg = split_x(block_merge(from_matrix(build_even_matrix(2, 2)), 2, 1))
+        lg = split_x(block_merge(from_matrix(build_matrix(EVEN, 2, 2)), 2, 1))
         doc = provenance_doc(lg.provenance)
         text = json.dumps(doc)
         assert provenance_from_doc(json.loads(text)) == lg.provenance

@@ -5,7 +5,7 @@ import pytest
 from antimagic.errors import AntimagicError, ParallelEdgeError, SumDriftError
 from antimagic.graph import Graph, components, edge, is_bipartite_equal_parts, merged, u, v, x
 from antimagic.labeling import induce
-from antimagic.schemes import EVEN, ODD, build_even_matrix, build_matrix, build_odd_matrix
+from antimagic.schemes import EVEN, ODD, build_matrix
 from antimagic.transforms import (
     SwapSpec,
     block_merge,
@@ -26,11 +26,11 @@ from antimagic.transforms import (
 
 
 def even_base(n, k):
-    return from_matrix(build_even_matrix(n, k))
+    return from_matrix(build_matrix(EVEN, n, k))
 
 
 def odd_base(n, k):
-    return from_matrix(build_odd_matrix(n, k))
+    return from_matrix(build_matrix(ODD, n, k))
 
 
 class TestFromMatrix:
