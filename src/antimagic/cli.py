@@ -61,6 +61,13 @@ def int_list(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.replace("+", ",").split(",") if part)
 
 
+def worker_count(text: str) -> int:
+    """An integer of at least 1; anything else is bad input (exit 2)."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return int(text)
+
+
 def _build_family(args) -> tuple:
     """Returns (labeled_graph, matrix_or_None)."""
     parity = args.parity
@@ -171,7 +178,7 @@ def cmd_verify(args) -> int:
     print(f"colors: {colors}")
     failed = not ok
     if args.expect_colors:
-        expected = sorted(args.expect_colors)
+        expected = sorted(set(args.expect_colors))
         match = colors == expected
         print(f"color-set: {'ok' if match else f'expected {expected}'}")
         failed = failed or not match
@@ -290,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=6)
     p.add_argument("--k-max", type=int, default=6)
     p.add_argument("--families", default="", help=f"comma list from {','.join(ALL_FAMILIES)}")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=worker_count, default=1)
     p.add_argument("--out", default="")
     p.set_defaults(func=cmd_sweep)
 
@@ -300,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-c", type=int, default=None)
     p.add_argument("--target-colors", type=int_list, default="")
     p.add_argument("--cap", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=worker_count, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--save", default="", help="write a found labeling here")
     p.set_defaults(func=cmd_oracle)

@@ -6,11 +6,15 @@ certified impossibility of 2-colorings.  Backtracking assigns labels
 edge by edge (edges clustered around high-degree vertices so vertices
 finish early) and prunes on finished-vertex ties, color budgets, forced
 last labels and twin-vertex symmetry; the pruning keeps the first
-(lex-least) labeling found.  Exact-mode results are deterministic.
+(lex-least) labeling found.  A query builds the graph's tables once, in
+one ``_Search``, and runs each color budget on it.  Exact-mode results
+are deterministic.
 """
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import random
 import time
 from dataclasses import dataclass
@@ -46,20 +50,18 @@ def _edge_order(g: Graph) -> list[Edge]:
 
 
 class _Search:
-    """One backtracking run; reusable across label budgets.
+    """Backtracking over one graph's edge-label bijections; ``run`` is the
+    one entry, for any number of runs, serial or in pool workers.
 
-    ``n_colors`` asks for exactly that many colors: it caps the colors
-    while searching and is required in full at the leaf.  ``closes[pos]``
-    lists the vertices whose last edge sits at ``pos``; ``less[pos]``
-    lists earlier positions whose label must be smaller (twin symmetry
-    breaking, see README).
+    ``closes[pos]`` lists the vertices whose last edge sits at ``pos``;
+    ``less[pos]`` lists earlier positions whose label must be smaller
+    (twin symmetry breaking, see README).  ``n_colors`` asks for exactly
+    that many colors: it caps the colors while searching and is required
+    in full at the leaf.  ``first_labels`` limits the first edge's label.
     """
 
-    def __init__(self, g: Graph, target_colors: frozenset[int] | None, n_colors: int | None,
-                 first_labels: list[int] | None = None):
+    def __init__(self, g: Graph):
         self.q = g.size
-        self.target = target_colors
-        self.n_colors = n_colors
         self.order = _edge_order(g)
         verts = g.sorted_vertices()
         vidx = {w: n for n, w in enumerate(verts)}
@@ -88,8 +90,12 @@ class _Search:
         self.color_count: dict[int, int] = {0: isolated} if isolated else {}
         self.free = [True] * (self.q + 1)
         self.assignment: list[int] = [0] * self.q
-        self.nodes = 0
-        self.first_labels = first_labels
+
+    def run(self, target_colors: frozenset[int] | None, n_colors: int | None,
+            first_labels: list[int] | None = None) -> tuple[dict[Edge, int] | None, int]:
+        """(the first labeling meeting the constraints or None, nodes expanded)."""
+        self.target, self.n_colors, self.first_labels, self.nodes = target_colors, n_colors, first_labels, 0
+        return self._dfs(0), self.nodes
 
     def _candidates(self, pos: int) -> list[int]:
         if pos == 0 and self.first_labels is not None:
@@ -129,7 +135,7 @@ class _Search:
         if self.color_count[color] == 0:
             del self.color_count[color]
 
-    def run(self, pos: int = 0) -> dict[Edge, int] | None:
+    def _dfs(self, pos: int) -> dict[Edge, int] | None:
         if pos == self.q:
             if self.target is not None and set(self.color_count) != set(self.target):
                 return None
@@ -151,21 +157,20 @@ class _Search:
                 else:
                     ok = False
                     break
-            if ok:
-                found = self.run(pos + 1)
-                if found is not None:
-                    return found
-            for w in done:
+            found = self._dfs(pos + 1) if ok else None
+            for w in done:  # undone on the way out too, so every run starts from the tables as built
                 self._unfinish(w)
             self.sums[a] -= lab
             self.sums[b] -= lab
             self.free[lab] = True
+            if found is not None:
+                return found
         return None
 
 
-def _search(g: Graph, target_colors=None, n_colors=None, first_labels=None) -> tuple[dict[Edge, int] | None, int]:
-    s = _Search(g, frozenset(target_colors) if target_colors else None, n_colors, first_labels)
-    return s.run(), s.nodes
+def _budgets(g: Graph) -> range:
+    """The color counts a labeling can have: the lower bound up to |V| (one color per vertex)."""
+    return range(chi_la_lower_bound(g)[0], g.order + 1)
 
 
 @dataclass(frozen=True)
@@ -178,10 +183,9 @@ class ChiLaResult:
 def exact_chi_la(g: Graph, cap: int | None = None, jobs: int = 1) -> ChiLaResult:
     """Minimum c(f) over all local antimagic bijections, by exhaustion.
 
-    Tries color budgets upward from the sound lower bound, each asking
-    for exactly that many colors; once every budget up to |V| fails, no
-    labeling exists at all (a labeling always induces at most |V| colors).
-    An edgeless graph has the empty labeling, found at budget 1 (every
+    Tries each of ``_budgets(g)`` upward, asking for exactly that many
+    colors; once every budget fails, no labeling exists at all.  An
+    edgeless graph has the empty labeling, found at budget 1 (every
     vertex gets color 0), or at budget 0 when it has no vertices.  With
     ``jobs > 1`` each budget's search is split over worker processes by
     the first edge's label; the branches partition the search, so the
@@ -190,31 +194,21 @@ def exact_chi_la(g: Graph, cap: int | None = None, jobs: int = 1) -> ChiLaResult
     """
     _check_cap(g, cap)
     t0 = time.perf_counter()
-    lb, _ = chi_la_lower_bound(g)
+    search = _Search(g)
     jobs = min(jobs, g.size)
-    pool = None
+    pool, starmap, chunks = contextlib.nullcontext(), itertools.starmap, [None]  # serial: every first label
     if jobs > 1:
-        from multiprocessing import Pool
-
+        from multiprocessing import Pool  # imported here: it costs more than a small query's search
         pool = Pool(processes=jobs)
-        chunks = [list(range(start, g.size + 1, jobs)) for start in range(1, jobs + 1)]
-    else:
-        search = _Search(g, None, None)  # a failed run leaves it as built
+        starmap, chunks = pool.starmap, [list(range(start, g.size + 1, jobs)) for start in range(1, jobs + 1)]
     nodes = 0
-    try:
-        for budget in range(lb, g.order + 1):
-            if pool is None:
-                search.n_colors, search.nodes = budget, 0
-                results = [(search.run(), search.nodes)]
-            else:
-                results = pool.starmap(_search, [(g, None, budget, chunk) for chunk in chunks])
+    with pool:
+        for budget in _budgets(g):
+            results = list(starmap(search.run, [(None, budget, chunk) for chunk in chunks]))
             nodes += sum(n for _, n in results)
             hits = [found for found, _ in results if found is not None]
             if hits:
                 return ChiLaResult(EdgeLabeling(g, hits[0]).coloring.c, nodes, time.perf_counter() - t0)
-    finally:
-        if pool is not None:
-            pool.terminate()
     return ChiLaResult(None, nodes, time.perf_counter() - t0)
 
 
@@ -237,26 +231,25 @@ def find_labeling(
     """Search for a local antimagic labeling meeting the constraints:
     the color set ``target_colors``, exactly ``target_c`` colors, or both.
 
-    Exact mode exhausts the space (None means none exists), skipping the
-    search when fewer colors are asked for than the lower bound; heuristic
+    A color count outside ``_budgets(g)`` gets None at once, with 0 nodes.
+    Exact mode exhausts the space (None means none exists); heuristic
     mode runs seeded random restarts with local label swaps and proves
     nothing when it fails.
     """
     if target_colors is not None and target_c is not None and len(target_colors) != target_c:
         raise AntimagicError(f"contradictory constraints: {len(target_colors)} colors vs c={target_c}")
+    if mode not in ("exact", "heuristic"):
+        raise AntimagicError(f"unknown mode {mode!r}")
     t0 = time.perf_counter()
     if mode == "exact":
         _check_cap(g, cap)
-        n_colors = target_c if target_c is not None else (len(target_colors) if target_colors else None)
-        if n_colors is not None and n_colors < chi_la_lower_bound(g)[0]:
-            return FindResult(None, 0, time.perf_counter() - t0, mode)
-        found, nodes = _search(g, target_colors=target_colors, n_colors=n_colors)
-        labeling = EdgeLabeling(g, found) if found is not None else None
-        return FindResult(labeling, nodes, time.perf_counter() - t0, mode)
-    if mode != "heuristic":
-        raise AntimagicError(f"unknown mode {mode!r}")
-    labeling = _heuristic(g, target_colors, target_c, seed)
-    return FindResult(labeling, 0, time.perf_counter() - t0, mode)
+    n_colors = target_c if target_c is not None else (len(target_colors) if target_colors else None)
+    if n_colors is not None and n_colors not in _budgets(g):
+        return FindResult(None, 0, time.perf_counter() - t0, mode)
+    if mode == "heuristic":
+        return FindResult(_heuristic(g, target_colors, target_c, seed), 0, time.perf_counter() - t0, mode)
+    found, nodes = _Search(g).run(frozenset(target_colors) if target_colors else None, n_colors)
+    return FindResult(None if found is None else EdgeLabeling(g, found), nodes, time.perf_counter() - t0, mode)
 
 
 def _penalty(labeling: EdgeLabeling, target_colors, target_c) -> int:

@@ -115,6 +115,8 @@ class TestVerify:
         assert code == 0
         code, _ = run(capsys, "verify", str(tmp_path / "labeling.json"), "--expect-colors", "1,2,3")
         assert code == 1
+        code, _ = run(capsys, "verify", str(tmp_path / "labeling.json"), "--expect-colors", "14,19,22,22")
+        assert code == 0  # a color set: the repeat changes nothing
 
     def test_tampered_label_exit_1(self, tmp_path, capsys):
         run(capsys, "construct", "--family", "special-2p2o2", "--out", str(tmp_path))
@@ -224,6 +226,21 @@ def test_unwritable_output_exit_2(tmp_path, capsys, argv):
     assert main(argv(tmp_path)) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["sweep", "--n-max", "1", "--k-max", "1", "--jobs", "0"], id="sweep-jobs-0"),
+    pytest.param(["oracle", "GRAPH", "--jobs", "0"], id="oracle-jobs-0"),
+    pytest.param(["oracle", "GRAPH", "--jobs", "-1"], id="oracle-jobs-minus-1"),
+])
+def test_jobs_below_one_exit_2(tmp_path, capsys, argv):
+    graph = tmp_path / "graph.json"
+    graph.write_text(dumps(graph_doc(join(p2(1), null_graph(1)))))
+    with pytest.raises(SystemExit) as exc:
+        main([str(graph) if arg == "GRAPH" else arg for arg in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "must be at least 1" in captured.err and captured.out == ""
 
 
 def test_matrix_shape_checked_before_building(tmp_path, capsys, monkeypatch):
@@ -343,6 +360,16 @@ class TestOracle:
         assert save.is_file()
         code, _ = run(capsys, "verify", str(save), "--expect-colors", "14,19,22")
         assert code == 0
+
+    def test_find_more_colors_than_vertices_takes_no_search(self, tmp_path, capsys):
+        from antimagic.schemes import special_2p2_o2
+
+        path = self.write_graph(tmp_path, special_2p2_o2()[0])  # six vertices
+        code, out = run(capsys, "oracle", path, "--mode", "find", "--target-c", "7")
+        assert code == 0
+        report = json.loads(out)
+        assert report["result"] == "none"
+        assert report["nodes_expanded"] == 0
 
     def test_certify_mode(self, tmp_path, capsys):
         from antimagic.graph import Graph, u, v

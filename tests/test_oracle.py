@@ -152,6 +152,24 @@ class TestFindLabeling:
             assert a.labeling.labels == b.labeling.labels
 
 
+class TestFeasibleRange:
+    """A labeling has between the lower bound and |V| colors; other counts take no search."""
+
+    @pytest.mark.parametrize("mode", ["exact", "heuristic"])
+    @pytest.mark.parametrize("c", [2, 7])  # special 2P2 v O2: bound 3, six vertices
+    def test_count_outside_the_range_is_answered_at_once(self, monkeypatch, mode, c):
+        import antimagic.oracle
+
+        def refuse(*args):
+            raise AssertionError("the heuristic ran on a color count no labeling has")
+
+        monkeypatch.setattr(antimagic.oracle, "_heuristic", refuse)
+        g, _ = special_2p2_o2()
+        for res in (find_labeling(g, target_c=c, mode=mode),
+                    find_labeling(g, target_colors=set(range(1, c + 1)), mode=mode)):
+            assert res.labeling is None and res.nodes == 0
+
+
 class TestCertifyNoTwoColoring:
     def test_c4(self):
         assert certify_no_2_coloring(c4())
@@ -235,3 +253,9 @@ def test_pruned_search_agrees_with_plain_exhaustion(g):
 ])
 def test_rule_graphs_get_their_bound(name, reason):
     assert chi_la_lower_bound(RULE_GRAPHS[name]) == ((3 if reason != "adjacent-pair" else 2), reason)
+
+
+@pytest.mark.parametrize("name", list(RULE_GRAPHS))
+def test_pooled_search_agrees_with_plain_exhaustion(name):
+    first = plain_exhaustion(RULE_GRAPHS[name])
+    assert exact_chi_la(RULE_GRAPHS[name], jobs=2).value == (min(first) if first else None)
