@@ -29,7 +29,7 @@ from .serialize import (
     matrix_doc,
     provenance_doc,
 )
-from .sweep import ALL_FAMILIES, sweep
+from .sweep import ALL_FAMILIES, csv_text, sweep
 from .transforms import (
     block_merge,
     chunk_blocks,
@@ -61,7 +61,7 @@ def int_list(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.replace("+", ",").split(",") if part)
 
 
-def worker_count(text: str) -> int:
+def at_least_one(text: str) -> int:
     """An integer of at least 1; anything else is bad input (exit 2)."""
     if int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
@@ -220,8 +220,7 @@ def cmd_sweep(args) -> int:
     try:  # the output is opened first, so an unwritable path fails before the grid runs
         with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as out:
             rows = list(sweep(args.n_max, args.k_max, families, jobs=args.jobs))
-            lines = ["family,parity,params,colors,status,detail"] + [row.csv() for row in rows]
-            out.write("\n".join(lines) + "\n")
+            out.write(csv_text(rows))
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -294,10 +293,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sweep", help="run the family grid and emit a CSV summary")
-    p.add_argument("--n-max", type=int, default=6)
-    p.add_argument("--k-max", type=int, default=6)
+    p.add_argument("--n-max", type=at_least_one, default=6)
+    p.add_argument("--k-max", type=at_least_one, default=6)
     p.add_argument("--families", default="", help=f"comma list from {','.join(ALL_FAMILIES)}")
-    p.add_argument("--jobs", type=worker_count, default=1)
+    p.add_argument("--jobs", type=at_least_one, default=1)
     p.add_argument("--out", default="")
     p.set_defaults(func=cmd_sweep)
 
@@ -307,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-c", type=int, default=None)
     p.add_argument("--target-colors", type=int_list, default="")
     p.add_argument("--cap", type=int, default=None)
-    p.add_argument("--jobs", type=worker_count, default=1)
+    p.add_argument("--jobs", type=at_least_one, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--save", default="", help="write a found labeling here")
     p.set_defaults(func=cmd_oracle)

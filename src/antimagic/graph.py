@@ -2,7 +2,10 @@
 
 Vertices carry their role (u_i / v_i / x_{i,j} / merged bundle) so that
 statements like "merge v_1 and v_11" stay expressible after arbitrary
-surgery.  All graph operations return new graphs; nothing mutates.
+surgery.  A graph holds its ids once, sorted, and its edges as pairs of
+positions into them, so surgery, coloring and traversal run on ints; the
+id-keyed views are for the boundary.  All graph operations return new
+graphs; nothing mutates.
 """
 
 from __future__ import annotations
@@ -140,46 +143,85 @@ def edge(a: VertexId, b: VertexId) -> Edge:
     return (a, b) if a < b else (b, a)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Finite simple undirected graph over :class:`VertexId`."""
+    """Finite simple undirected graph over :class:`VertexId`, held as indices.
 
-    vertices: frozenset[VertexId]
-    edges: frozenset[Edge]
+    ``names`` lists the vertex ids in sorted order and ``ends`` holds one
+    ``(a, b)`` pair of positions in ``names`` per edge, ``a < b``; edge
+    ``t`` is ``ends[t]``, the position an :class:`EdgeLabeling` keys its
+    labels by.  The id-keyed ``vertices``, ``edges``, ``adjacency``,
+    ``index`` and ``edge_index`` are views built on first use.  Two graphs
+    are equal when they have the same vertices and edges, in any edge order.
+    """
+
+    names: tuple[VertexId, ...]
+    ends: tuple[tuple[int, int], ...]
 
     @staticmethod
     def build(vertices: Iterable[VertexId], edges: Iterable[tuple[VertexId, VertexId]]) -> "Graph":
-        vs = frozenset(vertices)
-        es = frozenset(edge(a, b) for a, b in edges)
+        """The graph on ``vertices`` with ``edges`` (given in either
+        direction, repeats merged); the one conversion in from ids."""
+        names = tuple(sorted(set(vertices)))
+        at = {w: i for i, w in enumerate(names)}
+        es = {edge(a, b) for a, b in edges}
         for a, b in es:
-            if a not in vs or b not in vs:
+            if a not in at or b not in at:
                 raise AntimagicError(f"edge endpoint not in vertex set: {a}-{b}")
-        return Graph(vs, es)
+        return Graph(names, tuple(sorted((at[a], at[b]) for a, b in es)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return self.names == other.names and set(self.ends) == set(other.ends)
 
     @property
     def order(self) -> int:
-        return len(self.vertices)
+        return len(self.names)
 
     @property
     def size(self) -> int:
-        return len(self.edges)
+        return len(self.ends)
+
+    @cached_property
+    def vertices(self) -> frozenset[VertexId]:
+        return frozenset(self.names)
+
+    @cached_property
+    def index(self) -> dict[VertexId, int]:
+        """Vertex id -> its position in ``names``."""
+        return {w: i for i, w in enumerate(self.names)}
+
+    @cached_property
+    def edge_index(self) -> dict[Edge, int]:
+        """Edge -> its position in ``ends``, in edge order."""
+        names = self.names
+        return {(names[a], names[b]): t for t, (a, b) in enumerate(self.ends)}
+
+    @cached_property
+    def edges(self) -> frozenset[Edge]:
+        return frozenset(self.edge_index)
+
+    @cached_property
+    def neighbors(self) -> list[list[int]]:
+        """Per vertex position, the positions of its neighbors."""
+        nbrs: list[list[int]] = [[] for _ in self.names]
+        for a, b in self.ends:
+            nbrs[a].append(b)
+            nbrs[b].append(a)
+        return nbrs
 
     @cached_property
     def adjacency(self) -> dict[VertexId, frozenset[VertexId]]:
-        adj: dict[VertexId, set[VertexId]] = {w: set() for w in self.vertices}
-        for a, b in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        return {w: frozenset(nb) for w, nb in adj.items()}
+        names = self.names
+        return {w: frozenset(names[nb] for nb in nbs) for w, nbs in zip(names, self.neighbors)}
 
     def degree(self, w: VertexId) -> int:
-        return len(self.adjacency[w])
-
-    def sorted_vertices(self) -> list[VertexId]:
-        return sorted(self.vertices)
+        return len(self.neighbors[self.index[w]])
 
     def sorted_edges(self) -> list[Edge]:
-        return sorted(self.edges)
+        names = self.names
+        return [(names[a], names[b]) for a, b in sorted(self.ends)]
 
 
 def p2(i: int = 1) -> Graph:
@@ -204,82 +246,106 @@ def join(g: Graph, h: Graph) -> Graph:
 
 
 def copies_of_p2_join_null(a: int, m: int) -> Graph:
-    """a(P_2 ∨ O_m): a disjoint copies, copy i on u_i, v_i, x_{i,1..m}."""
-    vs: list[VertexId] = []
-    es: list[tuple[VertexId, VertexId]] = []
-    for i in range(1, a + 1):
-        vs += [u(i), v(i)] + [x(i, j) for j in range(1, m + 1)]
-        es.append((u(i), v(i)))
-        for j in range(1, m + 1):
-            es.append((u(i), x(i, j)))
-            es.append((v(i), x(i, j)))
-    return Graph.build(vs, es)
+    """a(P_2 ∨ O_m): a disjoint copies, copy i on u_i, v_i, x_{i,1..m}.
 
-
-def rewire(edge_map: dict[Edge, Edge], vertices: Iterable[VertexId]) -> Graph:
-    """The graph on ``vertices`` whose edges are the images of a surgery
-    described by old-edge -> new-edge.
-
-    Raises :class:`ParallelEdgeError` if two old edges map onto one new
-    edge (the edge bijection would break).
+    The edges run copy by copy: u_i v_i, then u_i x_{i,j} and v_i x_{i,j}
+    for j = 1..m (``from_matrix`` labels them in this order).
     """
-    edges = frozenset(edge_map.values())
-    if len(edges) != len(edge_map):
-        (a, b), _ = Counter(edge_map.values()).most_common(1)[0]
-        raise ParallelEdgeError(f"surgery maps two edges onto {a}-{b} (parallel edge)")
-    return Graph(frozenset(vertices), edges)
+    names = tuple([u(i) for i in range(1, a + 1)] + [v(i) for i in range(1, a + 1)]
+                  + [x(i, j) for i in range(1, a + 1) for j in range(1, m + 1)])
+    ends: list[tuple[int, int]] = []
+    for i in range(a):
+        ends.append((i, a + i))
+        for xj in range(2 * a + i * m, 2 * a + (i + 1) * m):
+            ends += [(i, xj), (a + i, xj)]
+    return Graph(names, tuple(ends))
 
 
-def merge_vertices_mapped(
-    g: Graph, groups: Sequence[Iterable[VertexId]]
-) -> tuple[Graph, dict[Edge, Edge]]:
-    """Collapse each group to one merged vertex, preserving every edge,
-    and map each old edge to the new edge it becomes.
+def rewire(names: Sequence[VertexId], ends: Iterable[tuple[int, int]]) -> Graph:
+    """The graph left by a surgery: its vertices are the distinct ids in
+    ``names``, and its edge t joins ``names[a]`` and ``names[b]`` for the
+    t-th pair ``(a, b)`` of ``ends``.  Positions holding one id become one
+    vertex; the ids are put in sorted order and edge t stays edge t.
+
+    The one loop and parallel-edge guard of every surgery: raises
+    :class:`LoopError` if an edge joins a vertex to itself and
+    :class:`ParallelEdgeError` if two edges join one pair (either would
+    break the edge bijection).
+    """
+    rank = [0] * len(names)
+    distinct: list[VertexId] = []
+    for i in sorted(range(len(names)), key=names.__getitem__):
+        if not distinct or names[i] != distinct[-1]:
+            distinct.append(names[i])
+        rank[i] = len(distinct) - 1
+    out: list[tuple[int, int]] = []
+    append = out.append
+    for a, b in ends:
+        a, b = rank[a], rank[b]
+        if a < b:
+            append((a, b))
+        elif a > b:
+            append((b, a))
+        else:
+            raise LoopError(f"loop at {distinct[a]}")
+    if len(set(out)) != len(out):
+        a, b = next(e for e, count in Counter(out).items() if count > 1)
+        raise ParallelEdgeError(f"surgery maps two edges onto {distinct[a]}-{distinct[b]} (parallel edge)")
+    return Graph(tuple(distinct), tuple(out))
+
+
+def merge_vertices_mapped(g: Graph, groups: Sequence[Iterable[VertexId]]) -> Graph:
+    """Collapse each group to one merged vertex, preserving every edge:
+    edge t of the result is the image of edge t of ``g``.
 
     Raises :class:`LoopError` if a group contains adjacent vertices and
     :class:`ParallelEdgeError` if two group members share a neighbor
     (either would break the edge bijection).
     """
-    vmap: dict[VertexId, VertexId] = {}
-    seen: set[VertexId] = set()
+    index = g.index
+    names = list(g.names)  # position -> the id it becomes
+    seen: set[int] = set()
     for group in groups:
         members = sorted(set(group))
-        missing = [w for w in members if w not in g.vertices]
-        if missing:
-            raise AntimagicError(f"merge group member not in graph: {missing[0]}")
-        if seen & set(members):
+        at = [index.get(w, -1) for w in members]
+        if -1 in at:
+            raise AntimagicError(f"merge group member not in graph: {members[at.index(-1)]}")
+        if not seen.isdisjoint(at):
             raise AntimagicError("merge groups must be pairwise disjoint")
-        seen.update(members)
-        if len(members) == 1:
-            continue
-        target = merged(members)
-        for w in members:
-            vmap[w] = target
-
-    edge_map = {e: edge(vmap.get(e[0], e[0]), vmap.get(e[1], e[1])) for e in g.edges}
-    return rewire(edge_map, {vmap.get(w, w) for w in g.vertices}), edge_map
+        seen.update(at)
+        if len(members) > 1:
+            target = merged(members)
+            for i in at:
+                names[i] = target
+    return rewire(names, g.ends)
 
 
 def components(g: Graph) -> list[Graph]:
     """Connected components, ordered by their smallest vertex id."""
-    adj = g.adjacency
-    index: dict[VertexId, int] = {}
-    comps: list[list[VertexId]] = []
-    for seed in sorted(adj):
-        if seed in index:
+    nbrs = g.neighbors
+    comp_of = [-1] * g.order
+    comps: list[list[int]] = []
+    for seed in range(g.order):
+        if comp_of[seed] >= 0:
             continue
-        index[seed] = len(comps)
+        comp_of[seed] = len(comps)
         comp = [seed]
         for cur in comp:  # grows while it is walked: one pass over the component
-            for nb in adj[cur]:
-                if nb not in index:
-                    index[nb] = len(comps)
+            for nb in nbrs[cur]:
+                if comp_of[nb] < 0:
+                    comp_of[nb] = len(comps)
                     comp.append(nb)
+        comp.sort()
         comps.append(comp)
-    edges: list[list[Edge]] = [[] for _ in comps]
-    for e in g.edges:
-        edges[index[e[0]]].append(e)
-    return [Graph(frozenset(c), frozenset(es)) for c, es in zip(comps, edges)]
+    local = [0] * g.order
+    for comp in comps:
+        for r, i in enumerate(comp):
+            local[i] = r
+    ends: list[list[tuple[int, int]]] = [[] for _ in comps]
+    for a, b in g.ends:
+        ends[comp_of[a]].append((local[a], local[b]))
+    names = g.names
+    return [Graph(tuple([names[i] for i in comp]), tuple(es)) for comp, es in zip(comps, ends)]
 
 
 def bipartition(g: Graph) -> list[tuple[frozenset[VertexId], frozenset[VertexId]] | None]:
@@ -289,25 +355,25 @@ def bipartition(g: Graph) -> list[tuple[frozenset[VertexId], frozenset[VertexId]
     making the output deterministic.
     """
     out = []
-    adj = g.adjacency
     for comp in components(g):
-        seed = min(comp.vertices)
-        color = {seed: 0}
-        queue = [seed]
+        nbrs = comp.neighbors
+        side = [-1] * comp.order
+        side[0] = 0
+        queue = [0]
         ok = True
         while queue and ok:
             cur = queue.pop()
-            for nb in adj[cur]:
-                if nb not in color:
-                    color[nb] = 1 - color[cur]
+            for nb in nbrs[cur]:
+                if side[nb] < 0:
+                    side[nb] = 1 - side[cur]
                     queue.append(nb)
-                elif color[nb] == color[cur]:
+                elif side[nb] == side[cur]:
                     ok = False
                     break
         if not ok:
             out.append(None)
         else:
-            side0 = frozenset(w for w, c in color.items() if c == 0)
+            side0 = frozenset(w for w, c in zip(comp.names, side) if c == 0)
             out.append((side0, comp.vertices - side0))
     return out
 

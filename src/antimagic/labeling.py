@@ -14,26 +14,50 @@ from .errors import BijectionError
 from .graph import Edge, Graph, VertexId, bipartition, is_bipartite_equal_parts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EdgeLabeling:
+    """``values[t]`` labels edge t, ``graph.ends[t]``; ``labels`` is the
+    id-keyed view, built on first use.  Two labelings are equal when they
+    put the same labels on the same graph, in any edge order."""
+
     graph: Graph
-    labels: dict[Edge, int]
+    values: tuple[int, ...]
 
     def __post_init__(self):
         q = self.graph.size
-        if set(self.labels) != set(self.graph.edges):
-            raise BijectionError("labels must cover exactly the edge set")
-        if sorted(self.labels.values()) != list(range(1, q + 1)):
+        if sorted(self.values) != list(range(1, q + 1)):
             raise BijectionError(f"labels must be a bijection onto [1..{q}]")
+
+    @classmethod
+    def from_dict(cls, graph: Graph, labels: dict[Edge, int]) -> "EdgeLabeling":
+        """The labeling an edge -> label dict describes; the one place a
+        label dict is checked against the edge set."""
+        at = graph.edge_index
+        if labels.keys() != at.keys():
+            raise BijectionError("labels must cover exactly the edge set")
+        values = [0] * len(at)
+        for e, lab in labels.items():
+            values[at[e]] = lab
+        return cls(graph, tuple(values))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, EdgeLabeling):
+            return NotImplemented
+        return (self.graph.names == other.graph.names
+                and set(zip(self.graph.ends, self.values)) == set(zip(other.graph.ends, other.values)))
 
     @property
     def q(self) -> int:
         return self.graph.size
 
-    def relabel_edges(self, edge_map: dict[Edge, Edge], new_graph: Graph) -> "EdgeLabeling":
-        """Carry labels across a surgery described by old-edge -> new-edge."""
-        moved = {edge_map[e]: lab for e, lab in self.labels.items()}
-        return EdgeLabeling(new_graph, moved)
+    @cached_property
+    def labels(self) -> dict[Edge, int]:
+        return dict(zip(self.graph.edge_index, self.values))
+
+    def relabel_edges(self, new_graph: Graph) -> "EdgeLabeling":
+        """Carry the labels across a surgery whose edge t became edge t of
+        ``new_graph``."""
+        return EdgeLabeling(new_graph, self.values)
 
     @cached_property
     def coloring(self) -> "InducedColoring":
@@ -42,11 +66,19 @@ class EdgeLabeling:
 
 @dataclass(frozen=True)
 class InducedColoring:
-    colors: dict[VertexId, int]
+    """``sums[i]`` is the color of vertex ``names[i]``; ``colors`` is the
+    id-keyed view, built on first use."""
+
+    names: tuple[VertexId, ...]
+    sums: tuple[int, ...]
+
+    @cached_property
+    def colors(self) -> dict[VertexId, int]:
+        return dict(zip(self.names, self.sums))
 
     @cached_property
     def color_set(self) -> frozenset[int]:
-        return frozenset(self.colors.values())
+        return frozenset(self.sums)
 
     @property
     def c(self) -> int:
@@ -55,18 +87,22 @@ class InducedColoring:
 
 def induce(labeling: EdgeLabeling) -> InducedColoring:
     """Per-vertex sums of incident labels; the total is always q(q+1)."""
-    sums = {w: 0 for w in labeling.graph.vertices}
-    for (a, b), lab in labeling.labels.items():
+    g = labeling.graph
+    sums = [0] * g.order
+    for (a, b), lab in zip(g.ends, labeling.values):
         sums[a] += lab
         sums[b] += lab
-    return InducedColoring(sums)
+    return InducedColoring(g.names, tuple(sums))
 
 
 def is_local_antimagic(labeling: EdgeLabeling) -> tuple[bool, list[Edge]]:
     """Check the defining condition; violating edges are listed sorted."""
-    colors = labeling.coloring.colors
-    bad = sorted(e for e in labeling.graph.edges if colors[e[0]] == colors[e[1]])
-    return (not bad, bad)
+    sums = labeling.coloring.sums
+    bad = [(a, b) for a, b in labeling.graph.ends if sums[a] == sums[b]]
+    if not bad:
+        return True, []
+    names = labeling.graph.names
+    return False, [(names[a], names[b]) for a, b in sorted(bad)]
 
 
 def chi_la_lower_bound(g: Graph) -> tuple[int, str]:
@@ -82,7 +118,7 @@ def chi_la_lower_bound(g: Graph) -> tuple[int, str]:
     The bound never overstates; it is not always attained (e.g. a single
     edge).
     """
-    if not g.edges:
+    if not g.ends:
         return min(g.order, 1), "edgeless"
     if is_bipartite_equal_parts(g):
         return 3, "equal-bipartition"

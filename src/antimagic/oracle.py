@@ -63,7 +63,7 @@ class _Search:
     def __init__(self, g: Graph):
         self.q = g.size
         self.order = _edge_order(g)
-        verts = g.sorted_vertices()
+        verts = g.names
         vidx = {w: n for n, w in enumerate(verts)}
         self.adj = [[vidx[nb] for nb in g.adjacency[w]] for w in verts]
         self.edge_ends = [(vidx[a], vidx[b]) for a, b in self.order]
@@ -208,7 +208,7 @@ def exact_chi_la(g: Graph, cap: int | None = None, jobs: int = 1) -> ChiLaResult
             nodes += sum(n for _, n in results)
             hits = [found for found, _ in results if found is not None]
             if hits:
-                return ChiLaResult(EdgeLabeling(g, hits[0]).coloring.c, nodes, time.perf_counter() - t0)
+                return ChiLaResult(EdgeLabeling.from_dict(g, hits[0]).coloring.c, nodes, time.perf_counter() - t0)
     return ChiLaResult(None, nodes, time.perf_counter() - t0)
 
 
@@ -249,7 +249,7 @@ def find_labeling(
     if mode == "heuristic":
         return FindResult(_heuristic(g, target_colors, target_c, seed), 0, time.perf_counter() - t0, mode)
     found, nodes = _Search(g).run(frozenset(target_colors) if target_colors else None, n_colors)
-    return FindResult(None if found is None else EdgeLabeling(g, found), nodes, time.perf_counter() - t0, mode)
+    return FindResult(None if found is None else EdgeLabeling.from_dict(g, found), nodes, time.perf_counter() - t0, mode)
 
 
 def _penalty(labeling: EdgeLabeling, target_colors, target_c) -> int:
@@ -270,7 +270,7 @@ def _heuristic(g: Graph, target_colors, target_c, seed: int) -> EdgeLabeling | N
     for _ in range(HEURISTIC_RESTARTS):
         labels = list(range(1, q + 1))
         rng.shuffle(labels)
-        current = EdgeLabeling(g, dict(zip(edges, labels)))
+        current = EdgeLabeling.from_dict(g, dict(zip(edges, labels)))
         pen = _penalty(current, target_colors, target_c)
         if q < 2:  # the only labeling: no swap to make
             return current if pen == 0 else None
@@ -279,7 +279,7 @@ def _heuristic(g: Graph, target_colors, target_c, seed: int) -> EdgeLabeling | N
                 return current
             i, j = rng.sample(range(q), 2)
             labels[i], labels[j] = labels[j], labels[i]
-            cand = EdgeLabeling(g, dict(zip(edges, labels)))
+            cand = EdgeLabeling.from_dict(g, dict(zip(edges, labels)))
             cand_pen = _penalty(cand, target_colors, target_c)
             if cand_pen <= pen:
                 current, pen = cand, cand_pen

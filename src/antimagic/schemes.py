@@ -185,7 +185,7 @@ def special_2p2_o2() -> tuple[Graph, EdgeLabeling]:
     labeled so the induced colors are exactly {14, 19, 22}."""
     vs = [u(1), v(1), u(2), v(2), x(1, 1), x(1, 2)]
     g = Graph.build(vs, list(_SPECIAL_LABELS))
-    labeling = EdgeLabeling(g, {tuple(sorted(e)): lab for e, lab in _SPECIAL_LABELS.items()})
+    labeling = EdgeLabeling.from_dict(g, {tuple(sorted(e)): lab for e, lab in _SPECIAL_LABELS.items()})
     return g, labeling
 
 

@@ -14,9 +14,10 @@ _SHAPES = {U_ROLE: "box", V_ROLE: "diamond", MERGED_ROLE: "octagon"}
 
 
 def graph_doc(g: Graph) -> dict[str, Any]:
+    tokens = [w.token() for w in g.names]
     return {
-        "vertices": [{"id": w.token()} for w in g.sorted_vertices()],
-        "edges": [[a.token(), b.token()] for a, b in g.sorted_edges()],
+        "vertices": [{"id": tok} for tok in tokens],
+        "edges": [[tokens[a], tokens[b]] for a, b in sorted(g.ends)],
     }
 
 
@@ -42,10 +43,12 @@ def graph_from_doc(doc: dict[str, Any]) -> Graph:
 
 
 def labeling_doc(labeling: EdgeLabeling) -> dict[str, Any]:
-    items = sorted(labeling.labels.items(), key=lambda kv: kv[1])
+    g = labeling.graph
+    tokens = [w.token() for w in g.names]
     return {
-        "graph": graph_doc(labeling.graph),
-        "labels": [{"edge": [a.token(), b.token()], "label": lab} for (a, b), lab in items],
+        "graph": graph_doc(g),
+        "labels": [{"edge": [tokens[a], tokens[b]], "label": lab}
+                   for lab, (a, b) in sorted(zip(labeling.values, g.ends))],
     }
 
 
@@ -63,7 +66,7 @@ def labeling_from_doc(doc: dict[str, Any]) -> EdgeLabeling:
         raise AntimagicError(f"malformed labeling document: {exc}") from exc
     if len(labels) != len(items):
         raise BijectionError("an edge is labeled twice")
-    return EdgeLabeling(g, labels)
+    return EdgeLabeling.from_dict(g, labels)
 
 
 def dumps(doc: dict[str, Any]) -> str:
@@ -92,14 +95,14 @@ def _shape(w: VertexId) -> str:
 
 
 def dot(g: Graph, labeling: EdgeLabeling | None = None) -> str:
+    tokens = [w.token() for w in g.names]
     lines = ["graph G {"]
-    for w in g.sorted_vertices():
-        lines.append(f'  "{w.token()}" [shape={_shape(w)}];')
-    for a, b in g.sorted_edges():
-        attr = ""
-        if labeling is not None:
-            attr = f' [label="{labeling.labels[(a, b)]}"]'
-        lines.append(f'  "{a.token()}" -- "{b.token()}"{attr};')
+    for w, tok in zip(g.names, tokens):
+        lines.append(f'  "{tok}" [shape={_shape(w)}];')
+    labeled = zip(g.ends, [None] * g.size) if labeling is None else zip(labeling.graph.ends, labeling.values)
+    for (a, b), lab in sorted(labeled):
+        attr = "" if lab is None else f' [label="{lab}"]'
+        lines.append(f'  "{tokens[a]}" -- "{tokens[b]}"{attr};')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -9,7 +9,7 @@ order is canonical either way.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .graph import is_bipartite_equal_parts
 from .labeling import chi_la_lower_bound, is_local_antimagic
@@ -45,6 +45,11 @@ class SweepRow:
     def csv(self) -> str:
         colors = " ".join(str(c) for c in self.colors)
         return f"{self.family},{self.parity},{self.params},{colors},{'pass' if self.ok else 'FAIL'},{self.detail}"
+
+
+def csv_text(rows: Iterable[SweepRow]) -> str:
+    """The CSV ``antimagic sweep`` writes: a header line, then one line per row."""
+    return "\n".join(["family,parity,params,colors,status,detail"] + [row.csv() for row in rows]) + "\n"
 
 
 def compositions_min2(k: int) -> Iterator[tuple[int, ...]]:
@@ -119,9 +124,9 @@ def _sweep_cell(parity: str, n: int, k: int, want: frozenset[str]) -> Iterator[S
     base = from_matrix(mx)
     if "join" in want:
         uc, vc = u_color(parity, n, k), v_color(parity, n, k)
-        colors = base.coloring.colors
-        bad = [w for w in base.graph.vertices if w.role == "u" and colors[w] != uc]
-        bad += [w for w in base.graph.vertices if w.role == "v" and colors[w] != vc]
+        coloring = base.coloring
+        bad = [w for w, c in zip(coloring.names, coloring.sums)
+               if (w.role == "u" and c != uc) or (w.role == "v" and c != vc)]
         yield SweepRow(
             "join", parity, base_params, tuple(sorted(base.colors)), not bad,
             f"{len(bad)} vertices off the closed form" if bad else "",

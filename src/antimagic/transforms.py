@@ -105,13 +105,15 @@ def from_matrix(mx: LabelMatrix) -> LabeledGraph:
     """2k disjoint copies of P_2 ∨ O_m labeled straight off the matrix."""
     m, k = mx.m, mx.k
     g = copies_of_p2_join_null(2 * k, m)
-    labels: dict[Edge, int] = {}
-    for i in range(1, 2 * k + 1):
-        labels[edge(u(i), v(i))] = mx.entry(("uv", 0), i)
-        for j in range(1, m + 1):
-            labels[edge(u(i), x(i, j))] = mx.entry(("ux", j), i)
-            labels[edge(v(i), x(i, j))] = mx.entry(("vx", j), i)
-    return LabeledGraph(EdgeLabeling(g, labels), (("matrix", mx.parity, mx.n, mx.k),))
+    uv = mx.row(("uv", 0))
+    ux = [mx.row(("ux", j)) for j in range(1, m + 1)]
+    vx = [mx.row(("vx", j)) for j in range(1, m + 1)]
+    values: list[int] = []
+    for i in range(2 * k):  # the edge order of copies_of_p2_join_null
+        values.append(uv[i])
+        for j in range(m):
+            values += (ux[j][i], vx[j][i])
+    return LabeledGraph(EdgeLabeling(g, tuple(values)), (("matrix", mx.parity, mx.n, mx.k),))
 
 
 def special_labeled() -> LabeledGraph:
@@ -124,8 +126,8 @@ def _is_fresh_matrix(lg: LabeledGraph) -> bool:
 
 
 def _merge_with_labels(lg: LabeledGraph, groups, step: Step) -> LabeledGraph:
-    g2, edge_map = merge_vertices_mapped(lg.graph, groups)
-    return LabeledGraph(lg.labeling.relabel_edges(edge_map, g2), lg.provenance + (step,))
+    g2 = merge_vertices_mapped(lg.graph, groups)
+    return LabeledGraph(lg.labeling.relabel_edges(g2), lg.provenance + (step,))
 
 
 def merge_all_x(lg: LabeledGraph) -> LabeledGraph:
@@ -168,23 +170,21 @@ def split_x(lg: LabeledGraph) -> LabeledGraph:
     _, r, s = lg.provenance[-1]
     k, m = lg.k, lg.m
     g = lg.graph
-    new_vertices = set(g.vertices)
-    edge_map: dict[Edge, Edge] = {e: e for e in g.edges}
+    index = g.index
+    names = list(g.names)
+    to_z: dict[int, tuple[int, set[int]]] = {}  # merged x -> (its z half, the u/v ends moving there)
     for b in range(1, r + 1):
         lo, hi = block_columns(k, s, b)
         for j in range(1, m + 1):
-            xv = merged(x(i, j) for i in lo + hi)
-            y_id = merged(x(i, j) for i in lo)
-            z_id = merged(x(i, j) for i in hi)
-            new_vertices.remove(xv)
-            new_vertices.update((y_id, z_id))
-            for i in lo:
-                edge_map[edge(u(i), xv)] = edge(u(i), y_id)
-                edge_map[edge(v(i), xv)] = edge(v(i), z_id)
-            for i in hi:
-                edge_map[edge(v(i), xv)] = edge(v(i), y_id)
-                edge_map[edge(u(i), xv)] = edge(u(i), z_id)
-    labeling = lg.labeling.relabel_edges(edge_map, rewire(edge_map, new_vertices))
+            xv = index[merged(x(i, j) for i in lo + hi)]
+            names[xv] = merged(x(i, j) for i in lo)
+            names.append(merged(x(i, j) for i in hi))
+            to_z[xv] = (len(names) - 1, {index[v(i)] for i in lo} | {index[u(i)] for i in hi})
+    ends = list(g.ends)
+    for t, (a, b) in enumerate(ends):
+        if b in to_z and a in to_z[b][1]:
+            ends[t] = (a, to_z[b][0])
+    labeling = lg.labeling.relabel_edges(rewire(names, ends))
     return LabeledGraph(labeling, lg.provenance + (("split_x",),))
 
 
@@ -202,35 +202,38 @@ def delete_add(lg: LabeledGraph, spec: SwapSpec) -> LabeledGraph:
     dels = [edge(*e) for e in spec.delete]
     if len(set(dels)) != len(dels):
         raise AntimagicError("duplicate edge in delete list")
-    labels = lg.labeling.labels
-    for e in dels:
-        if e not in labels:
-            raise AntimagicError(f"cannot delete missing edge {e[0]}-{e[1]}")
-    del_labels = sorted(labels[e] for e in dels)
+    g = lg.graph
+    index, names, labels = g.index, g.names, lg.labeling.values
+    moved = []
+    for a, b in dels:
+        try:
+            moved.append(g.ends.index((index[a], index[b])))
+        except (KeyError, ValueError):
+            raise AntimagicError(f"cannot delete missing edge {a}-{b}") from None
+    del_labels = sorted(labels[t] for t in moved)
     add_labels = sorted(lab for _, lab in spec.add)
     if del_labels != add_labels:
         raise AntimagicError("added labels must be exactly the deleted labels")
-    g = lg.graph
-    by_label = {labels[e]: e for e in dels}
-    edge_map = {e: e for e in g.edges}
+    by_label = {labels[t]: t for t in moved}
+    ends = list(g.ends)
     for (a, b), lab in spec.add:
-        old = by_label[lab]
-        uv_old = {w for w in old if _uv_side(w)}
+        t = by_label[lab]
+        uv_old = {names[i] for i in g.ends[t] if _uv_side(names[i])}
         if not uv_old:
             raise AntimagicError("deleted edge has no u/v-side endpoint")
         if not (uv_old & {a, b}):
             raise AntimagicError(
                 f"label {lab} must keep its u/v-side endpoint ({next(iter(uv_old))})"
             )
-        if a not in g.vertices or b not in g.vertices:
+        if a not in index or b not in index:
             raise AntimagicError(f"added edge endpoint not in vertex set: {a}-{b}")
-        edge_map[old] = edge(a, b)
-    labeling = lg.labeling.relabel_edges(edge_map, rewire(edge_map, g.vertices))
-    before = lg.coloring.colors
-    after = labeling.coloring.colors
+        ends[t] = (index[a], index[b])
+    labeling = lg.labeling.relabel_edges(rewire(names, ends))
+    before = lg.coloring.sums
+    after = labeling.coloring.sums
     if before != after:
-        drifted = sorted(w for w in before if before[w] != after[w])
-        raise SumDriftError(f"induced sum changed at {drifted[0]}")
+        drifted = next(i for i, (c0, c1) in enumerate(zip(before, after)) if c0 != c1)
+        raise SumDriftError(f"induced sum changed at {names[drifted]}")
     step = (
         "delete_add",
         tuple((a.token(), b.token()) for a, b in dels),
@@ -253,7 +256,8 @@ def theorem_certificate(g: Graph) -> str:
     """Structural applicability certificate for the merge theorems."""
     if is_bipartite_equal_parts(g):
         return "bipartite-equal-parts"
-    if all(len(a.roles) == 1 == len(b.roles) and a.roles != b.roles for a, b in g.edges):
+    roles = [w.roles for w in g.names]
+    if all(len(roles[a]) == 1 == len(roles[b]) and roles[a] != roles[b] for a, b in g.ends):
         return "tripartite"
     return "unverified by theorem"
 
@@ -303,15 +307,16 @@ def group_components(lg: LabeledGraph, ks) -> LabeledGraph:
         raise AntimagicError(f"group sizes must sum to k={k}, got {ks}")
     if any(ka < 2 for ka in ks):
         raise AntimagicError("every group must hold at least 2 components")
+    side = lg.side
     blocks: list[list[VertexId]] = []
     start = 1
     for ka in ks:
         comps = list(range(start, start + ka))
         for a in range(ka):
             c_here, c_next = comps[a], comps[(a + 1) % ka]
-            blocks.append([VertexId(lg.side, c_here), VertexId(lg.side, 2 * k + 1 - c_next)])
+            blocks.append([VertexId(side, c_here), VertexId(side, 2 * k + 1 - c_next)])
         start += ka
-    return _merge_with_labels(lg, blocks, ("group_components", lg.side, ks))
+    return _merge_with_labels(lg, blocks, ("group_components", side, ks))
 
 
 # --- expected color triples -------------------------------------------------

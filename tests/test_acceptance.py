@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 pass lines.  The grid sweep (criteria 3/4/6) is computed once and shared.
 """
 
+import hashlib
 import random
 import time
 
@@ -14,7 +15,7 @@ from antimagic.graph import Graph, copies_of_p2_join_null, edge, join, merged, n
 from antimagic.labeling import chi_la_lower_bound, induce
 from antimagic.oracle import certify_no_2_coloring, exact_chi_la
 from antimagic.schemes import EVEN, ODD, build_matrix, special_2p2_o2
-from antimagic.sweep import sweep
+from antimagic.sweep import csv_text, sweep
 from antimagic.transforms import (
     SwapSpec,
     block_merge,
@@ -31,6 +32,8 @@ from test_schemes import MATRIX_N2_K2, MATRIX_N2_K3, MATRIX_N2_K4, MATRIX_ODD_N2
 
 GRID_N = 12
 GRID_K = 12
+# sha256 of the CSV `antimagic sweep --n-max 12 --k-max 12` writes
+GRID_CSV_SHA256 = "0fe80aa34fdbbf7c62c35bb5f814235bdba75377169d4d36fbde1d04ea9ad4ca"
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +101,11 @@ def test_criterion_3_theorem_sweep(grid):
         not bad and elapsed < 120.0,
         f"{len(relevant)} instances, {len(bad)} failures, grid in {elapsed:.1f}s",
     )
+
+
+def test_grid_csv_bytes_are_pinned(grid):
+    rows, _ = grid
+    assert hashlib.sha256(csv_text(rows).encode()).hexdigest() == GRID_CSV_SHA256
 
 
 def test_criterion_4_matrix_identity_suite(grid):

@@ -232,8 +232,11 @@ def test_unwritable_output_exit_2(tmp_path, capsys, argv):
     pytest.param(["sweep", "--n-max", "1", "--k-max", "1", "--jobs", "0"], id="sweep-jobs-0"),
     pytest.param(["oracle", "GRAPH", "--jobs", "0"], id="oracle-jobs-0"),
     pytest.param(["oracle", "GRAPH", "--jobs", "-1"], id="oracle-jobs-minus-1"),
+    pytest.param(["sweep", "--n-max", "-1", "--k-max", "2"], id="sweep-n-max-minus-1"),
+    pytest.param(["sweep", "--n-max", "0", "--k-max", "1"], id="sweep-n-max-0"),
+    pytest.param(["sweep", "--n-max", "1", "--k-max", "0"], id="sweep-k-max-0"),
 ])
-def test_jobs_below_one_exit_2(tmp_path, capsys, argv):
+def test_counts_below_one_exit_2(tmp_path, capsys, argv):
     graph = tmp_path / "graph.json"
     graph.write_text(dumps(graph_doc(join(p2(1), null_graph(1)))))
     with pytest.raises(SystemExit) as exc:

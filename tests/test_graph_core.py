@@ -115,18 +115,18 @@ class TestDisjointUnion:
 class TestMerge:
     def test_column_merge_degree(self):
         g = copies_of_p2_join_null(8, 4)
-        out = merge_vertices_mapped(g, [[x(i, 1) for i in range(1, 9)]])[0]
+        out = merge_vertices_mapped(g, [[x(i, 1) for i in range(1, 9)]])
         xm = merged([x(i, 1) for i in range(1, 9)])
         assert out.degree(xm) == 16  # degree 4k at k = 4
         assert out.size == g.size
 
     def test_single_group_is_identity(self):
         g = two_p2()
-        assert merge_vertices_mapped(g, [[v(1)]])[0] == g
+        assert merge_vertices_mapped(g, [[v(1)]]) == g
 
     def test_merge_endpoints_of_disjoint_edges_gives_path(self):
         g = two_p2()
-        out = merge_vertices_mapped(g, [[v(1), v(2)]])[0]
+        out = merge_vertices_mapped(g, [[v(1), v(2)]])
         assert out.order == 3 and out.size == 2
         deg = sorted(out.degree(w) for w in out.vertices)
         assert deg == [1, 1, 2]
@@ -143,7 +143,8 @@ class TestMerge:
     def test_round_trip_recovers_edges(self):
         g = copies_of_p2_join_null(4, 2)
         groups = [[x(i, j) for i in range(1, 5)] for j in (1, 2)]
-        out, edge_map = merge_vertices_mapped(g, groups)
+        out = merge_vertices_mapped(g, groups)
+        edge_map = dict(zip(g.edge_index, out.edge_index))  # edge t stays edge t
         assert set(edge_map) == set(g.edges) and set(edge_map.values()) == set(out.edges)
 
         def expand(w, other):
@@ -161,7 +162,7 @@ class TestMerge:
         for n, k in [(1, 2), (2, 3), (3, 1)]:
             g = copies_of_p2_join_null(2 * k, 2 * n)
             groups = [[x(i, j) for i in range(1, 2 * k + 1)] for j in range(1, 2 * n + 1)]
-            out = merge_vertices_mapped(g, groups)[0]
+            out = merge_vertices_mapped(g, groups)
             assert out.order == 4 * k + 2 * n
             assert out.size == g.size
 
@@ -169,14 +170,26 @@ class TestMerge:
 class TestRewire:
     def test_builds_the_images_on_the_given_vertices(self):
         g = two_p2()
-        edge_map = {edge(u(1), v(1)): edge(u(1), v(2)), edge(u(2), v(2)): edge(u(2), v(1))}
-        out = rewire(edge_map, g.vertices)
+        at = g.index
+        out = rewire(g.names, [(at[v(2)], at[u(1)]), (at[u(2)], at[v(1)])])
         assert out.vertices == g.vertices and out.edges == {edge(u(1), v(2)), edge(u(2), v(1))}
+        assert out.edge_index == {edge(u(1), v(2)): 0, edge(u(2), v(1)): 1}
+
+    def test_names_are_sorted_and_edges_keep_their_position(self):
+        names = [x(1, 1), v(1), u(1)]
+        out = rewire(names, [(0, 1), (2, 0)])
+        assert out.names == (u(1), v(1), x(1, 1))
+        assert list(out.edge_index) == [edge(v(1), x(1, 1)), edge(u(1), x(1, 1))]
 
     def test_two_edges_onto_one_raise_parallel(self):
         g = two_p2()
+        at = g.index
         with pytest.raises(ParallelEdgeError, match="u1-v1"):
-            rewire({e: edge(u(1), v(1)) for e in g.edges}, g.vertices)
+            rewire(g.names, [(at[u(1)], at[v(1)])] * g.size)
+
+    def test_edge_onto_one_vertex_raises_loop(self):
+        with pytest.raises(LoopError, match="loop at v1"):
+            rewire([u(1), v(1)], [(0, 1), (1, 1)])
 
 
 
@@ -185,7 +198,7 @@ class TestDeleteAdd:
         # Deleting and adding nothing is the identity edge map: rewire
         # must hand back the same graph.
         g = two_p2()
-        assert rewire({e: e for e in g.edges}, g.vertices) == g
+        assert rewire(g.names, g.ends) == g
 
 class TestComponentsAndBipartition:
     def test_two_p2_components(self):

@@ -18,19 +18,19 @@ from antimagic.transforms import LabeledGraph, block_merge, from_matrix, split_x
 def triangle_labeling() -> EdgeLabeling:
     g = join(p2(1), null_graph(1))
     labels = {(u(1), v(1)): 1, (u(1), x(1, 1)): 2, (v(1), x(1, 1)): 3}
-    return EdgeLabeling(g, labels)
+    return EdgeLabeling.from_dict(g, labels)
 
 
 class TestEdgeLabeling:
     def test_bijection_enforced(self):
         g = p2(1)
         with pytest.raises(AntimagicError):
-            EdgeLabeling(g, {(u(1), v(1)): 2})
+            EdgeLabeling.from_dict(g, {(u(1), v(1)): 2})
 
     def test_coverage_enforced(self):
         g = Graph.build([u(1), v(1), u(2), v(2)], [(u(1), v(1)), (u(2), v(2))])
         with pytest.raises(AntimagicError):
-            EdgeLabeling(g, {(u(1), v(1)): 1})
+            EdgeLabeling.from_dict(g, {(u(1), v(1)): 1})
 
 
 class TestInduce:
@@ -53,7 +53,7 @@ class TestInduce:
         for _ in range(20):
             labels = list(range(1, len(edges) + 1))
             rng.shuffle(labels)
-            labeling = EdgeLabeling(g, dict(zip(edges, labels)))
+            labeling = EdgeLabeling.from_dict(g, dict(zip(edges, labels)))
             q = len(edges)
             assert sum(induce(labeling).colors.values()) == q * (q + 1)
 
@@ -65,14 +65,14 @@ class TestIsLocalAntimagic:
         assert ok and not bad
 
     def test_single_edge_always_fails(self):
-        labeling = EdgeLabeling(p2(1), {(u(1), v(1)): 1})
+        labeling = EdgeLabeling.from_dict(p2(1), {(u(1), v(1)): 1})
         ok, bad = is_local_antimagic(labeling)
         assert not ok
         assert bad == [(u(1), v(1))]
 
     def test_violations_listed_deterministically(self):
         g = Graph.build([u(1), v(1), u(2), v(2)], [(u(1), v(1)), (u(2), v(2))])
-        labeling = EdgeLabeling(g, {(u(1), v(1)): 1, (u(2), v(2)): 2})
+        labeling = EdgeLabeling.from_dict(g, {(u(1), v(1)): 1, (u(2), v(2)): 2})
         ok, bad = is_local_antimagic(labeling)
         assert not ok
         assert bad == sorted(bad) and len(bad) == 2
@@ -96,7 +96,7 @@ class TestAssertThreeColoring:
         assert "999" in detail and "146" in detail
 
     def test_equal_color_edge_reported(self):
-        lg = LabeledGraph(EdgeLabeling(p2(1), {(u(1), v(1)): 1}), ())
+        lg = LabeledGraph(EdgeLabeling.from_dict(p2(1), {(u(1), v(1)): 1}), ())
         ok, detail = _colors_ok(lg, {1})
         assert not ok
         assert "u1-v1" in detail

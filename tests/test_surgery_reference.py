@@ -1,0 +1,144 @@
+"""Every transform against a plain reference written on dicts and sets of ids.
+
+The reference rebuilds each output from its input's id-keyed labels: the
+vertex set, the edge -> label dict, colors summed from scratch and the
+equal-color edges.  It shares no code with the index kernel in ``graph``
+and ``labeling``, so it checks the kernel's remapping, its loop and
+parallel-edge guards and its color sums.
+"""
+
+import random
+
+import pytest
+
+from antimagic.errors import AntimagicError, LoopError, ParallelEdgeError
+from antimagic.graph import Graph, merge_vertices_mapped, merged, u, v, x
+from antimagic.labeling import is_local_antimagic
+from antimagic.schemes import EVEN, ODD, block_columns, build_matrix
+from antimagic.sweep import compositions_min2
+from antimagic.transforms import (
+    block_merge,
+    chunk_blocks,
+    delete_add,
+    from_matrix,
+    group_components,
+    merge_all_x,
+    merge_v_blocks,
+    random_swap_spec,
+    split_x,
+)
+
+
+def reference(labels, move):
+    """edge -> label after moving each edge (a, b) to move(a, b), guarded as rewire is."""
+    out = {}
+    for (a, b), lab in labels.items():
+        a, b = move(a, b)
+        if a == b:
+            raise LoopError(f"loop at {a}")
+        e = (a, b) if a < b else (b, a)
+        if e in out:
+            raise ParallelEdgeError(f"surgery maps two edges onto {e[0]}-{e[1]} (parallel edge)")
+        out[e] = lab
+    return out
+
+
+def merge_reference(graph, labels, groups):
+    to = {w: merged(group) for group in groups for w in group}
+    return {to.get(w, w) for w in graph.vertices}, reference(labels, lambda a, b: (to.get(a, a), to.get(b, b)))
+
+
+def split_reference(block):
+    """u_i moves to the half of its x bundle holding column i, v_i to the half holding 2k+1-i."""
+    k = block.k
+
+    def half(bundle, col):
+        return merged(p for p in bundle.parts if (p.i <= k) == (col <= k))
+
+    def move(a, b):  # ids sort u < v < merged, so an x bundle is always b
+        if "x" not in b.roles:
+            return a, b
+        return a, half(b, a.i if a.role == "u" else 2 * k + 1 - a.i)
+
+    bundles = [w for w in block.graph.vertices if "x" in w.roles]
+    vertices = (block.graph.vertices - set(bundles)) | {half(w, c) for w in bundles for c in (1, 2 * k)}
+    return vertices, reference(block.labeling.labels, move)
+
+
+def check(lg, vertices, labels):
+    assert lg.graph.vertices == vertices
+    assert lg.graph.edges == set(labels)
+    assert lg.labeling.labels == labels
+    colors = dict.fromkeys(vertices, 0)
+    for (a, b), lab in labels.items():
+        colors[a] += lab
+        colors[b] += lab
+    assert lg.coloring.colors == colors
+    bad = sorted(e for e in labels if colors[e[0]] == colors[e[1]])
+    assert is_local_antimagic(lg.labeling) == (not bad, bad)
+
+
+def check_merge(out, lg, groups):
+    check(out, *merge_reference(lg.graph, lg.labeling.labels, groups))
+
+
+CELLS = [(p, n, k) for p in (EVEN, ODD) for n in (1, 2, 3) for k in range(1, 7) if (p, n, k) != (EVEN, 1, 1)]
+
+
+@pytest.mark.parametrize("parity,n,k", CELLS)
+def test_every_transform_matches_the_reference(parity, n, k):
+    base = from_matrix(build_matrix(parity, n, k))
+    m = base.m
+    check_merge(merge_all_x(base), base, [[x(i, j) for i in range(1, 2 * k + 1)] for j in range(1, m + 1)])
+    rng = random.Random(f"{parity}{n}{k}")
+    for r in [r for r in range(2, k + 1) if k % r == 0]:
+        s = k // r
+        block = block_merge(base, r, s)
+        cols = [sum(block_columns(k, s, b), []) for b in range(1, r + 1)]
+        check_merge(block, base, [[x(i, j) for i in c] for c in cols for j in range(1, m + 1)])
+        check(split_x(block), *split_reference(block))
+        lg = block
+        for _ in range(3):
+            spec = random_swap_spec(lg, rng)
+            labels = {e: lab for e, lab in lg.labeling.labels.items() if e not in spec.delete}
+            out = delete_add(lg, spec)
+            check(out, lg.graph.vertices, labels | dict(spec.add))
+            assert out.coloring.colors == lg.coloring.colors
+            lg = out
+    if k < 2:
+        return
+    pairs = block_merge(base, k, 1)
+    for lg in (pairs, split_x(pairs)):
+        for s in [s for s in range(2, k + 1) if (2 * k) % s == 0]:
+            blocks = chunk_blocks(pairs, s)
+            check_merge(merge_v_blocks(lg, blocks), lg, blocks)
+        for ks in compositions_min2(k):
+            out = group_components(lg, ks)
+            # the chain pairs are group_components' own choice; the reference checks the surgery on them
+            chain = [w.parts for w in out.graph.vertices if w.roles == {lg.side}]
+            check_merge(out, lg, chain)
+
+
+P3 = Graph.build([u(1), v(1), u(2)], [(u(1), v(1)), (v(1), u(2))])
+
+
+@pytest.mark.parametrize("groups,error", [
+    pytest.param([[u(1), v(1)]], LoopError, id="adjacent-members"),
+    pytest.param([[u(1), u(2)]], ParallelEdgeError, id="shared-neighbor"),
+])
+def test_planted_bad_groups_raise_as_the_reference_does(groups, error):
+    with pytest.raises(error) as want:
+        merge_reference(P3, dict.fromkeys(P3.edges, 0), groups)
+    with pytest.raises(error) as got:
+        merge_vertices_mapped(P3, groups)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("groups,message", [
+    pytest.param([[u(1), x(1, 1)]], "merge group member not in graph: x1.1", id="missing-member"),
+    pytest.param([[u(1), u(2)], [u(2)]], "merge groups must be pairwise disjoint", id="overlapping-groups"),
+])
+def test_planted_bad_groups_are_rejected(groups, message):
+    with pytest.raises(AntimagicError) as got:
+        merge_vertices_mapped(P3, groups)
+    assert str(got.value) == message

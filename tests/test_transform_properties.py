@@ -12,7 +12,6 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from antimagic.graph import merge_vertices_mapped, merged
-from antimagic.labeling import EdgeLabeling
 from antimagic.schemes import EVEN, ODD, build_matrix
 from antimagic.serialize import (
     dumps,
@@ -125,9 +124,8 @@ def test_merging_the_split_halves_back_restores_the_block_merge(cell, data):
         whole = next(xv for xv in block.graph.vertices if parts <= set(xv.parts))
         halves.setdefault(whole, []).append(w)
     assert all(len(pair) == 2 and merged(pair) == whole for whole, pair in halves.items())
-    g, edge_map = merge_vertices_mapped(split.graph, list(halves.values()))
-    labels = split.labeling.labels
-    assert EdgeLabeling(g, {edge_map[old]: lab for old, lab in labels.items()}) == block.labeling
+    g = merge_vertices_mapped(split.graph, list(halves.values()))
+    assert split.labeling.relabel_edges(g) == block.labeling
 
 
 @SETTINGS

@@ -148,8 +148,7 @@ def merge_vertices_back(split_lg):
         key = (j, frozenset(cols | {2 * split_lg.k + 1 - c for c in cols}))
         pair_of.setdefault(key, []).append(w)
     groups = [pair for pair in pair_of.values() if len(pair) == 2]
-    _, edge_map = merge_vertices_mapped(g, groups)
-    return {edge_map[old]: lab for old, lab in split_lg.labeling.labels.items()}
+    return split_lg.labeling.relabel_edges(merge_vertices_mapped(g, groups)).labels
 
 
 class TestDeleteAdd:
