@@ -98,9 +98,9 @@ def merged(parts: Iterable[VertexId]) -> VertexId:
     A single-constituent bundle collapses to the constituent itself.
     """
     flat: list[VertexId] = []
-    for p in parts:
-        if p.role == MERGED_ROLE:
-            flat.extend(p.parts)
+    for p in parts:  # one pass on the rank slot: a merged id holds its parts after the 3
+        if p[0] == 3:
+            flat += p[1:]
         else:
             flat.append(p)
     unique = sorted(set(flat))
@@ -108,7 +108,7 @@ def merged(parts: Iterable[VertexId]) -> VertexId:
         raise AntimagicError("merged parts must be pairwise distinct")
     if len(unique) == 1:
         return unique[0]
-    return VertexId(MERGED_ROLE, parts=tuple(unique))
+    return tuple.__new__(VertexId, (3, *unique)) if unique else VertexId(MERGED_ROLE)  # no parts: the constructor raises
 
 
 def parse_token(tok: str) -> VertexId:
@@ -361,20 +361,19 @@ def bipartition(g: Graph) -> list[tuple[frozenset[VertexId], frozenset[VertexId]
         side[0] = 0
         queue = [0]
         ok = True
-        while queue and ok:
-            cur = queue.pop()
+        for cur in queue:  # grows while it is walked: one pass over the component
+            here = side[cur]
             for nb in nbrs[cur]:
                 if side[nb] < 0:
-                    side[nb] = 1 - side[cur]
+                    side[nb] = 1 - here
                     queue.append(nb)
-                elif side[nb] == side[cur]:
+                elif side[nb] == here:
                     ok = False
-                    break
-        if not ok:
-            out.append(None)
-        else:
-            side0 = frozenset(w for w, c in zip(comp.names, side) if c == 0)
-            out.append((side0, comp.vertices - side0))
+            if not ok:
+                break
+        names = comp.names
+        out.append((frozenset([w for w, c in zip(names, side) if not c]),
+                    frozenset([w for w, c in zip(names, side) if c])) if ok else None)
     return out
 
 

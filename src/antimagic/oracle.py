@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass
 
 from .errors import AntimagicError
-from .graph import Edge, Graph, edge
+from .graph import Edge, Graph
 from .labeling import EdgeLabeling, chi_la_lower_bound, is_local_antimagic
 
 DEFAULT_EDGE_CAP = 12
@@ -36,13 +36,14 @@ def _check_cap(g: Graph, cap: int | None) -> None:
         raise AntimagicError(f"graph has {g.size} edges, over the cap {cap}")
 
 
-def _edge_order(g: Graph) -> list[Edge]:
-    adj = g.adjacency
-    deg = {w: len(nbs) for w, nbs in adj.items()}
-    order: list[Edge] = []
-    seen: set[Edge] = set()
-    for w in sorted(adj, key=lambda w: (-deg[w], w)):
-        fresh = [e for e in (edge(w, nb) for nb in adj[w]) if e not in seen]
+def _edge_order(g: Graph) -> list[tuple[int, int]]:
+    """The search's edge order, as position pairs (positions order as the sorted ids do)."""
+    nbrs = g.neighbors
+    deg = [len(nbs) for nbs in nbrs]
+    order: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
+    for w in sorted(range(g.order), key=lambda w: -deg[w]):  # stable: ties stay in id order
+        fresh = [e for e in ((w, nb) if w < nb else (nb, w) for nb in nbrs[w]) if e not in seen]
         fresh.sort(key=lambda e: (-max(deg[e[0]], deg[e[1]]), e))
         seen.update(fresh)
         order += fresh
@@ -62,20 +63,18 @@ class _Search:
 
     def __init__(self, g: Graph):
         self.q = g.size
-        self.order = _edge_order(g)
-        verts = g.names
-        vidx = {w: n for n, w in enumerate(verts)}
-        self.adj = [[vidx[nb] for nb in g.adjacency[w]] for w in verts]
-        self.edge_ends = [(vidx[a], vidx[b]) for a, b in self.order]
-        last = [0] * len(verts)
+        self.names = g.names
+        self.adj = g.neighbors
+        self.edge_ends = _edge_order(g)
+        last = [0] * g.order
         for pos, (a, b) in enumerate(self.edge_ends):
             last[a] = last[b] = pos
         self.closes = [[w for w in ends if last[w] == pos] for pos, ends in enumerate(self.edge_ends)]
-        self.less: list[list[int]] = [[] for _ in self.order]
+        self.less: list[list[int]] = [[] for _ in self.edge_ends]
         twins: dict[frozenset, list[int]] = {}
-        for w, vert in enumerate(verts):  # open twins share N(w), closed twins N[w]; the keys never clash
-            twins.setdefault(g.adjacency[vert], []).append(w)
-            twins.setdefault(g.adjacency[vert] | {vert}, []).append(w)
+        for w, nbs in enumerate(self.adj):  # open twins share N(w), closed twins N[w]; the keys never clash
+            twins.setdefault(frozenset(nbs), []).append(w)
+            twins.setdefault(frozenset(nbs + [w]), []).append(w)
         position = {ends: pos for pos, ends in enumerate(self.edge_ends)}
         for members in [m for m in twins.values() if len(m) > 1]:
             for a, b in zip(members, members[1:]):  # swapping a and b is an automorphism
@@ -84,7 +83,7 @@ class _Search:
                         image = (a + b - x, y) if x in (a, b) else (x, a + b - y)
                         self.less[position[min(image), max(image)]].append(pos)
                         break
-        self.sums = [0] * len(verts)
+        self.sums = [0] * g.order
         self.finished = [not nbs for nbs in self.adj]
         isolated = self.finished.count(True)
         self.color_count: dict[int, int] = {0: isolated} if isolated else {}
@@ -141,7 +140,8 @@ class _Search:
                 return None
             if self.n_colors is not None and len(self.color_count) != self.n_colors:
                 return None
-            return {e: lab for e, lab in zip(self.order, self.assignment)}
+            names = self.names
+            return {(names[a], names[b]): lab for (a, b), lab in zip(self.edge_ends, self.assignment)}
         a, b = self.edge_ends[pos]
         for lab in self._candidates(pos):
             self.nodes += 1

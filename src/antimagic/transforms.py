@@ -168,18 +168,18 @@ def split_x(lg: LabeledGraph) -> LabeledGraph:
     if not lg.provenance or lg.provenance[-1][0] != "block_merge":
         raise AntimagicError("split_x expects a block_merge output")
     _, r, s = lg.provenance[-1]
-    k, m = lg.k, lg.m
     g = lg.graph
     index = g.index
+    movers = {lo[0]: {index[v(i)] for i in lo} | {index[u(i)] for i in hi}  # first column -> ends the z half takes
+              for lo, hi in (block_columns(lg.k, s, b) for b in range(1, r + 1))}
     names = list(g.names)
     to_z: dict[int, tuple[int, set[int]]] = {}  # merged x -> (its z half, the u/v ends moving there)
-    for b in range(1, r + 1):
-        lo, hi = block_columns(k, s, b)
-        for j in range(1, m + 1):
-            xv = index[merged(x(i, j) for i in lo + hi)]
-            names[xv] = merged(x(i, j) for i in lo)
-            names.append(merged(x(i, j) for i in hi))
-            to_z[xv] = (len(names) - 1, {index[v(i)] for i in lo} | {index[u(i)] for i in hi})
+    for xv, w in enumerate(g.names):
+        if w[0] == 3:  # every x is in a bundle, its s low columns first (each mirror 2k+1-i exceeds k)
+            parts = w[1:]
+            names[xv] = merged(parts[:s])
+            names.append(merged(parts[s:]))
+            to_z[xv] = (len(names) - 1, movers[parts[0].i])
     ends = list(g.ends)
     for t, (a, b) in enumerate(ends):
         if b in to_z and a in to_z[b][1]:

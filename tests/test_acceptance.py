@@ -34,6 +34,8 @@ GRID_N = 12
 GRID_K = 12
 # sha256 of the CSV `antimagic sweep --n-max 12 --k-max 12` writes
 GRID_CSV_SHA256 = "0fe80aa34fdbbf7c62c35bb5f814235bdba75377169d4d36fbde1d04ea9ad4ca"
+# sha256 of the CSV `antimagic sweep --n-max 24 --k-max 4` writes: null orders up to 49, past the grid's 25
+WIDE_CSV_SHA256 = "5eae0ecfffb6eb0d320884c434e2c9aebc6d3b6b6fbe9c8cefb70daab82f43c3"
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +108,13 @@ def test_criterion_3_theorem_sweep(grid):
 def test_grid_csv_bytes_are_pinned(grid):
     rows, _ = grid
     assert hashlib.sha256(csv_text(rows).encode()).hexdigest() == GRID_CSV_SHA256
+
+
+def test_wide_grid_csv_bytes_are_pinned():
+    rows = list(sweep(24, 4))
+    assert len(rows) == 1534
+    assert [r for r in rows if not r.ok] == []
+    assert hashlib.sha256(csv_text(rows).encode()).hexdigest() == WIDE_CSV_SHA256
 
 
 def test_criterion_4_matrix_identity_suite(grid):

@@ -208,7 +208,7 @@ def random_graph(seed: int) -> Graph:
 def plain_exhaustion(g: Graph) -> dict[int, dict]:
     """c -> the lex-first local antimagic labeling with c colors over
     ``_edge_order(g)``, from every permutation of the labels, unpruned."""
-    order = _edge_order(g)
+    order = [(g.names[a], g.names[b]) for a, b in _edge_order(g)]
     first: dict[int, dict] = {}
     for labels in itertools.permutations(range(1, len(order) + 1)):
         color = dict.fromkeys(g.vertices, 0)

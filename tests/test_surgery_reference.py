@@ -3,7 +3,8 @@
 The reference rebuilds each output from its input's id-keyed labels: the
 vertex set, the edge -> label dict, colors summed from scratch and the
 equal-color edges.  It shares no code with the index kernel in ``graph``
-and ``labeling``, so it checks the kernel's remapping, its loop and
+and ``labeling``, not even ``merged``: its bundle ids come from its own
+``bundle``.  So it checks the kernel's ids, its remapping, its loop and
 parallel-edge guards and its color sums.
 """
 
@@ -12,7 +13,7 @@ import random
 import pytest
 
 from antimagic.errors import AntimagicError, LoopError, ParallelEdgeError
-from antimagic.graph import Graph, merge_vertices_mapped, merged, u, v, x
+from antimagic.graph import MERGED_ROLE, Graph, VertexId, merge_vertices_mapped, u, v, x
 from antimagic.labeling import is_local_antimagic
 from antimagic.schemes import EVEN, ODD, block_columns, build_matrix
 from antimagic.sweep import compositions_min2
@@ -27,6 +28,16 @@ from antimagic.transforms import (
     random_swap_spec,
     split_x,
 )
+
+
+def bundle(parts):
+    """The reference's merged id: flatten nested bundles, sort, reject
+    repeats, collapse a single part, else the id (3, *parts)."""
+    flat = [q for p in parts for q in (p.parts if p.role == MERGED_ROLE else (p,))]
+    if len(set(flat)) != len(flat):
+        raise AntimagicError("merged parts must be pairwise distinct")
+    flat.sort()
+    return flat[0] if len(flat) == 1 else VertexId(MERGED_ROLE, parts=tuple(flat))
 
 
 def reference(labels, move):
@@ -44,7 +55,7 @@ def reference(labels, move):
 
 
 def merge_reference(graph, labels, groups):
-    to = {w: merged(group) for group in groups for w in group}
+    to = {w: bundle(group) for group in groups for w in group}
     return {to.get(w, w) for w in graph.vertices}, reference(labels, lambda a, b: (to.get(a, a), to.get(b, b)))
 
 
@@ -52,8 +63,8 @@ def split_reference(block):
     """u_i moves to the half of its x bundle holding column i, v_i to the half holding 2k+1-i."""
     k = block.k
 
-    def half(bundle, col):
-        return merged(p for p in bundle.parts if (p.i <= k) == (col <= k))
+    def half(x_bundle, col):
+        return bundle([p for p in x_bundle.parts if (p.i <= k) == (col <= k)])
 
     def move(a, b):  # ids sort u < v < merged, so an x bundle is always b
         if "x" not in b.roles:
@@ -82,7 +93,9 @@ def check_merge(out, lg, groups):
     check(out, *merge_reference(lg.graph, lg.labeling.labels, groups))
 
 
+# plus two cells of the wide grid's shape (m = 24 and 25), where split_x cuts 24 or 25 bundles per block
 CELLS = [(p, n, k) for p in (EVEN, ODD) for n in (1, 2, 3) for k in range(1, 7) if (p, n, k) != (EVEN, 1, 1)]
+CELLS += [(EVEN, 12, 4), (ODD, 12, 4)]
 
 
 @pytest.mark.parametrize("parity,n,k", CELLS)

@@ -9,7 +9,10 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st
 
-from antimagic.graph import edge, merged, parse_token, u, v, x
+from antimagic.errors import AntimagicError
+from antimagic.graph import VertexId, edge, merged, parse_token, u, v, x
+
+from test_surgery_reference import bundle
 
 index = st.integers(min_value=1, max_value=40)
 simple_ids = st.one_of(st.builds(u, index), st.builds(v, index), st.builds(x, index, index))
@@ -63,3 +66,31 @@ def test_roles_are_the_role_of_a_simple_id_or_of_each_part(w):
     else:
         assert w.roles == {w.role}
     assert "m" not in w.roles
+
+
+# few indices, so that random lists repeat ids and nested bundles overlap often
+few = st.integers(min_value=1, max_value=3)
+few_simple = st.one_of(st.builds(u, few), st.builds(v, few), st.builds(x, few, few))
+few_ids = st.one_of(few_simple, st.lists(few_simple, min_size=2, max_size=4, unique=True).map(merged))
+
+
+def outcome(build, parts):
+    try:
+        return build(parts)
+    except AntimagicError as exc:
+        return str(exc)
+
+
+@given(st.lists(few_ids, min_size=1, max_size=5))
+def test_merged_agrees_with_the_reference_bundle(parts):
+    want, got = outcome(bundle, parts), outcome(merged, parts)
+    assert got == want
+    if isinstance(want, str):
+        assert want == "merged parts must be pairwise distinct"
+    else:
+        assert type(got) is VertexId and got.parts == want.parts and got.token() == want.token()
+
+
+def test_merged_of_no_parts_is_an_error():
+    with pytest.raises(AntimagicError, match="at least two parts"):
+        merged([])
