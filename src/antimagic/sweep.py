@@ -9,9 +9,10 @@ order is canonical either way.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, groupby
 from typing import Iterable, Iterator
 
-from .graph import is_bipartite_equal_parts
+from .graph import Edge, bipartition, components
 from .labeling import chi_la_lower_bound, is_local_antimagic
 from .schemes import EVEN, ODD, SPECIAL_COLOR_SET, build_matrix, check_identities, u_color, v_color
 from .transforms import (
@@ -25,6 +26,7 @@ from .transforms import (
     group_components,
     merge_all_x,
     merge_v_blocks,
+    source_components,
     special_labeled,
     split_x,
     theorem_certificate,
@@ -68,14 +70,104 @@ def compositions_min2(k: int) -> Iterator[tuple[int, ...]]:
             yield comp
 
 
+def _verdict(bad: Edge | None, colors: frozenset[int], expected: set[int]) -> tuple[bool, str]:
+    """The one color rule, given the smallest edge ``bad`` that joins two
+    equal colors, if any, and the color set."""
+    if bad is not None:
+        return False, f"equal colors across {bad[0]}-{bad[1]}"
+    if colors != expected:
+        return False, f"colors {sorted(colors)} != expected {sorted(expected)}"
+    return True, ""
+
+
 def _colors_ok(lg: LabeledGraph, expected: set[int]) -> tuple[bool, str]:
     ok, bad = is_local_antimagic(lg.labeling)
-    if not ok:
-        return False, f"equal colors across {bad[0][0]}-{bad[0][1]}"
-    cs = set(lg.colors)
-    if cs != expected:
-        return False, f"colors {sorted(cs)} != expected {sorted(expected)}"
-    return True, ""
+    return _verdict(None if ok else bad[0], lg.colors, expected)
+
+
+class _GroupTable:
+    """The H rows of one cell on one input, written from per-group verdicts.
+
+    ``group_components`` merges side vertices only inside a group, so H(ks)
+    is the disjoint union of one piece per group (start, ka), the same
+    labeled piece in every composition holding it; a verdict read off one
+    whole H graph holds for its group in all of them.
+    """
+
+    def __init__(self, lg: LabeledGraph, expected: set[int]):
+        self.lg, self.expected = lg, expected
+        # (start, ka) -> [smallest violating edge or None, colors, every component bipartite with equal parts or None]
+        self.verdicts: dict[tuple[int, int], list] = {}
+        self.checked: set[tuple[int, int]] = set()  # the groups with a bipartite verdict
+
+    def row(self, ks: tuple[int, ...], check_bipartite: bool) -> tuple[tuple[int, ...], bool, str]:
+        """Colors, verdict and detail of the H row for ``ks``, as
+        ``group_components`` then ``_colors_ok`` (then
+        ``is_bipartite_equal_parts`` if ``check_bipartite``) give them."""
+        groups, verdicts = list(zip(accumulate(ks, initial=1), ks)), self.verdicts
+        known = self.checked if check_bipartite else verdicts
+        if not all(map(known.__contains__, groups)):
+            plan = self._plan(groups, known)
+            built = group_components(self.lg, [ka for _, ka in plan])
+            self._read(built, plan, False)
+        entries = [verdicts[key] for key in groups]
+        colors = frozenset().union(*[e[1] for e in entries])
+        ok, detail = _verdict(min([e[0] for e in entries if e[0]], default=None), colors, self.expected)
+        if ok and check_bipartite:
+            if not self.checked.issuperset(groups):  # then this row built a plan holding them
+                self._read(built, plan, True)
+            if not all(e[2] for e in entries):
+                ok, detail = False, "even groups should be bipartite with equal parts"
+        return tuple(sorted(colors)), ok, detail
+
+    def _plan(self, groups: list[tuple[int, int]], known) -> list[tuple[int, int]]:
+        """The composition to build for a row of ``groups``: the row's
+        groups missing from ``known``, with each stretch between them
+        retiled from the left by the shortest parts that are missing too."""
+        plan: list[tuple[int, int]] = []
+        for own, run in groupby(groups, lambda key: key not in known):
+            run = list(run)
+            if own:
+                plan += run
+                continue
+            s, end = run[0][0], sum(run[-1])
+            while s < end:  # a part leaves 0 or at least 2 behind it
+                ka = next((ka for ka in range(2, end - s + 1) if end - s - ka != 1 and (s, ka) not in known),
+                          3 if end - s == 3 else 2)
+                plan.append((s, ka))
+                s += ka
+        return plan
+
+    def _read(self, built: LabeledGraph, groups: list[tuple[int, int]], bipartite: bool) -> None:
+        """Record each group's smallest violating edge and colors in
+        ``built``, the H graph of ``groups``, or with ``bipartite`` whether
+        its components (each its smallest vertex's) have equal sides."""
+        owner = [0]  # component c -> the index of its group, at index c
+        for t, (_, ka) in enumerate(groups):
+            owner += [t] * ka
+
+        def owners(ids) -> list[int]:
+            return [owner[c] for c in source_components(ids, self.lg.k)]
+
+        if bipartite:
+            g = built.graph
+            parts = bipartition(g)  # its first side holds the component's smallest vertex
+            firsts = [c.names[0] for c in components(g)] if None in parts else [min(p[0]) for p in parts]
+            unequal = {t for t, p in zip(owners(firsts), parts) if p is None or len(p[0]) != len(p[1])}
+            for t, key in enumerate(groups):
+                self.verdicts[key][2] = t not in unequal
+            self.checked.update(groups)
+            return
+        colors: list[set[int]] = [set() for _ in groups]
+        coloring = built.coloring
+        for t, c in set(zip(owners(coloring.names), coloring.sums)):
+            colors[t].add(c)
+        bad: list = [None] * len(groups)
+        violating = is_local_antimagic(built.labeling)[1]  # sorted, so a group's first is its smallest
+        for t, e in zip(owners([e[0] for e in violating]), violating):
+            bad[t] = bad[t] or e
+        for key, e, cs in zip(groups, bad, colors):
+            self.verdicts.setdefault(key, [e, frozenset(cs), None])
 
 
 def sweep(
@@ -138,16 +230,19 @@ def _sweep_cell(parity: str, n: int, k: int, want: frozenset[str]) -> Iterator[S
         yield SweepRow("merge-all", parity, base_params, tuple(sorted(lg.colors)), ok, detail)
 
     factorizations = [(r, k // r) for r in range(2, k + 1) if k % r == 0] if want & {"block", "split"} else []
-    merged_by_s: dict[int, LabeledGraph] = {}
+    pairs_graph = split_graph = None  # the s = 1 graphs, k(2P_2 ∨ O_m) and its split, for the J and H families
     for r, s in factorizations:
         params = f"{base_params} r={r} s={s}"
         lg = block_merge(base, r, s)
-        merged_by_s[s] = lg
+        if s == 1:
+            pairs_graph = lg
         if "block" in want:
             ok, detail = _colors_ok(lg, expected_colors_block(parity, n, k, s))
             yield SweepRow("block", parity, params, tuple(sorted(lg.colors)), ok, detail)
         if "split" in want:
             sg = split_x(lg)
+            if s == 1:
+                split_graph = sg
             ok, detail = _colors_ok(sg, expected_colors_split(parity, n, k, s))
             if ok:  # "equal-bipartition" implies bipartite with equal parts
                 bound, cert = chi_la_lower_bound(sg.graph)
@@ -157,8 +252,8 @@ def _sweep_cell(parity: str, n: int, k: int, want: frozenset[str]) -> Iterator[S
 
     if k < 2 or not (want & {"J1", "J2", "H"}):
         return
-    pairs_graph = merged_by_s.get(1) or block_merge(base, k, 1)
-    split_graph = split_x(pairs_graph) if want & {"J2", "H"} else None
+    pairs_graph = pairs_graph or block_merge(base, k, 1)
+    split_graph = split_graph or (split_x(pairs_graph) if want & {"J2", "H"} else None)
 
     j_sizes = [s for s in range(2, k + 1) if (2 * k) % s == 0]
     for s in j_sizes:
@@ -176,13 +271,9 @@ def _sweep_cell(parity: str, n: int, k: int, want: frozenset[str]) -> Iterator[S
             yield SweepRow("J2", parity, f"{base_params} s={s}", tuple(sorted(lg.colors)), ok, f"{cert}{'; ' + detail if detail else ''}")
 
     if "H" in want:
+        h1 = _GroupTable(pairs_graph, expected_colors_j(parity, n, k, 2, split=False))
+        h2 = _GroupTable(split_graph, expected_colors_j(parity, n, k, 2, split=True))
         for ks in compositions_min2(k):
             params = f"{base_params} ks={'+'.join(map(str, ks))}"
-            lg = group_components(pairs_graph, ks)
-            ok, detail = _colors_ok(lg, expected_colors_j(parity, n, k, 2, split=False))
-            yield SweepRow("H1", parity, params, tuple(sorted(lg.colors)), ok, detail)
-            lg = group_components(split_graph, ks)
-            ok, detail = _colors_ok(lg, expected_colors_j(parity, n, k, 2, split=True))
-            if ok and all(ka % 2 == 0 for ka in ks) and not is_bipartite_equal_parts(lg.graph):
-                ok, detail = False, "even groups should be bipartite with equal parts"
-            yield SweepRow("H2", parity, params, tuple(sorted(lg.colors)), ok, detail)
+            yield SweepRow("H1", parity, params, *h1.row(ks, False))
+            yield SweepRow("H2", parity, params, *h2.row(ks, all(ka % 2 == 0 for ka in ks)))

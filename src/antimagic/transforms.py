@@ -319,6 +319,16 @@ def group_components(lg: LabeledGraph, ks) -> LabeledGraph:
     return _merge_with_labels(lg, blocks, ("group_components", side, ks))
 
 
+def source_components(names, k: int) -> list[int]:
+    """Per id in ``names``, taken from a ``group_components`` output, the
+    component of k(2P_2 ∨ O_m) (or of its split) it comes from.  The id's
+    column i is its index, or its first part's index for a merged id, and
+    column i lies in component min(i, 2k+1-i): ``block_merge`` with s = 1
+    joins columns c and 2k+1-c into component c."""
+    component = [0, *range(1, k + 1), *range(k, 0, -1)]  # column -> component
+    return [component[w[1][1] if w[0] == 3 else w[1]] for w in names]
+
+
 # --- expected color triples -------------------------------------------------
 
 

@@ -36,6 +36,8 @@ GRID_K = 12
 GRID_CSV_SHA256 = "0fe80aa34fdbbf7c62c35bb5f814235bdba75377169d4d36fbde1d04ea9ad4ca"
 # sha256 of the CSV `antimagic sweep --n-max 24 --k-max 4` writes: null orders up to 49, past the grid's 25
 WIDE_CSV_SHA256 = "5eae0ecfffb6eb0d320884c434e2c9aebc6d3b6b6fbe9c8cefb70daab82f43c3"
+# sha256 of the CSV `antimagic sweep --n-max 2 --k-max 18` writes: 1,596 compositions of k = 18 per cell
+DEEP_CSV_SHA256 = "6fd1a89e107e2ed8b02a4e23a675815042be38c5e2f7a2f02f784e39bd81c7d0"
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +117,13 @@ def test_wide_grid_csv_bytes_are_pinned():
     assert len(rows) == 1534
     assert [r for r in rows if not r.ok] == []
     assert hashlib.sha256(csv_text(rows).encode()).hexdigest() == WIDE_CSV_SHA256
+
+
+def test_deep_grid_csv_bytes_are_pinned():
+    rows = list(sweep(2, 18))
+    assert len(rows) == 34294
+    assert [r for r in rows if not r.ok] == []
+    assert hashlib.sha256(csv_text(rows).encode()).hexdigest() == DEEP_CSV_SHA256
 
 
 def test_criterion_4_matrix_identity_suite(grid):

@@ -269,8 +269,8 @@ class TestSweep:
 
     def test_parallel_matches_serial(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        main(["sweep", "--n-max", "2", "--k-max", "2", "--out", str(a)])
-        main(["sweep", "--n-max", "2", "--k-max", "2", "--jobs", "2", "--out", str(b)])
+        main(["sweep", "--n-max", "2", "--k-max", "6", "--out", str(a)])  # H rows start at k = 4
+        main(["sweep", "--n-max", "2", "--k-max", "6", "--jobs", "2", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
     def test_jobs_capped_at_cell_count(self, tmp_path, capsys, monkeypatch):
