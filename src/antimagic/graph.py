@@ -216,9 +216,6 @@ class Graph:
         names = self.names
         return {w: frozenset(names[nb] for nb in nbs) for w, nbs in zip(names, self.neighbors)}
 
-    def degree(self, w: VertexId) -> int:
-        return len(self.neighbors[self.index[w]])
-
     def sorted_edges(self) -> list[Edge]:
         names = self.names
         return [(names[a], names[b]) for a, b in sorted(self.ends)]
@@ -320,46 +317,40 @@ def merge_vertices_mapped(g: Graph, groups: Sequence[Iterable[VertexId]]) -> Gra
     return rewire(names, g.ends)
 
 
-def components(g: Graph) -> list[Graph]:
-    """Connected components, ordered by their smallest vertex id."""
+def components(g: Graph) -> list[list[int]]:
+    """Connected components, each the sorted list of its vertex positions
+    in ``g.names``, ordered by their smallest vertex."""
     nbrs = g.neighbors
-    comp_of = [-1] * g.order
+    seen = [False] * g.order
     comps: list[list[int]] = []
     for seed in range(g.order):
-        if comp_of[seed] >= 0:
+        if seen[seed]:
             continue
-        comp_of[seed] = len(comps)
+        seen[seed] = True
         comp = [seed]
         for cur in comp:  # grows while it is walked: one pass over the component
             for nb in nbrs[cur]:
-                if comp_of[nb] < 0:
-                    comp_of[nb] = len(comps)
+                if not seen[nb]:
+                    seen[nb] = True
                     comp.append(nb)
         comp.sort()
         comps.append(comp)
-    local = [0] * g.order
-    for comp in comps:
-        for r, i in enumerate(comp):
-            local[i] = r
-    ends: list[list[tuple[int, int]]] = [[] for _ in comps]
-    for a, b in g.ends:
-        ends[comp_of[a]].append((local[a], local[b]))
-    names = g.names
-    return [Graph(tuple([names[i] for i in comp]), tuple(es)) for comp, es in zip(comps, ends)]
+    return comps
 
 
 def bipartition(g: Graph) -> list[tuple[frozenset[VertexId], frozenset[VertexId]] | None]:
     """Per component: its 2-coloring classes, or None if not bipartite.
 
     The side containing the component's smallest vertex is listed first,
-    making the output deterministic.
+    making the output deterministic.  Each component is walked on the
+    graph's own adjacency, from its smallest vertex.
     """
+    nbrs, names = g.neighbors, g.names
+    side = [-1] * g.order  # components are disjoint, so one array serves them all
     out = []
     for comp in components(g):
-        nbrs = comp.neighbors
-        side = [-1] * comp.order
-        side[0] = 0
-        queue = [0]
+        side[comp[0]] = 0
+        queue = [comp[0]]
         ok = True
         for cur in queue:  # grows while it is walked: one pass over the component
             here = side[cur]
@@ -371,9 +362,8 @@ def bipartition(g: Graph) -> list[tuple[frozenset[VertexId], frozenset[VertexId]
                     ok = False
             if not ok:
                 break
-        names = comp.names
-        out.append((frozenset([w for w, c in zip(names, side) if not c]),
-                    frozenset([w for w, c in zip(names, side) if c])) if ok else None)
+        out.append((frozenset([names[i] for i in comp if not side[i]]),
+                    frozenset([names[i] for i in comp if side[i]])) if ok else None)
     return out
 
 

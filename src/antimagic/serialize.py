@@ -110,11 +110,3 @@ def dot(g: Graph, labeling: EdgeLabeling | None = None) -> str:
 def provenance_doc(provenance: tuple) -> list[Any]:
     return json.loads(json.dumps([list(step) for step in provenance]))
 
-
-def provenance_from_doc(doc: list[Any]) -> tuple:
-    def freeze(item):
-        if isinstance(item, list):
-            return tuple(freeze(sub) for sub in item)
-        return item
-
-    return tuple(freeze(step) for step in doc)

@@ -45,8 +45,12 @@ class SweepRow:
     detail: str = ""
 
     def csv(self) -> str:
-        colors = " ".join(str(c) for c in self.colors)
-        return f"{self.family},{self.parity},{self.params},{colors},{'pass' if self.ok else 'FAIL'},{self.detail}"
+        return f"{self.family},{self.parity},{self.params},{_spaced(self.colors)},{'pass' if self.ok else 'FAIL'},{self.detail}"
+
+
+def _spaced(values: Iterable[int]) -> str:
+    """Integers separated by spaces, as one CSV field holds a color set."""
+    return " ".join(map(str, values))
 
 
 def csv_text(rows: Iterable[SweepRow]) -> str:
@@ -76,7 +80,7 @@ def _verdict(bad: Edge | None, colors: frozenset[int], expected: set[int]) -> tu
     if bad is not None:
         return False, f"equal colors across {bad[0]}-{bad[1]}"
     if colors != expected:
-        return False, f"colors {sorted(colors)} != expected {sorted(expected)}"
+        return False, f"colors {_spaced(sorted(colors))} != expected {_spaced(sorted(expected))}"
     return True, ""
 
 
@@ -152,7 +156,7 @@ class _GroupTable:
         if bipartite:
             g = built.graph
             parts = bipartition(g)  # its first side holds the component's smallest vertex
-            firsts = [c.names[0] for c in components(g)] if None in parts else [min(p[0]) for p in parts]
+            firsts = [g.names[c[0]] for c in components(g)] if None in parts else [min(p[0]) for p in parts]
             unequal = {t for t, p in zip(owners(firsts), parts) if p is None or len(p[0]) != len(p[1])}
             for t, key in enumerate(groups):
                 self.verdicts[key][2] = t not in unequal

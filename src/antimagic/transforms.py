@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import AntimagicError, SumDriftError
 from .graph import (
@@ -418,15 +419,18 @@ def connecting_swaps(lg: LabeledGraph) -> LabeledGraph:
     v-side (or u-side) pair swaps between adjacent components."""
     current = lg
     while True:
-        comps = components(current.graph)
+        g = current.graph
+        comps = components(g)
         if len(comps) < 2:
             return current
+        comp_of = [0] * g.order  # vertex position -> its component
+        for c, comp in enumerate(comps):
+            for i in comp:
+                comp_of[i] = c
         rng = random.Random(0)
         for _ in range(500):
             spec = random_swap_spec(current, rng)
-            touched = {w for e in spec.delete for w in e}
-            comp_idx = {i for i, comp in enumerate(comps) for w in touched if w in comp.vertices}
-            if len(comp_idx) >= 2:
+            if len({comp_of[g.index[w]] for e in spec.delete for w in e}) >= 2:
                 current = delete_add(current, spec)
                 break
         else:
@@ -441,9 +445,10 @@ _STEP_FIELDS = {"matrix": 4, "special": 1, "merge_all_x": 1, "split_x": 1,
                 "block_merge": 3, "delete_add": 3, "merge_v_blocks": 3, "group_components": 3}
 
 
-def replay(provenance: tuple[Step, ...]) -> LabeledGraph:
-    """Rebuild a labeled graph from its provenance log; a malformed step
-    raises :class:`AntimagicError` naming the step."""
+def replay(provenance: Sequence[Sequence]) -> LabeledGraph:
+    """Rebuild a labeled graph from its provenance log, given as tuples or
+    as lists decoded from a ``provenance.json``; a malformed step raises
+    :class:`AntimagicError` naming the step."""
     lg: LabeledGraph | None = None
     for step in provenance:
         try:

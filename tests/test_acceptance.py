@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 pass lines.  The grid sweep (criteria 3/4/6) is computed once and shared.
 """
 
+import csv
 import hashlib
 import random
 import time
@@ -15,7 +16,7 @@ from antimagic.graph import Graph, copies_of_p2_join_null, edge, join, merged, n
 from antimagic.labeling import chi_la_lower_bound, induce
 from antimagic.oracle import certify_no_2_coloring, exact_chi_la
 from antimagic.schemes import EVEN, ODD, build_matrix, special_2p2_o2
-from antimagic.sweep import csv_text, sweep
+from antimagic.sweep import SweepRow, _verdict, csv_text, sweep
 from antimagic.transforms import (
     SwapSpec,
     block_merge,
@@ -126,6 +127,16 @@ def test_deep_grid_csv_bytes_are_pinned():
     assert hashlib.sha256(csv_text(rows).encode()).hexdigest() == DEEP_CSV_SHA256
 
 
+def test_failing_row_keeps_six_csv_fields():
+    """A color-set mismatch writes both sets space-separated, as the
+    colors column does, so a failing row parses into the header's six fields."""
+    colors = frozenset({14, 19})
+    ok, detail = _verdict(None, colors, {14, 19, 22})
+    row = SweepRow("H1", EVEN, "n=1 k=4 ks=2+2", tuple(sorted(colors)), ok, detail)
+    fields = next(csv.reader([row.csv()]))
+    assert fields == ["H1", EVEN, "n=1 k=4 ks=2+2", "14 19", "FAIL", "colors 14 19 != expected 14 19 22"]
+
+
 def test_criterion_4_matrix_identity_suite(grid):
     rows, _ = grid
     matrix_rows = [r for r in rows if r.family == "matrix"]
@@ -232,7 +243,7 @@ def test_criterion_8_regularity():
             lg = block_merge(from_matrix(build_matrix(ODD, n, r * s_split)), r, s_split)
             outputs.append((f"split 2s=2n+2 r={r}", split_x(lg)))
         for name, lg in outputs:
-            degs = {lg.graph.degree(w) for w in lg.graph.vertices}
+            degs = {len(nbs) for nbs in lg.graph.neighbors}
             if degs != {degree}:
                 failures.append(f"n={n} {name}: degrees {sorted(degs)}")
     _report("8 (regularity)", not failures, "; ".join(failures) or "all (2n+2)-regular")

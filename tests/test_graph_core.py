@@ -23,6 +23,10 @@ from antimagic.graph import (
 )
 
 
+def degree(g: Graph, w) -> int:
+    return len(g.neighbors[g.index[w]])
+
+
 def two_p2() -> Graph:
     return Graph.build([u(1), v(1), u(2), v(2)], [(u(1), v(1)), (u(2), v(2))])
 
@@ -72,7 +76,7 @@ class TestJoin:
     def test_null_null_join_is_complete_bipartite(self):
         g = join(null_graph(2, component=1), null_graph(2, component=2))
         assert g.size == 4
-        assert all(g.degree(w) == 2 for w in g.vertices)
+        assert all(degree(g, w) == 2 for w in g.vertices)
 
     def test_overlapping_vertex_sets_rejected(self):
         with pytest.raises(AntimagicError):
@@ -117,7 +121,7 @@ class TestMerge:
         g = copies_of_p2_join_null(8, 4)
         out = merge_vertices_mapped(g, [[x(i, 1) for i in range(1, 9)]])
         xm = merged([x(i, 1) for i in range(1, 9)])
-        assert out.degree(xm) == 16  # degree 4k at k = 4
+        assert degree(out, xm) == 16  # degree 4k at k = 4
         assert out.size == g.size
 
     def test_single_group_is_identity(self):
@@ -128,7 +132,7 @@ class TestMerge:
         g = two_p2()
         out = merge_vertices_mapped(g, [[v(1), v(2)]])
         assert out.order == 3 and out.size == 2
-        deg = sorted(out.degree(w) for w in out.vertices)
+        deg = sorted(degree(out, w) for w in out.vertices)
         assert deg == [1, 1, 2]
 
     def test_adjacent_members_raise_loop(self):
@@ -205,11 +209,24 @@ class TestComponentsAndBipartition:
         assert len(components(two_p2())) == 2
 
     def test_component_order_deterministic(self):
-        comps = components(two_p2())
-        assert min(comps[0].vertices) < min(comps[1].vertices)
+        g = two_p2()  # names u1 u2 v1 v2
+        comps = components(g)
+        assert comps == [[0, 2], [1, 3]]
+        assert g.names[comps[0][0]] < g.names[comps[1][0]]
 
     def test_triangle_not_bipartite(self):
         assert bipartition(join(p2(1), null_graph(1))) == [None]
+
+    def test_odd_component_then_bipartite_one(self):
+        """The walk of the triangle's component stops at its first clash and
+        leaves x1.1 without a side; the next component, whose positions
+        interleave with it, is still 2-colored from its own smallest vertex."""
+        g = Graph.build(
+            [u(1), u(2), v(1), x(1, 1), u(3), v(2), x(1, 2)],
+            [(u(1), u(2)), (u(1), v(1)), (u(2), v(1)), (v(1), x(1, 1)), (u(3), v(2)), (v(2), x(1, 2))],
+        )
+        assert components(g) == [[0, 1, 3, 5], [2, 4, 6]]
+        assert bipartition(g) == [None, (frozenset({u(3), x(1, 2)}), frozenset({v(2)}))]
 
     def test_unique_classes_against_brute_force(self):
         rng = random.Random(11)
@@ -220,11 +237,12 @@ class TestComponentsAndBipartition:
             g = Graph.build(verts, edges)
             parts = bipartition(g)
             for comp, part in zip(components(g), parts):
-                vs = sorted(comp.vertices)
+                vs = [g.names[i] for i in comp]
+                inner = [(a, b) for a, b in g.edges if a in vs]
                 colorings = []
                 for mask in range(2 ** len(vs)):
                     col = {w: (mask >> i) & 1 for i, w in enumerate(vs)}
-                    if all(col[a] != col[b] for a, b in comp.edges):
+                    if all(col[a] != col[b] for a, b in inner):
                         colorings.append(frozenset(w for w in vs if col[w] == col[vs[0]]))
                 if part is None:
                     assert not colorings
@@ -242,9 +260,12 @@ class TestComponentsAndBipartition:
             ref.add_nodes_from(verts)
             ref.add_edges_from(edges)
             expected = sorted((ref.subgraph(c) for c in nx.connected_components(ref)), key=min)
-            assert [(comp.vertices, comp.edges) for comp in components(g)] == [
-                (frozenset(c.nodes), frozenset(edge(a, b) for a, b in c.edges)) for c in expected
-            ]
+            comps = components(g)
+            assert [frozenset(g.names[i] for i in comp) for comp in comps] == [frozenset(c.nodes) for c in expected]
+            assert sorted(i for comp in comps for i in comp) == list(range(g.order))
+            assert all(comp == sorted(comp) for comp in comps)
+            part_of = {i: p for p, comp in enumerate(comps) for i in comp}
+            assert all(part_of[a] == part_of[b] for a, b in g.ends)
             for part, c in zip(bipartition(g), expected):
                 if not nx.is_bipartite(c):
                     assert part is None

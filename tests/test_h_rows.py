@@ -64,9 +64,9 @@ def test_planted_fault_fails_as_the_direct_path_does():
         pairs = pairs_graph(parity, n, k)
         g = pairs.graph
         comps = components(g)
-        assert [c.names[0] for c in comps] == [u(i) for i in range(1, k + 1)]
-        held = set(comps[faulted - 1].names)
-        inside = [t for t, (a, b) in enumerate(g.ends) if g.names[a] in held]
+        assert [g.names[c[0]] for c in comps] == [u(i) for i in range(1, k + 1)]
+        held = set(comps[faulted - 1])
+        inside = [t for t, (a, b) in enumerate(g.ends) if a in held]
         assert len(inside) == 2 + 4 * pairs.m  # u_c v_c, u_c' v_c' and four edges at each x bundle
         expected = expected_colors_j(parity, n, k, 2, split=False)
         for t1, t2 in itertools.combinations(inside, 2):
@@ -134,7 +134,8 @@ def test_source_components_name_the_component_each_vertex_comes_from(parity):
     k = 6
     pairs = pairs_graph(parity, 1, k)
     for lg in (pairs, split_x(pairs)):
-        component = {w: c for c, comp in enumerate(components(lg.graph), 1) for w in comp.names}
+        g = lg.graph
+        component = {g.names[i]: c for c, comp in enumerate(components(g), 1) for i in comp}
         for ks in ((2, 4), (3, 3), (2, 2, 2), (4, 2)):
             names = group_components(lg, ks).graph.names
             want = [component[w] if w in component else component[w.parts[0]] for w in names]

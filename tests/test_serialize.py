@@ -11,9 +11,8 @@ from antimagic.serialize import (
     labeling_from_doc,
     matrix_csv,
     provenance_doc,
-    provenance_from_doc,
 )
-from antimagic.transforms import block_merge, from_matrix, split_x
+from antimagic.transforms import block_merge, from_matrix, replay, split_x
 
 
 class TestGraphDoc:
@@ -86,4 +85,4 @@ class TestProvenanceDoc:
         lg = split_x(block_merge(from_matrix(build_matrix(EVEN, 2, 2)), 2, 1))
         doc = provenance_doc(lg.provenance)
         text = json.dumps(doc)
-        assert provenance_from_doc(json.loads(text)) == lg.provenance
+        assert replay(json.loads(text)) == lg

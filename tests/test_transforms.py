@@ -25,6 +25,10 @@ from antimagic.transforms import (
 )
 
 
+def degree(g: Graph, w) -> int:
+    return len(g.neighbors[g.index[w]])
+
+
 def even_base(n, k):
     return from_matrix(build_matrix(EVEN, n, k))
 
@@ -65,7 +69,7 @@ class TestMergeAllX:
     def test_x_degree(self):
         lg = merge_all_x(even_base(2, 4))
         xm = merged([x(i, 1) for i in range(1, 9)])
-        assert lg.graph.degree(xm) == 16
+        assert degree(lg.graph, xm) == 16
 
     def test_requires_fresh_matrix_graph(self):
         lg = merge_all_x(even_base(2, 4))
@@ -87,7 +91,7 @@ class TestBlockMerge:
         for r, s in [(2, 2), (4, 1)]:
             lg = block_merge(even_base(1, 4), r, s)
             assert len(components(lg.graph)) == r
-            assert all(lg.graph.degree(w) == 4 * s for w in lg.graph.vertices if not w.role == "u" and not w.role == "v")
+            assert all(degree(lg.graph, w) == 4 * s for w in lg.graph.vertices if not w.role == "u" and not w.role == "v")
 
     def test_factorization_enforced(self):
         with pytest.raises(AntimagicError):
@@ -199,7 +203,7 @@ class TestDeleteAdd:
         lg, spec = self.worked_swap()
         g, out = lg.graph, delete_add(lg, spec).graph
         assert out.vertices == g.vertices
-        assert all(out.degree(w) == g.degree(w) for w in g.vertices)
+        assert all(degree(out, w) == degree(g, w) for w in g.vertices)
 
     @pytest.mark.parametrize(
         "case, error, match",
