@@ -3,9 +3,10 @@
 Vertices carry their role (u_i / v_i / x_{i,j} / merged bundle) so that
 statements like "merge v_1 and v_11" stay expressible after arbitrary
 surgery.  A graph holds its ids once, sorted, and its edges as pairs of
-positions into them, so surgery, coloring and traversal run on ints; the
-id-keyed views are for the boundary.  All graph operations return new
-graphs; nothing mutates.
+positions into them, so surgery, coloring and traversal run on ints.
+Ids enter through ``Graph.build``, ``index`` and ``edge_index`` and
+leave through ``names``.  All graph operations return new graphs;
+nothing mutates.
 """
 
 from __future__ import annotations
@@ -150,9 +151,9 @@ class Graph:
     ``names`` lists the vertex ids in sorted order and ``ends`` holds one
     ``(a, b)`` pair of positions in ``names`` per edge, ``a < b``; edge
     ``t`` is ``ends[t]``, the position an :class:`EdgeLabeling` keys its
-    labels by.  The id-keyed ``vertices``, ``edges``, ``adjacency``,
-    ``index`` and ``edge_index`` are views built on first use.  Two graphs
-    are equal when they have the same vertices and edges, in any edge order.
+    labels by.  ``index`` and ``edge_index``, built on first use, map an id
+    or an edge back to its position.  Two graphs are equal when they have
+    the same vertices and edges, in any edge order.
     """
 
     names: tuple[VertexId, ...]
@@ -184,10 +185,6 @@ class Graph:
         return len(self.ends)
 
     @cached_property
-    def vertices(self) -> frozenset[VertexId]:
-        return frozenset(self.names)
-
-    @cached_property
     def index(self) -> dict[VertexId, int]:
         """Vertex id -> its position in ``names``."""
         return {w: i for i, w in enumerate(self.names)}
@@ -199,10 +196,6 @@ class Graph:
         return {(names[a], names[b]): t for t, (a, b) in enumerate(self.ends)}
 
     @cached_property
-    def edges(self) -> frozenset[Edge]:
-        return frozenset(self.edge_index)
-
-    @cached_property
     def neighbors(self) -> list[list[int]]:
         """Per vertex position, the positions of its neighbors."""
         nbrs: list[list[int]] = [[] for _ in self.names]
@@ -210,15 +203,6 @@ class Graph:
             nbrs[a].append(b)
             nbrs[b].append(a)
         return nbrs
-
-    @cached_property
-    def adjacency(self) -> dict[VertexId, frozenset[VertexId]]:
-        names = self.names
-        return {w: frozenset(names[nb] for nb in nbs) for w, nbs in zip(names, self.neighbors)}
-
-    def sorted_edges(self) -> list[Edge]:
-        names = self.names
-        return [(names[a], names[b]) for a, b in sorted(self.ends)]
 
 
 def p2(i: int = 1) -> Graph:
@@ -233,13 +217,10 @@ def null_graph(m: int, component: int = 1) -> Graph:
 
 def join(g: Graph, h: Graph) -> Graph:
     """Join product: g + h plus every cross edge between them."""
-    if g.vertices & h.vertices:
+    if not set(g.names).isdisjoint(h.names):
         raise AntimagicError("join requires disjoint vertex sets")
-    cross = [(a, b) for a in g.vertices for b in h.vertices]
-    return Graph.build(
-        g.vertices | h.vertices,
-        list(g.edges) + list(h.edges) + cross,
-    )
+    cross = [(a, b) for a in g.names for b in h.names]
+    return Graph.build(g.names + h.names, [*g.edge_index, *h.edge_index, *cross])
 
 
 def copies_of_p2_join_null(a: int, m: int) -> Graph:
@@ -295,15 +276,16 @@ def merge_vertices_mapped(g: Graph, groups: Sequence[Iterable[VertexId]]) -> Gra
     """Collapse each group to one merged vertex, preserving every edge:
     edge t of the result is the image of edge t of ``g``.
 
-    Raises :class:`LoopError` if a group contains adjacent vertices and
+    Raises :class:`LoopError` if a group contains adjacent vertices,
     :class:`ParallelEdgeError` if two group members share a neighbor
-    (either would break the edge bijection).
+    (either would break the edge bijection) and :class:`AntimagicError`
+    if a group lists a vertex twice.
     """
     index = g.index
     names = list(g.names)  # position -> the id it becomes
     seen: set[int] = set()
     for group in groups:
-        members = sorted(set(group))
+        members = list(group)
         at = [index.get(w, -1) for w in members]
         if -1 in at:
             raise AntimagicError(f"merge group member not in graph: {members[at.index(-1)]}")

@@ -46,10 +46,6 @@ class EdgeLabeling:
         return (self.graph.names == other.graph.names
                 and set(zip(self.graph.ends, self.values)) == set(zip(other.graph.ends, other.values)))
 
-    @property
-    def q(self) -> int:
-        return self.graph.size
-
     @cached_property
     def labels(self) -> dict[Edge, int]:
         return dict(zip(self.graph.edge_index, self.values))

@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass
 
 from .errors import AntimagicError
-from .graph import Edge, Graph
+from .graph import Graph
 from .labeling import EdgeLabeling, chi_la_lower_bound, is_local_antimagic
 
 DEFAULT_EDGE_CAP = 12
@@ -56,14 +56,14 @@ class _Search:
 
     ``closes[pos]`` lists the vertices whose last edge sits at ``pos``;
     ``less[pos]`` lists earlier positions whose label must be smaller
-    (twin symmetry breaking, see README).  ``n_colors`` asks for exactly
+    (twin symmetry breaking, see README).  ``at[t]`` is the search
+    position of edge t, ``g.ends[t]``.  ``n_colors`` asks for exactly
     that many colors: it caps the colors while searching and is required
     in full at the leaf.  ``first_labels`` limits the first edge's label.
     """
 
     def __init__(self, g: Graph):
         self.q = g.size
-        self.names = g.names
         self.adj = g.neighbors
         self.edge_ends = _edge_order(g)
         last = [0] * g.order
@@ -76,6 +76,7 @@ class _Search:
             twins.setdefault(frozenset(nbs), []).append(w)
             twins.setdefault(frozenset(nbs + [w]), []).append(w)
         position = {ends: pos for pos, ends in enumerate(self.edge_ends)}
+        self.at = [position[e] for e in g.ends]
         for members in [m for m in twins.values() if len(m) > 1]:
             for a, b in zip(members, members[1:]):  # swapping a and b is an automorphism
                 for pos, (x, y) in enumerate(self.edge_ends):
@@ -91,8 +92,9 @@ class _Search:
         self.assignment: list[int] = [0] * self.q
 
     def run(self, target_colors: frozenset[int] | None, n_colors: int | None,
-            first_labels: list[int] | None = None) -> tuple[dict[Edge, int] | None, int]:
-        """(the first labeling meeting the constraints or None, nodes expanded)."""
+            first_labels: list[int] | None = None) -> tuple[tuple[int, ...] | None, int]:
+        """(the labels, aligned with ``g.ends``, of the first labeling meeting
+        the constraints or None, nodes expanded)."""
         self.target, self.n_colors, self.first_labels, self.nodes = target_colors, n_colors, first_labels, 0
         return self._dfs(0), self.nodes
 
@@ -134,14 +136,13 @@ class _Search:
         if self.color_count[color] == 0:
             del self.color_count[color]
 
-    def _dfs(self, pos: int) -> dict[Edge, int] | None:
+    def _dfs(self, pos: int) -> tuple[int, ...] | None:
         if pos == self.q:
             if self.target is not None and set(self.color_count) != set(self.target):
                 return None
             if self.n_colors is not None and len(self.color_count) != self.n_colors:
                 return None
-            names = self.names
-            return {(names[a], names[b]): lab for (a, b), lab in zip(self.edge_ends, self.assignment)}
+            return tuple([self.assignment[p] for p in self.at])
         a, b = self.edge_ends[pos]
         for lab in self._candidates(pos):
             self.nodes += 1
@@ -208,7 +209,7 @@ def exact_chi_la(g: Graph, cap: int | None = None, jobs: int = 1) -> ChiLaResult
             nodes += sum(n for _, n in results)
             hits = [found for found, _ in results if found is not None]
             if hits:
-                return ChiLaResult(EdgeLabeling.from_dict(g, hits[0]).coloring.c, nodes, time.perf_counter() - t0)
+                return ChiLaResult(EdgeLabeling(g, hits[0]).coloring.c, nodes, time.perf_counter() - t0)
     return ChiLaResult(None, nodes, time.perf_counter() - t0)
 
 
@@ -249,7 +250,7 @@ def find_labeling(
     if mode == "heuristic":
         return FindResult(_heuristic(g, target_colors, target_c, seed), 0, time.perf_counter() - t0, mode)
     found, nodes = _Search(g).run(frozenset(target_colors) if target_colors else None, n_colors)
-    return FindResult(None if found is None else EdgeLabeling.from_dict(g, found), nodes, time.perf_counter() - t0, mode)
+    return FindResult(None if found is None else EdgeLabeling(g, found), nodes, time.perf_counter() - t0, mode)
 
 
 def _penalty(labeling: EdgeLabeling, target_colors, target_c) -> int:
@@ -265,26 +266,29 @@ def _penalty(labeling: EdgeLabeling, target_colors, target_c) -> int:
 
 def _heuristic(g: Graph, target_colors, target_c, seed: int) -> EdgeLabeling | None:
     rng = random.Random(seed)
-    edges = g.sorted_edges()
-    q = len(edges)
+    q = g.size
+    order = sorted(range(q), key=g.ends.__getitem__)  # labels are dealt and swapped in sorted-edge order
+    values = [0] * q
     for _ in range(HEURISTIC_RESTARTS):
         labels = list(range(1, q + 1))
         rng.shuffle(labels)
-        current = EdgeLabeling.from_dict(g, dict(zip(edges, labels)))
+        for t, lab in zip(order, labels):
+            values[t] = lab
+        current = EdgeLabeling(g, tuple(values))
         pen = _penalty(current, target_colors, target_c)
         if q < 2:  # the only labeling: no swap to make
             return current if pen == 0 else None
         for _ in range(HEURISTIC_ITERS):
             if pen == 0:
                 return current
-            i, j = rng.sample(range(q), 2)
-            labels[i], labels[j] = labels[j], labels[i]
-            cand = EdgeLabeling.from_dict(g, dict(zip(edges, labels)))
+            i, j = rng.sample(order, 2)
+            values[i], values[j] = values[j], values[i]
+            cand = EdgeLabeling(g, tuple(values))
             cand_pen = _penalty(cand, target_colors, target_c)
             if cand_pen <= pen:
                 current, pen = cand, cand_pen
             else:
-                labels[i], labels[j] = labels[j], labels[i]
+                values[i], values[j] = values[j], values[i]
         if pen == 0:
             return current
     return None

@@ -9,6 +9,7 @@ order is canonical either way.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate, groupby
 from typing import Iterable, Iterator
 
@@ -58,20 +59,13 @@ def csv_text(rows: Iterable[SweepRow]) -> str:
     return "\n".join(["family,parity,params,colors,status,detail"] + [row.csv() for row in rows]) + "\n"
 
 
-def compositions_min2(k: int) -> Iterator[tuple[int, ...]]:
-    """Ordered ways of writing k as parts >= 2 (at least two parts)."""
-
-    def rec(rest: int) -> Iterator[tuple[int, ...]]:
-        if rest == 0:
-            yield ()
-            return
-        for first in range(2, rest + 1):
-            for tail in rec(rest - first):
-                yield (first,) + tail
-
-    for comp in rec(k):
-        if len(comp) >= 2:
-            yield comp
+@cache
+def compositions_min2(k: int) -> tuple[tuple[int, ...], ...]:
+    """Ordered ways of writing k as parts >= 2 (at least two parts), in
+    lexicographic order; built once per k."""
+    # after the first part comes either two or more parts or one part: the rest whole
+    return tuple((first, *tail) for first in range(2, k - 1)
+                 for tail in compositions_min2(k - first) + ((k - first,),))
 
 
 def _verdict(bad: Edge | None, colors: frozenset[int], expected: set[int]) -> tuple[bool, str]:

@@ -208,8 +208,8 @@ def delete_add(lg: LabeledGraph, spec: SwapSpec) -> LabeledGraph:
     moved = []
     for a, b in dels:
         try:
-            moved.append(g.ends.index((index[a], index[b])))
-        except (KeyError, ValueError):
+            moved.append(g.edge_index[a, b])
+        except KeyError:
             raise AntimagicError(f"cannot delete missing edge {a}-{b}") from None
     del_labels = sorted(labels[t] for t in moved)
     add_labels = sorted(lab for _, lab in spec.add)
@@ -367,10 +367,11 @@ def random_swap_spec(lg: LabeledGraph, rng: random.Random) -> SwapSpec:
     labels = lg.labeling.labels
     k = lg.k
 
-    adj = g.adjacency
-    xs = sorted(w for w in g.vertices if not _uv_side(w))
+    names = g.names
+    # each x-side vertex, in id order, to the ids of its neighbors
+    adj = {w: {names[nb] for nb in nbs} for w, nbs in zip(names, g.neighbors) if not _uv_side(w)}
     by_j: dict[int, list[VertexId]] = {}
-    for xv in xs:
+    for xv in adj:
         j = xv.parts[0].j if xv.role == MERGED_ROLE else xv.j
         by_j.setdefault(j, []).append(xv)
 

@@ -91,7 +91,7 @@ def test_criterion_2_color_triples():
         coloring = induce(labeling)
         assert coloring.color_set == frozenset(expected), name
         colors = coloring.colors
-        assert all(colors[a] != colors[b] for a, b in labeling.graph.edges), name
+        assert all(colors[a] != colors[b] for a, b in labeling.graph.edge_index), name
     elapsed = time.perf_counter() - t0
     _report("2 (color triples)", elapsed < 1.0, f"{len(cases)} fixtures in {elapsed:.3f}s")
 

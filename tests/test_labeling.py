@@ -49,7 +49,7 @@ class TestInduce:
     def test_total_invariant_random_labelings(self):
         rng = random.Random(3)
         g = copies_of_p2_join_null(2, 2)
-        edges = g.sorted_edges()
+        edges = list(g.edge_index)
         for _ in range(20):
             labels = list(range(1, len(edges) + 1))
             rng.shuffle(labels)

@@ -12,7 +12,8 @@ from antimagic.oracle import (
     exact_chi_la,
     find_labeling,
 )
-from antimagic.schemes import special_2p2_o2
+from antimagic.schemes import build_matrix, special_2p2_o2
+from antimagic.transforms import from_matrix
 
 
 def c4() -> Graph:
@@ -24,6 +25,11 @@ def c4() -> Graph:
 
 def p4() -> Graph:
     return Graph.build([u(1), v(1), u(2), v(2)], [(u(1), v(1)), (v(1), u(2)), (u(2), v(2))])
+
+
+def c5() -> Graph:
+    us = [u(i) for i in range(1, 6)]
+    return Graph.build(us, list(zip(us, us[1:] + us[:1])))
 
 
 def star3() -> Graph:
@@ -151,6 +157,26 @@ class TestFindLabeling:
         if a.labeling is not None:
             assert a.labeling.labels == b.labeling.labels
 
+    # recorded labels per seed: they are dealt and swapped in sorted-edge order, which
+    # the odd matrix graph (ends not sorted) tells apart from edge order
+    @pytest.mark.parametrize("graph,colors,pinned", [
+        pytest.param(lambda: from_matrix(build_matrix("odd", 1, 1)).graph, None, [
+            (2, 11, 9, 10, 5, 6, 1, 12, 3, 13, 4, 7, 8, 14),
+            (4, 11, 8, 1, 14, 13, 5, 7, 6, 2, 12, 3, 9, 10),
+            (10, 4, 3, 7, 6, 13, 12, 11, 8, 2, 9, 1, 5, 14),
+        ], id="odd-matrix"),
+        pytest.param(c5, None, [(3, 2, 1, 5, 4), (3, 4, 5, 1, 2), (3, 2, 4, 5, 1)], id="C5"),
+        pytest.param(lambda: special_2p2_o2()[0], {14, 19, 22}, [
+            (4, 2, 8, 7, 6, 1, 5, 10, 9, 3),
+            (8, 10, 4, 9, 6, 7, 1, 5, 2, 3),
+            (4, 10, 5, 7, 1, 6, 2, 8, 9, 3),
+        ], id="special-colors"),
+    ])
+    def test_heuristic_labelings_are_pinned(self, graph, colors, pinned):
+        g = graph()
+        got = [find_labeling(g, target_colors=colors, mode="heuristic", seed=s).labeling.values for s in range(3)]
+        assert got == pinned
+
 
 class TestFeasibleRange:
     """A labeling has between the lower bound and |V| colors; other counts take no search."""
@@ -211,7 +237,7 @@ def plain_exhaustion(g: Graph) -> dict[int, dict]:
     order = [(g.names[a], g.names[b]) for a, b in _edge_order(g)]
     first: dict[int, dict] = {}
     for labels in itertools.permutations(range(1, len(order) + 1)):
-        color = dict.fromkeys(g.vertices, 0)
+        color = dict.fromkeys(g.names, 0)
         for (a, b), lab in zip(order, labels):
             color[a] += lab
             color[b] += lab

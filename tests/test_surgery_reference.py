@@ -56,7 +56,7 @@ def reference(labels, move):
 
 def merge_reference(graph, labels, groups):
     to = {w: bundle(group) for group in groups for w in group}
-    return {to.get(w, w) for w in graph.vertices}, reference(labels, lambda a, b: (to.get(a, a), to.get(b, b)))
+    return {to.get(w, w) for w in graph.names}, reference(labels, lambda a, b: (to.get(a, a), to.get(b, b)))
 
 
 def split_reference(block):
@@ -71,14 +71,14 @@ def split_reference(block):
             return a, b
         return a, half(b, a.i if a.role == "u" else 2 * k + 1 - a.i)
 
-    bundles = [w for w in block.graph.vertices if "x" in w.roles]
-    vertices = (block.graph.vertices - set(bundles)) | {half(w, c) for w in bundles for c in (1, 2 * k)}
+    bundles = [w for w in block.graph.names if "x" in w.roles]
+    vertices = (set(block.graph.names) - set(bundles)) | {half(w, c) for w in bundles for c in (1, 2 * k)}
     return vertices, reference(block.labeling.labels, move)
 
 
 def check(lg, vertices, labels):
-    assert lg.graph.vertices == vertices
-    assert lg.graph.edges == set(labels)
+    assert set(lg.graph.names) == vertices
+    assert set(lg.graph.edge_index) == set(labels)
     assert lg.labeling.labels == labels
     colors = dict.fromkeys(vertices, 0)
     for (a, b), lab in labels.items():
@@ -115,7 +115,7 @@ def test_every_transform_matches_the_reference(parity, n, k):
             spec = random_swap_spec(lg, rng)
             labels = {e: lab for e, lab in lg.labeling.labels.items() if e not in spec.delete}
             out = delete_add(lg, spec)
-            check(out, lg.graph.vertices, labels | dict(spec.add))
+            check(out, set(lg.graph.names), labels | dict(spec.add))
             assert out.coloring.colors == lg.coloring.colors
             lg = out
     if k < 2:
@@ -128,7 +128,7 @@ def test_every_transform_matches_the_reference(parity, n, k):
         for ks in compositions_min2(k):
             out = group_components(lg, ks)
             # the chain pairs are group_components' own choice; the reference checks the surgery on them
-            chain = [w.parts for w in out.graph.vertices if w.roles == {lg.side}]
+            chain = [w.parts for w in out.graph.names if w.roles == {lg.side}]
             check_merge(out, lg, chain)
 
 
@@ -138,10 +138,11 @@ P3 = Graph.build([u(1), v(1), u(2)], [(u(1), v(1)), (v(1), u(2))])
 @pytest.mark.parametrize("groups,error", [
     pytest.param([[u(1), v(1)]], LoopError, id="adjacent-members"),
     pytest.param([[u(1), u(2)]], ParallelEdgeError, id="shared-neighbor"),
+    pytest.param([[u(1), u(1)]], AntimagicError, id="repeated-member"),
 ])
 def test_planted_bad_groups_raise_as_the_reference_does(groups, error):
     with pytest.raises(error) as want:
-        merge_reference(P3, dict.fromkeys(P3.edges, 0), groups)
+        merge_reference(P3, dict.fromkeys(P3.edge_index, 0), groups)
     with pytest.raises(error) as got:
         merge_vertices_mapped(P3, groups)
     assert str(got.value) == str(want.value)

@@ -116,9 +116,9 @@ multi_component = cells.filter(lambda cell: cell[2] >= 2)
 def test_merging_the_split_halves_back_restores_the_block_merge(cell, data):
     block, split = block_and_split(cell, data)
     halves = {}
-    for w in split.graph.vertices - block.graph.vertices:
+    for w in set(split.graph.names) - set(block.graph.names):
         parts = set(w.parts or (w,))
-        whole = next(xv for xv in block.graph.vertices if parts <= set(xv.parts))
+        whole = next(xv for xv in block.graph.names if parts <= set(xv.parts))
         halves.setdefault(whole, []).append(w)
     assert all(len(pair) == 2 and merged(pair) == whole for whole, pair in halves.items())
     g = merge_vertices_mapped(split.graph, list(halves.values()))

@@ -91,7 +91,7 @@ class TestBlockMerge:
         for r, s in [(2, 2), (4, 1)]:
             lg = block_merge(even_base(1, 4), r, s)
             assert len(components(lg.graph)) == r
-            assert all(degree(lg.graph, w) == 4 * s for w in lg.graph.vertices if not w.role == "u" and not w.role == "v")
+            assert all(degree(lg.graph, w) == 4 * s for w in lg.graph.names if not w.role == "u" and not w.role == "v")
 
     def test_factorization_enforced(self):
         with pytest.raises(AntimagicError):
@@ -144,7 +144,7 @@ def merge_vertices_back(split_lg):
     from antimagic.graph import merge_vertices_mapped
 
     g = split_lg.graph
-    xs = sorted(w for w in g.vertices if w.role in ("x", "m") and (w.role == "x" or all(p.role == "x" for p in w.parts)))
+    xs = sorted(w for w in g.names if w.role in ("x", "m") and (w.role == "x" or all(p.role == "x" for p in w.parts)))
     pair_of = {}
     for w in xs:
         j = w.j if w.role == "x" else w.parts[0].j
@@ -202,13 +202,14 @@ class TestDeleteAdd:
     def test_rewire_keeps_degree_sequence(self):
         lg, spec = self.worked_swap()
         g, out = lg.graph, delete_add(lg, spec).graph
-        assert out.vertices == g.vertices
-        assert all(degree(out, w) == degree(g, w) for w in g.vertices)
+        assert set(out.names) == set(g.names)
+        assert all(degree(out, w) == degree(g, w) for w in g.names)
 
     @pytest.mark.parametrize(
         "case, error, match",
         [
             pytest.param("missing-edge", AntimagicError, "missing edge", id="missing-edge"),
+            pytest.param("missing-endpoint", AntimagicError, "missing edge", id="missing-endpoint"),
             pytest.param("duplicate-delete", AntimagicError, "duplicate", id="duplicate-delete"),
             pytest.param("endpoint-outside", AntimagicError, "not in vertex set", id="endpoint-outside"),
             pytest.param("existing-edge", ParallelEdgeError, "parallel", id="existing-edge"),
@@ -221,6 +222,7 @@ class TestDeleteAdd:
         to_a2 = (edge(u(1), merged([x(1, 2), x(6, 2)])), lab)  # u1 already touches it
         spec = {
             "missing-edge": SwapSpec((edge(u(1), v(2)),), ((e, lab),)),
+            "missing-endpoint": SwapSpec((edge(u(1), x(9, 9)),), ((e, lab),)),
             "duplicate-delete": SwapSpec((e, e), (to_a2, to_a2)),
             "endpoint-outside": SwapSpec((e,), ((edge(u(1), x(9, 9)), lab),)),
             "existing-edge": SwapSpec((e,), (to_a2,)),
@@ -325,6 +327,11 @@ class TestMergeVBlocks:
         with pytest.raises(ParallelEdgeError):
             merge_v_blocks(pairs, [[v(1), v(12)]])  # same component
 
+    def test_repeated_member_rejected(self):
+        pairs = block_merge(even_base(1, 2), 2, 1)
+        with pytest.raises(AntimagicError, match="pairwise distinct"):
+            merge_v_blocks(pairs, [[v(1), v(1)]])
+
 
 class TestGroupComponents:
     def test_worked_h_triple(self):
@@ -400,6 +407,11 @@ class TestCertificatesAndReplay:
         wrong = out.provenance[:-1] + ((tag, "u" if side == "v" else "v", rest),)
         with pytest.raises(AntimagicError, match="records side"):
             replay(wrong)
+
+    def test_replay_rejects_a_repeated_block_member(self):
+        log = block_merge(even_base(1, 2), 2, 1).provenance + (("merge_v_blocks", "v", (("v1", "v1"),)),)
+        with pytest.raises(AntimagicError, match="pairwise distinct"):
+            replay(log)
 
     @pytest.mark.parametrize("log", [(("merge_all_x",),), (("group_components", "v", (2,)),)], ids=["merge-all", "group"])
     def test_replay_rejects_a_log_without_a_base_step(self, log):
