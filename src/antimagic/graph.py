@@ -320,14 +320,15 @@ def components(g: Graph) -> list[list[int]]:
     return comps
 
 
-def bipartition(g: Graph) -> list[tuple[frozenset[VertexId], frozenset[VertexId]] | None]:
-    """Per component: its 2-coloring classes, or None if not bipartite.
+def bipartition(g: Graph) -> list[tuple[list[int], list[int]] | None]:
+    """Per component of ``components(g)``: its 2-coloring classes as
+    sorted position lists, or None if not bipartite.
 
-    The side containing the component's smallest vertex is listed first,
+    The side holding the component's smallest position is listed first,
     making the output deterministic.  Each component is walked on the
     graph's own adjacency, from its smallest vertex.
     """
-    nbrs, names = g.neighbors, g.names
+    nbrs = g.neighbors
     side = [-1] * g.order  # components are disjoint, so one array serves them all
     out = []
     for comp in components(g):
@@ -344,8 +345,7 @@ def bipartition(g: Graph) -> list[tuple[frozenset[VertexId], frozenset[VertexId]
                     ok = False
             if not ok:
                 break
-        out.append((frozenset([names[i] for i in comp if not side[i]]),
-                    frozenset([names[i] for i in comp if side[i]])) if ok else None)
+        out.append(([i for i in comp if not side[i]], [i for i in comp if side[i]]) if ok else None)
     return out
 
 

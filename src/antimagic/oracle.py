@@ -54,25 +54,29 @@ class _Search:
     """Backtracking over one graph's edge-label bijections; ``run`` is the
     one entry, for any number of runs, serial or in pool workers.
 
-    ``closes[pos]`` lists the vertices whose last edge sits at ``pos``;
-    ``less[pos]`` lists earlier positions whose label must be smaller
-    (twin symmetry breaking, see README).  ``at[t]`` is the search
-    position of edge t, ``g.ends[t]``.  ``n_colors`` asks for exactly
-    that many colors: it caps the colors while searching and is required
-    in full at the leaf.  ``first_labels`` limits the first edge's label.
+    ``closes[pos]`` pairs each vertex whose last edge sits at ``pos``
+    with its neighbours that finish first (``_dfs`` finishes an edge's
+    smaller end first); ``less[pos]`` lists earlier positions whose label
+    must be smaller (twin symmetry breaking, see README).  ``at[t]`` is
+    the search position of edge t, ``g.ends[t]``.  ``n_colors`` asks for
+    exactly that many colors: it caps the colors while searching and is
+    required in full at the leaf.  ``first_labels`` limits the first
+    edge's label.
     """
 
     def __init__(self, g: Graph):
         self.q = g.size
-        self.adj = g.neighbors
+        nbrs = g.neighbors
         self.edge_ends = _edge_order(g)
-        last = [0] * g.order
+        rank = [0] * g.order  # finishing order: 2 * the position of a vertex's last edge, + 1 for its larger end
         for pos, (a, b) in enumerate(self.edge_ends):
-            last[a] = last[b] = pos
-        self.closes = [[w for w in ends if last[w] == pos] for pos, ends in enumerate(self.edge_ends)]
+            rank[a], rank[b] = 2 * pos, 2 * pos + 1
+        self.closes: list[list[tuple[int, list[int]]]] = [[] for _ in self.edge_ends]
         self.less: list[list[int]] = [[] for _ in self.edge_ends]
         twins: dict[frozenset, list[int]] = {}
-        for w, nbs in enumerate(self.adj):  # open twins share N(w), closed twins N[w]; the keys never clash
+        for w, nbs in enumerate(nbrs):  # open twins share N(w), closed twins N[w]; the keys never clash
+            if nbs:  # in id order, so an edge's smaller end closes first
+                self.closes[rank[w] >> 1].append((w, [nb for nb in nbs if rank[nb] < rank[w]]))
             twins.setdefault(frozenset(nbs), []).append(w)
             twins.setdefault(frozenset(nbs + [w]), []).append(w)
         position = {ends: pos for pos, ends in enumerate(self.edge_ends)}
@@ -85,8 +89,7 @@ class _Search:
                         self.less[position[min(image), max(image)]].append(pos)
                         break
         self.sums = [0] * g.order
-        self.finished = [not nbs for nbs in self.adj]
-        isolated = self.finished.count(True)
+        isolated = nbrs.count([])
         self.color_count: dict[int, int] = {0: isolated} if isolated else {}
         self.free = [True] * (self.q + 1)
         self.assignment: list[int] = [0] * self.q
@@ -111,26 +114,22 @@ class _Search:
             if allowed is None and self.n_colors is not None and len(self.color_count) >= self.n_colors:
                 allowed = self.color_count  # the budget is full: closing vertices reuse a color
             if allowed is not None:
-                for w in closes:  # the closing vertex's color fixes the label
+                for w, _ in closes:  # the closing vertex's color fixes the label
                     s = self.sums[w]
                     labs = [lab for lab in labs if lab + s in allowed]
         return labs
 
-    def _finish(self, w: int) -> bool:
+    def _finish(self, w: int, earlier: list[int]) -> bool:
         color = self.sums[w]
-        if self.target is not None and color not in self.target:
-            return False
-        for nb in self.adj[w]:
-            if self.finished[nb] and self.sums[nb] == color:
+        for nb in earlier:
+            if self.sums[nb] == color:
                 return False
         if self.n_colors is not None and color not in self.color_count and len(self.color_count) >= self.n_colors:
             return False
-        self.finished[w] = True
         self.color_count[color] = self.color_count.get(color, 0) + 1
         return True
 
     def _unfinish(self, w: int) -> None:
-        self.finished[w] = False
         color = self.sums[w]
         self.color_count[color] -= 1
         if self.color_count[color] == 0:
@@ -152,8 +151,8 @@ class _Search:
             self.sums[b] += lab
             done: list[int] = []
             ok = True
-            for w in self.closes[pos]:
-                if self._finish(w):
+            for w, earlier in self.closes[pos]:
+                if self._finish(w, earlier):
                     done.append(w)
                 else:
                     ok = False

@@ -139,7 +139,7 @@ class _GroupTable:
     def _read(self, built: LabeledGraph, groups: list[tuple[int, int]], bipartite: bool) -> None:
         """Record each group's smallest violating edge and colors in
         ``built``, the H graph of ``groups``, or with ``bipartite`` whether
-        its components (each its smallest vertex's) have equal sides."""
+        its components (each its smallest position's) have equal sides."""
         owner = [0]  # component c -> the index of its group, at index c
         for t, (_, ka) in enumerate(groups):
             owner += [t] * ka
@@ -147,18 +147,18 @@ class _GroupTable:
         def owners(ids) -> list[int]:
             return [owner[c] for c in source_components(ids, self.lg.k)]
 
+        source = owners(built.graph.names)  # position -> the index of its group
         if bipartite:
-            g = built.graph
-            parts = bipartition(g)  # its first side holds the component's smallest vertex
-            firsts = [g.names[c[0]] for c in components(g)] if None in parts else [min(p[0]) for p in parts]
-            unequal = {t for t, p in zip(owners(firsts), parts) if p is None or len(p[0]) != len(p[1])}
+            parts = bipartition(built.graph)  # its first side starts with the component's smallest position
+            firsts = [c[0] for c in components(built.graph)] if None in parts else [p[0][0] for p in parts]
+            unequal = {source[f] for f, p in zip(firsts, parts) if p is None or len(p[0]) != len(p[1])}
             for t, key in enumerate(groups):
                 self.verdicts[key][2] = t not in unequal
             self.checked.update(groups)
             return
         colors: list[set[int]] = [set() for _ in groups]
         coloring = built.coloring
-        for t, c in set(zip(owners(coloring.names), coloring.sums)):
+        for t, c in set(zip(source, coloring.sums)):
             colors[t].add(c)
         bad: list = [None] * len(groups)
         violating = is_local_antimagic(built.labeling)[1]  # sorted, so a group's first is its smallest

@@ -226,7 +226,9 @@ class TestComponentsAndBipartition:
             [(u(1), u(2)), (u(1), v(1)), (u(2), v(1)), (v(1), x(1, 1)), (u(3), v(2)), (v(2), x(1, 2))],
         )
         assert components(g) == [[0, 1, 3, 5], [2, 4, 6]]
-        assert bipartition(g) == [None, (frozenset({u(3), x(1, 2)}), frozenset({v(2)}))]
+        parts = bipartition(g)
+        assert parts[0] is None
+        assert [[g.names[i] for i in side] for side in parts[1]] == [[u(3), x(1, 2)], [v(2)]]
 
     def test_unique_classes_against_brute_force(self):
         rng = random.Random(11)
@@ -247,7 +249,7 @@ class TestComponentsAndBipartition:
                 if part is None:
                     assert not colorings
                 else:
-                    assert set(colorings) == {frozenset(part[0])}
+                    assert set(colorings) == {frozenset(g.names[i] for i in part[0])}
 
     def test_match_networkx_on_random_graphs(self):
         nx = pytest.importorskip("networkx")
@@ -272,7 +274,9 @@ class TestComponentsAndBipartition:
                     continue
                 seed = min(c.nodes)
                 side0 = frozenset(w for w, d in nx.shortest_path_length(c, seed).items() if d % 2 == 0)
-                assert part == (side0, frozenset(c.nodes) - side0)
+                sides = tuple(frozenset(g.names[i] for i in side) for side in part)
+                assert sides == (side0, frozenset(c.nodes) - side0)
+                assert all(side == sorted(side) for side in part)
 
     def test_equal_parts_check(self):
         c4 = Graph.build(

@@ -1,13 +1,16 @@
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
 from antimagic.errors import AntimagicError
-from antimagic.graph import Graph, copies_of_p2_join_null, join, null_graph, p2, u, v
+from antimagic.graph import Graph, copies_of_p2_join_null, join, null_graph, p2, u, v, x
 from antimagic.labeling import chi_la_lower_bound, induce, is_local_antimagic
 from antimagic.oracle import (
     _edge_order,
+    _Search,
     certify_no_2_coloring,
     exact_chi_la,
     find_labeling,
@@ -285,3 +288,85 @@ def test_rule_graphs_get_their_bound(name, reason):
 def test_pooled_search_agrees_with_plain_exhaustion(name):
     first = plain_exhaustion(RULE_GRAPHS[name])
     assert exact_chi_la(RULE_GRAPHS[name], jobs=2).value == (min(first) if first else None)
+
+
+def cycle(n: int) -> Graph:
+    return Graph.build([u(i) for i in range(1, n + 1)], [(u(i), u(i % n + 1)) for i in range(1, n + 1)])
+
+
+def copies_join(a: int, m: int) -> Graph:
+    """a disjoint copies of P2 v O_m."""
+    vs, es = [], []
+    for i in range(1, a + 1):
+        xs = [x(i, j) for j in range(1, m + 1)]
+        vs += [u(i), v(i)] + xs
+        es += [(u(i), v(i))] + [(w, y) for w in (u(i), v(i)) for y in xs]
+    return Graph.build(vs, es)
+
+
+def matching_join(a: int, m: int) -> Graph:
+    """aP2 v O_m: a disjoint edges joined to m isolated vertices."""
+    side = [w for i in range(1, a + 1) for w in (u(i), v(i))]
+    xs = [x(1, j) for j in range(1, m + 1)]
+    return Graph.build(side + xs, [(u(i), v(i)) for i in range(1, a + 1)] + [(w, y) for w in side for y in xs])
+
+
+# the oracle-corpus benchmark's fixed graphs, built as bench/run.py builds them, and its stored pool
+CORPUS = {
+    **{f"C{n}": cycle(n) for n in range(4, 9)},
+    **{f"P{n}": path(n) for n in range(5, 8)},
+    "K2,3": complete_bipartite(2, 3), "K2,4": complete_bipartite(2, 4),
+    "K2,5": complete_bipartite(2, 5), "K3,3": complete_bipartite(3, 3),
+    "2(P2vO1)": copies_join(2, 1), "3(P2vO1)": copies_join(3, 1), "2(P2vO2)": copies_join(2, 2),
+    "2P2vO2": matching_join(2, 2),
+}
+EXPECTED = json.loads((Path(__file__).resolve().parents[1] / "bench" / "expected.json").read_text())
+POOL = {f"pool#{e['index']}": Graph.build([u(i) for i in range(1, e["order"] + 1)],
+                                          [(u(a), u(b)) for a, b in e["edges"]])
+        for e in EXPECTED["full"]["oracle-corpus"]["pool"]}
+
+
+# chi_la and nodes expanded on the corpus: a change to the search tree shows here
+@pytest.mark.parametrize("name, chi, nodes", [
+    ("C4", 3, 6), ("C5", 3, 21), ("C6", 3, 18), ("C7", 3, 113), ("C8", 3, 44),
+    ("P5", 3, 17), ("P6", 3, 15), ("P7", 3, 110),
+    ("K2,3", 3, 11), ("K2,4", 2, 237), ("K2,5", 3, 79), ("K3,3", 3, 548),
+    ("2(P2vO1)", 4, 239), ("3(P2vO1)", 5, 34_894), ("2P2vO2", 3, 40_021), ("2(P2vO2)", 4, 196_523),
+])
+def test_search_tree_is_pinned(name, chi, nodes):
+    res = exact_chi_la(CORPUS[name])
+    assert (res.value, res.nodes) == (chi, nodes)
+
+
+def test_exact_find_is_pinned():
+    res = find_labeling(CORPUS["2P2vO2"], target_colors={14, 19, 22})
+    assert (res.labeling.values, res.nodes) == ((7, 1, 6, 4, 2, 8, 9, 3, 10, 5), 1_926)
+
+
+@pytest.mark.parametrize("g", list(CORPUS.values()) + list(POOL.values()), ids=list(CORPUS) + list(POOL))
+def test_closing_vertices_carry_the_neighbours_that_finish_first(g):
+    order = _edge_order(g)
+    finishing = []  # (position, vertex) in the order the search finishes them: an edge's ends in order
+    for pos, (a, b) in enumerate(order):
+        finishing += [(pos, w) for w in (a, b) if not any(w in e for e in order[pos + 1:])]
+    rank = {w: r for r, (_, w) in enumerate(finishing)}
+    want: list[list] = [[] for _ in order]
+    for pos, w in finishing:
+        nbs = {a + b - w for a, b in order if w in (a, b)}
+        want[pos].append((w, sorted(nb for nb in nbs if rank[nb] < rank[w])))
+    assert [[(w, sorted(earlier)) for w, earlier in closes] for closes in _Search(g).closes] == want
+
+
+def test_leaf_check_rejects_the_color_of_an_isolated_vertex():
+    """The closing-label filter keeps every finishing color in the target,
+    but an isolated vertex's color 0 never finishes: only the leaf's
+    set comparison turns it away."""
+    p3_o1 = RULE_GRAPHS["P3+O1"]
+    assert find_labeling(p3_o1, target_colors={1, 2, 3}).labeling is None
+    assert find_labeling(p3_o1, target_colors={0, 1, 2, 3}).labeling.coloring.color_set == {0, 1, 2, 3}
+    # K2,4 has a 2-coloring with colors {9, 18}: plus an isolated vertex it makes {0, 9, 18}, not {1, 9, 18}
+    us, vs = [u(1), u(2)], [v(j) for j in range(1, 5)]
+    k24_o1 = Graph.build(us + vs + [u(3)], [(a, b) for a in us for b in vs])
+    assert find_labeling(complete_bipartite(2, 4), target_c=2).labeling.coloring.color_set == {9, 18}
+    assert find_labeling(k24_o1, target_colors={1, 9, 18}).labeling is None
+    assert find_labeling(k24_o1, target_colors={0, 9, 18}).labeling.coloring.color_set == {0, 9, 18}
