@@ -52,10 +52,13 @@ def _edge_order(g: Graph) -> list[tuple[int, int]]:
 
 class _Search:
     """Backtracking over one graph's edge-label bijections; ``run`` is the
-    one entry, for any number of runs, serial or in pool workers.
+    one entry, for any number of runs, serial or in pool workers.  The
+    search is one recursive closure inside ``run`` that reads the tables
+    as locals; it restores ``sums``, ``free`` and ``color_count`` on every
+    exit, found or not, so each run starts from the tables as built.
 
     ``closes[pos]`` pairs each vertex whose last edge sits at ``pos``
-    with its neighbours that finish first (``_dfs`` finishes an edge's
+    with its neighbours that finish first (the search finishes an edge's
     smaller end first); ``less[pos]`` lists earlier positions whose label
     must be smaller (twin symmetry breaking, see README).  ``at[t]`` is
     the search position of edge t, ``g.ends[t]``.  ``n_colors`` asks for
@@ -98,74 +101,68 @@ class _Search:
             first_labels: list[int] | None = None) -> tuple[tuple[int, ...] | None, int]:
         """(the labels, aligned with ``g.ends``, of the first labeling meeting
         the constraints or None, nodes expanded)."""
-        self.target, self.n_colors, self.first_labels, self.nodes = target_colors, n_colors, first_labels, 0
-        return self._dfs(0), self.nodes
+        q, edge_ends, closes, less, at = self.q, self.edge_ends, self.closes, self.less, self.at
+        sums, free, assignment, color_count = self.sums, self.free, self.assignment, self.color_count
+        nodes = 0
 
-    def _candidates(self, pos: int) -> list[int]:
-        if pos == 0 and self.first_labels is not None:
-            labs = [lab for lab in self.first_labels if self.free[lab]]
-        else:
-            less = self.less[pos]
-            start = max([self.assignment[i] for i in less]) + 1 if less else 1
-            labs = [lab for lab in range(start, self.q + 1) if self.free[lab]]
-        closes = self.closes[pos]
-        if closes:
-            allowed = self.target
-            if allowed is None and self.n_colors is not None and len(self.color_count) >= self.n_colors:
-                allowed = self.color_count  # the budget is full: closing vertices reuse a color
-            if allowed is not None:
-                for w, _ in closes:  # the closing vertex's color fixes the label
-                    s = self.sums[w]
-                    labs = [lab for lab in labs if lab + s in allowed]
-        return labs
-
-    def _finish(self, w: int, earlier: list[int]) -> bool:
-        color = self.sums[w]
-        for nb in earlier:
-            if self.sums[nb] == color:
-                return False
-        if self.n_colors is not None and color not in self.color_count and len(self.color_count) >= self.n_colors:
-            return False
-        self.color_count[color] = self.color_count.get(color, 0) + 1
-        return True
-
-    def _unfinish(self, w: int) -> None:
-        color = self.sums[w]
-        self.color_count[color] -= 1
-        if self.color_count[color] == 0:
-            del self.color_count[color]
-
-    def _dfs(self, pos: int) -> tuple[int, ...] | None:
-        if pos == self.q:
-            if self.target is not None and set(self.color_count) != set(self.target):
-                return None
-            if self.n_colors is not None and len(self.color_count) != self.n_colors:
-                return None
-            return tuple([self.assignment[p] for p in self.at])
-        a, b = self.edge_ends[pos]
-        for lab in self._candidates(pos):
-            self.nodes += 1
-            self.free[lab] = False
-            self.assignment[pos] = lab
-            self.sums[a] += lab
-            self.sums[b] += lab
-            done: list[int] = []
-            ok = True
-            for w, earlier in self.closes[pos]:
-                if self._finish(w, earlier):
-                    done.append(w)
-                else:
-                    ok = False
+        def search(pos: int) -> tuple[int, ...] | None:
+            nonlocal nodes
+            if pos == q:
+                if target_colors is not None and color_count.keys() != target_colors:
+                    return None
+                if n_colors is not None and len(color_count) != n_colors:
+                    return None
+                return tuple(map(assignment.__getitem__, at))
+            if pos == 0 and first_labels is not None:
+                labs = [lab for lab in first_labels if free[lab]]
+            else:
+                smaller = less[pos]
+                start = max(map(assignment.__getitem__, smaller)) + 1 if smaller else 1
+                labs = itertools.compress(range(start, q + 1), free[start:])
+            closing = closes[pos]
+            if closing:
+                allowed = target_colors
+                if allowed is None and n_colors is not None and len(color_count) >= n_colors:
+                    allowed = color_count  # the budget is full: closing vertices reuse a color
+                if allowed is not None:
+                    for w, _ in closing:  # the closing vertex's color fixes the label
+                        s = sums[w]
+                        labs = [lab for lab in labs if lab + s in allowed]
+            a, b = edge_ends[pos]
+            for lab in labs:
+                nodes += 1
+                free[lab] = False
+                assignment[pos] = lab
+                sums[a] += lab
+                sums[b] += lab
+                finished = 0  # closing vertices counted in color_count, undone on the way out
+                for w, earlier in closing:
+                    color = sums[w]
+                    for nb in earlier:
+                        if sums[nb] == color:
+                            break
+                    else:  # no tie: w takes its color unless that would overrun the budget
+                        count = color_count.get(color, 0)
+                        if count or n_colors is None or len(color_count) < n_colors:
+                            color_count[color] = count + 1
+                            finished += 1
+                            continue
                     break
-            found = self._dfs(pos + 1) if ok else None
-            for w in done:  # undone on the way out too, so every run starts from the tables as built
-                self._unfinish(w)
-            self.sums[a] -= lab
-            self.sums[b] -= lab
-            self.free[lab] = True
-            if found is not None:
-                return found
-        return None
+                found = search(pos + 1) if finished == len(closing) else None
+                for w, _ in closing[:finished]:
+                    color = sums[w]
+                    if color_count[color] == 1:
+                        del color_count[color]
+                    else:
+                        color_count[color] -= 1
+                sums[a] -= lab
+                sums[b] -= lab
+                free[lab] = True
+                if found is not None:
+                    return found
+            return None
+
+        return search(0), nodes
 
 
 def _budgets(g: Graph) -> range:
@@ -243,12 +240,12 @@ def find_labeling(
     t0 = time.perf_counter()
     if mode == "exact":
         _check_cap(g, cap)
-    n_colors = target_c if target_c is not None else (len(target_colors) if target_colors else None)
+    n_colors = len(target_colors) if target_c is None and target_colors is not None else target_c
     if n_colors is not None and n_colors not in _budgets(g):
         return FindResult(None, 0, time.perf_counter() - t0, mode)
     if mode == "heuristic":
         return FindResult(_heuristic(g, target_colors, target_c, seed), 0, time.perf_counter() - t0, mode)
-    found, nodes = _Search(g).run(frozenset(target_colors) if target_colors else None, n_colors)
+    found, nodes = _Search(g).run(None if target_colors is None else frozenset(target_colors), n_colors)
     return FindResult(None if found is None else EdgeLabeling(g, found), nodes, time.perf_counter() - t0, mode)
 
 

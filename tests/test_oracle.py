@@ -7,7 +7,7 @@ import pytest
 
 from antimagic.errors import AntimagicError
 from antimagic.graph import Graph, copies_of_p2_join_null, join, null_graph, p2, u, v, x
-from antimagic.labeling import chi_la_lower_bound, induce, is_local_antimagic
+from antimagic.labeling import EdgeLabeling, chi_la_lower_bound, induce, is_local_antimagic
 from antimagic.oracle import (
     _edge_order,
     _Search,
@@ -119,6 +119,15 @@ class TestFindLabeling:
         res = find_labeling(null_graph(3))
         assert res.labeling is not None and res.labeling.labels == {}
         assert induce(res.labeling).c == 1
+
+    @pytest.mark.parametrize("mode", ["exact", "heuristic"])
+    def test_empty_target_set_means_no_color(self, mode):
+        # 0 colors is outside the budgets of every graph with a vertex
+        for g in (c4(), null_graph(3)):
+            res = find_labeling(g, target_colors=set(), mode=mode)
+            assert (res.labeling, res.nodes) == (None, 0)
+        res = find_labeling(null_graph(0), target_colors=set(), mode=mode)
+        assert res.labeling is not None and res.labeling.labels == {} and res.nodes == 0
 
     def test_target_c_means_exactly_c_colors(self):
         # labels 1, 3, 2 along P_4 give colors 1, 4, 5, 2; most orders give 3
@@ -327,15 +336,43 @@ POOL = {f"pool#{e['index']}": Graph.build([u(i) for i in range(1, e["order"] + 1
 
 
 # chi_la and nodes expanded on the corpus: a change to the search tree shows here
-@pytest.mark.parametrize("name, chi, nodes", [
+TREES = [
     ("C4", 3, 6), ("C5", 3, 21), ("C6", 3, 18), ("C7", 3, 113), ("C8", 3, 44),
     ("P5", 3, 17), ("P6", 3, 15), ("P7", 3, 110),
     ("K2,3", 3, 11), ("K2,4", 2, 237), ("K2,5", 3, 79), ("K3,3", 3, 548),
     ("2(P2vO1)", 4, 239), ("3(P2vO1)", 5, 34_894), ("2P2vO2", 3, 40_021), ("2(P2vO2)", 4, 196_523),
-])
+]
+
+
+@pytest.mark.parametrize("name, chi, nodes", TREES)
 def test_search_tree_is_pinned(name, chi, nodes):
     res = exact_chi_la(CORPUS[name])
     assert (res.value, res.nodes) == (chi, nodes)
+
+
+def test_pooled_search_tree_is_pinned():
+    # with jobs=2 every first-label branch runs to its end, so more nodes than the serial 40,021
+    res = exact_chi_la(CORPUS["2P2vO2"], jobs=2)
+    assert (res.value, res.nodes) == (3, 73_485)
+
+
+@pytest.mark.parametrize("name, chi", [(name, chi) for name, chi, _ in TREES])
+def test_runs_leave_the_tables_as_built(name, chi):
+    """The budget loop and the pool workers reuse one ``_Search``: every
+    run must undo what it placed, found or not."""
+    g = CORPUS[name]
+    search, fresh = _Search(g), _Search(g)
+
+    def as_built():
+        return (search.sums, search.free, search.color_count) == (fresh.sums, fresh.free, fresh.color_count)
+
+    hit, _ = search.run(None, chi)
+    assert hit is not None and as_built()
+    colors = frozenset(EdgeLabeling(g, hit).coloring.color_set)
+    assert search.run(colors, chi)[0] == hit and as_built()  # the first labeling with chi colors has these
+    assert search.run(None, chi - 1)[0] is None and as_built()
+    search.run(None, chi, list(range(2, g.size + 1, 2)))  # the second first-label chunk of jobs=2
+    assert as_built()
 
 
 def test_exact_find_is_pinned():
