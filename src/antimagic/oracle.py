@@ -5,10 +5,10 @@ antimagic labelings, labelings hitting a prescribed color set, and
 certified impossibility of 2-colorings.  Backtracking assigns labels
 edge by edge (edges clustered around high-degree vertices so vertices
 finish early) and prunes on finished-vertex ties, color budgets, forced
-last labels and twin-vertex symmetry; the pruning keeps the first
-(lex-least) labeling found.  A query builds the graph's tables once, in
-one ``_Search``, and runs each color budget on it.  Exact-mode results
-are deterministic.
+last labels and symmetry (twin and isomorphic-component swaps); the
+pruning keeps the first (lex-least) labeling found.  A query builds the
+graph's tables once, in one ``_Search``, and runs each color budget on
+it.  Exact-mode results are deterministic.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass
 
 from .errors import AntimagicError
-from .graph import Graph
+from .graph import Graph, components
 from .labeling import EdgeLabeling, chi_la_lower_bound, is_local_antimagic
 
 DEFAULT_EDGE_CAP = 12
@@ -37,17 +37,64 @@ def _check_cap(g: Graph, cap: int | None) -> None:
 
 
 def _edge_order(g: Graph) -> list[tuple[int, int]]:
-    """The search's edge order, as position pairs (positions order as the sorted ids do)."""
+    """The search's edge order, as position pairs (positions order as the sorted ids do):
+    edges grouped by their end that comes first in a stable descending-degree order
+    of the vertices, each group in pair order."""
     nbrs = g.neighbors
-    deg = [len(nbs) for nbs in nbrs]
-    order: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    for w in sorted(range(g.order), key=lambda w: -deg[w]):  # stable: ties stay in id order
-        fresh = [e for e in ((w, nb) if w < nb else (nb, w) for nb in nbrs[w]) if e not in seen]
-        fresh.sort(key=lambda e: (-max(deg[e[0]], deg[e[1]]), e))
-        seen.update(fresh)
-        order += fresh
-    return order
+    rank = [0] * g.order
+    for r, w in enumerate(sorted(range(g.order), key=lambda w: -len(nbrs[w]))):  # stable: ties stay in id order
+        rank[w] = r
+    return sorted(g.ends, key=lambda e: (min(rank[e[0]], rank[e[1]]), e))
+
+
+def _isomorphism(nbrs: list[list[int]], c1: list[int], c2: list[int]) -> dict[int, int] | None:
+    """A map of component ``c1`` onto component ``c2`` that keeps adjacency, or None."""
+    order = [c1[0]]  # c1 breadth first: every vertex after the first has a neighbour before it
+    for w in order:
+        order += [nb for nb in nbrs[w] if nb not in order]
+    phi: dict[int, int] = {}
+    used: set[int] = set()
+
+    def extend(i: int) -> bool:
+        if i == len(order):
+            return True
+        w = order[i]
+        mapped = {phi[nb] for nb in nbrs[w] if nb in phi}  # the images of w's mapped neighbours
+        for img in nbrs[next(iter(mapped))] if mapped else c2:
+            if img not in used and len(nbrs[img]) == len(nbrs[w]) and used.intersection(nbrs[img]) == mapped:
+                phi[w] = img
+                used.add(img)
+                if extend(i + 1):
+                    return True
+                del phi[w]
+                used.discard(img)
+        return False
+
+    return phi if extend(0) else None
+
+
+def _symmetries(g: Graph) -> list[dict[int, int]]:
+    """Automorphisms of g, each as the vertices it moves mapped to their images:
+    a transposition of each pair of consecutive twins, and a swap of each pair of
+    consecutive isomorphic components (one-vertex components aside: they move no edge)."""
+    nbrs = g.neighbors
+    twins: dict[frozenset, list[int]] = {}
+    for w, nbs in enumerate(nbrs):  # open twins share N(w), closed twins N[w]; the keys never clash
+        if nbs:
+            key = frozenset(nbs)
+            twins.setdefault(key, []).append(w)
+            twins.setdefault(key | {w}, []).append(w)
+    sigmas = [{a: b, b: a} for members in twins.values() if len(members) > 1 for a, b in zip(members, members[1:])]
+    alike: dict[tuple[int, ...], list[list[int]]] = {}
+    for comp in components(g):
+        if len(comp) > 1:
+            alike.setdefault(tuple(sorted(len(nbrs[w]) for w in comp)), []).append(comp)
+    for comps in alike.values():
+        for c1, c2 in zip(comps, comps[1:]):
+            phi = _isomorphism(nbrs, c1, c2)
+            if phi:  # phi on c1 and its inverse on c2
+                sigmas.append({**phi, **{img: w for w, img in phi.items()}})
+    return sigmas
 
 
 class _Search:
@@ -60,7 +107,10 @@ class _Search:
     ``closes[pos]`` pairs each vertex whose last edge sits at ``pos``
     with its neighbours that finish first (the search finishes an edge's
     smaller end first); ``less[pos]`` lists earlier positions whose label
-    must be smaller (twin symmetry breaking, see README).  ``at[t]`` is
+    must be smaller: for each of ``_symmetries(g)``, the first position p
+    whose edge it moves sits in ``less`` of its image's position, so
+    label(p) < label(sigma(e_p)), which the lex-least labeling of every
+    orbit meets (symmetry breaking, see README).  ``at[t]`` is
     the search position of edge t, ``g.ends[t]``.  ``n_colors`` asks for
     exactly that many colors: it caps the colors while searching and is
     required in full at the leaf.  ``first_labels`` limits the first
@@ -76,21 +126,18 @@ class _Search:
             rank[a], rank[b] = 2 * pos, 2 * pos + 1
         self.closes: list[list[tuple[int, list[int]]]] = [[] for _ in self.edge_ends]
         self.less: list[list[int]] = [[] for _ in self.edge_ends]
-        twins: dict[frozenset, list[int]] = {}
-        for w, nbs in enumerate(nbrs):  # open twins share N(w), closed twins N[w]; the keys never clash
+        for w, nbs in enumerate(nbrs):
             if nbs:  # in id order, so an edge's smaller end closes first
                 self.closes[rank[w] >> 1].append((w, [nb for nb in nbs if rank[nb] < rank[w]]))
-            twins.setdefault(frozenset(nbs), []).append(w)
-            twins.setdefault(frozenset(nbs + [w]), []).append(w)
         position = {ends: pos for pos, ends in enumerate(self.edge_ends)}
         self.at = [position[e] for e in g.ends]
-        for members in [m for m in twins.values() if len(m) > 1]:
-            for a, b in zip(members, members[1:]):  # swapping a and b is an automorphism
-                for pos, (x, y) in enumerate(self.edge_ends):
-                    if (a in (x, y)) != (b in (x, y)):  # the first edge the swap moves: the smaller label
-                        image = (a + b - x, y) if x in (a, b) else (x, a + b - y)
-                        self.less[position[min(image), max(image)]].append(pos)
-                        break
+        for sigma in _symmetries(g):
+            for pos, (x, y) in enumerate(self.edge_ends):
+                a, b = sigma.get(x, x), sigma.get(y, y)
+                image = (a, b) if a < b else (b, a)
+                if image != (x, y):  # the first edge sigma moves: its label is below its image's
+                    self.less[position[image]].append(pos)  # once: no two symmetries share this pair
+                    break
         self.sums = [0] * g.order
         isolated = nbrs.count([])
         self.color_count: dict[int, int] = {0: isolated} if isolated else {}

@@ -10,7 +10,9 @@ from antimagic.graph import Graph, copies_of_p2_join_null, join, null_graph, p2,
 from antimagic.labeling import EdgeLabeling, chi_la_lower_bound, induce, is_local_antimagic
 from antimagic.oracle import (
     _edge_order,
+    _isomorphism,
     _Search,
+    _symmetries,
     certify_no_2_coloring,
     exact_chi_la,
     find_labeling,
@@ -258,9 +260,28 @@ def plain_exhaustion(g: Graph) -> dict[int, dict]:
     return first
 
 
+def numbered(edges: list[tuple[int, int]]) -> Graph:
+    """The graph on u_1..u_n with these edges, n the largest number in them."""
+    n = max(max(e) for e in edges)
+    return Graph.build([u(i) for i in range(1, n + 1)], [(u(a), u(b)) for a, b in edges])
+
+
+def random_union(seed: int) -> Graph:
+    """Copies of one small random graph, its vertices numbered in a random
+    order so that the copies interleave in position order; at most 7 edges."""
+    rng = random.Random(seed)
+    n = rng.randint(3, 4)
+    part = rng.sample(list(itertools.combinations(range(n), 2)), rng.randint(2, 3))
+    copies = rng.randint(2, 7 // len(part))
+    ids = rng.sample(range(1, n * copies + 1), n * copies)
+    return Graph.build([u(i) for i in ids],
+                       [(u(ids[c * n + a]), u(ids[c * n + b])) for c in range(copies) for a, b in part])
+
+
 # one graph per pruning rule at least: two-color divisibility (P5, P7, K2,3, an
 # isolated vertex, mixed side ratios), forced closing labels (all), open twins
-# (K1,3, K2,3, P3 + C4) and closed twins (2(P2 v O1))
+# (K1,3, K2,3, P3 + C4), closed twins (2(P2 v O1)) and isomorphic components
+# (2(P2 v O1), 3P2, 2P3, P3 + P3 + P2, 2K1,3, C3 + C3 + P2 and the random unions)
 RULE_GRAPHS = {
     "P5": path(5),
     "P7": path(7),
@@ -270,6 +291,12 @@ RULE_GRAPHS = {
     "P3+C4": Graph.build([u(i) for i in range(1, 8)],
                          [(u(1), u(2)), (u(2), u(3)), (u(4), u(5)), (u(5), u(6)), (u(6), u(7)), (u(7), u(4))]),
     "P3+O1": Graph.build([u(1), u(2), u(3), u(4)], [(u(1), u(2)), (u(2), u(3))]),  # 1 and 3 divide 3: ratios alone
+    "3P2": numbered([(1, 2), (3, 4), (5, 6)]),
+    "2P3": numbered([(1, 2), (2, 3), (4, 5), (5, 6)]),
+    "P3+P3+P2": numbered([(1, 2), (2, 3), (4, 5), (5, 6), (7, 8)]),
+    "2K1,3": numbered([(1, 2), (1, 3), (1, 4), (5, 6), (5, 7), (5, 8)]),
+    "C3+C3+P2": numbered([(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6), (7, 8)]),
+    **{f"union-{seed}": random_union(seed) for seed in range(6)},
 }
 
 
@@ -340,7 +367,7 @@ TREES = [
     ("C4", 3, 6), ("C5", 3, 21), ("C6", 3, 18), ("C7", 3, 113), ("C8", 3, 44),
     ("P5", 3, 17), ("P6", 3, 15), ("P7", 3, 110),
     ("K2,3", 3, 11), ("K2,4", 2, 237), ("K2,5", 3, 79), ("K3,3", 3, 548),
-    ("2(P2vO1)", 4, 239), ("3(P2vO1)", 5, 34_894), ("2P2vO2", 3, 40_021), ("2(P2vO2)", 4, 196_523),
+    ("2(P2vO1)", 4, 150), ("3(P2vO1)", 5, 7_914), ("2P2vO2", 3, 40_021), ("2(P2vO2)", 4, 101_910),
 ]
 
 
@@ -392,6 +419,52 @@ def test_closing_vertices_carry_the_neighbours_that_finish_first(g):
         nbs = {a + b - w for a, b in order if w in (a, b)}
         want[pos].append((w, sorted(nb for nb in nbs if rank[nb] < rank[w])))
     assert [[(w, sorted(earlier)) for w, earlier in closes] for closes in _Search(g).closes] == want
+
+
+@pytest.mark.parametrize("g", [*CORPUS.values(), *POOL.values(), *RULE_GRAPHS.values()],
+                         ids=[*CORPUS, *POOL, *RULE_GRAPHS])
+def test_symmetry_constraints_come_from_automorphisms(g):
+    """Every symmetry is an automorphism, and ``less`` holds exactly one
+    lex-leader constraint per symmetry that moves an edge: the first
+    moved position below the position of its image, listed once."""
+    order = _edge_order(g)
+
+    def image(sigma, e):
+        a, b = sigma.get(e[0], e[0]), sigma.get(e[1], e[1])
+        return (a, b) if a < b else (b, a)
+
+    want: list[set[int]] = [set() for _ in order]
+    for sigma in _symmetries(g):
+        assert sorted(sigma.values()) == sorted(sigma) and all(sigma[w] != w for w in sigma)
+        assert {image(sigma, e) for e in g.ends} == set(g.ends)
+        moved = [pos for pos, e in enumerate(order) if image(sigma, e) != e]
+        if moved:
+            want[order.index(image(sigma, order[moved[0]]))].add(moved[0])
+    less = _Search(g).less
+    for later, earlier in enumerate(less):
+        assert len(set(earlier)) == len(earlier) and all(pos < later for pos in earlier)
+    assert [set(earlier) for earlier in less] == want
+
+
+def test_isomorphic_components_are_swapped():
+    def swap_sizes(g):
+        return sorted(len(sigma) for sigma in _symmetries(g) if len(sigma) > 2)
+
+    assert swap_sizes(CORPUS["3(P2vO1)"]) == [6, 6]  # consecutive pairs of the three triangles
+    assert swap_sizes(CORPUS["2(P2vO2)"]) == [8]
+    assert swap_sizes(RULE_GRAPHS["C3+C3+P2"]) == [6]  # the edge is alone in its group
+    assert swap_sizes(RULE_GRAPHS["P3+C4"]) == swap_sizes(CORPUS["2P2vO2"]) == []
+    # two trees with degrees 3, 2, 2, 1, 1, 1: legs 1, 1, 3 and legs 1, 2, 2 around the centre
+    g = numbered([(1, 2), (1, 3), (1, 4), (4, 5), (5, 6), (7, 8), (7, 9), (9, 10), (7, 11), (11, 12)])
+    comps = [[g.index[u(i)] for i in range(1, 7)], [g.index[u(i)] for i in range(7, 13)]]
+    assert _isomorphism(g.neighbors, *comps) is None and swap_sizes(g) == []
+    assert _isomorphism(g.neighbors, comps[0], comps[0]) is not None
+    # C6 with a long chord and C6 with a short one: same degrees, a triangle only in the second
+    ring = [(i, i % 6 + 1) for i in range(1, 7)]
+    g = numbered(ring + [(1, 4)] + [(a + 6, b + 6) for a, b in ring + [(1, 3)]])
+    comps = [[g.index[u(i)] for i in range(1, 7)], [g.index[u(i)] for i in range(7, 13)]]
+    assert _isomorphism(g.neighbors, *comps) is None and swap_sizes(g) == []
+    assert _isomorphism(g.neighbors, comps[1], comps[1]) is not None
 
 
 def test_leaf_check_rejects_the_color_of_an_isolated_vertex():
