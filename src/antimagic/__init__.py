@@ -17,10 +17,7 @@ from .graph import (
     components,
     copies_of_p2_join_null,
     edge,
-    join,
     merged,
-    null_graph,
-    p2,
     parse_token,
     u,
     v,

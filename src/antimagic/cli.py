@@ -239,7 +239,7 @@ def cmd_oracle(args) -> int:
     target_colors = set(args.target_colors) if args.target_colors else None
     try:
         if args.mode == "chi-la":
-            res = exact_chi_la(g, cap=args.cap, jobs=args.jobs)
+            res = exact_chi_la(g, cap=args.cap)
             result = res.value if res.value is not None else "no labeling exists"
         elif args.mode == "certify-2":
             res = find_labeling(g, target_c=2, cap=args.cap)
@@ -306,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-c", type=int, default=None)
     p.add_argument("--target-colors", type=int_list, default="")
     p.add_argument("--cap", type=int, default=None)
-    p.add_argument("--jobs", type=at_least_one, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--save", default="", help="write a found labeling here")
     p.set_defaults(func=cmd_oracle)

@@ -205,24 +205,6 @@ class Graph:
         return nbrs
 
 
-def p2(i: int = 1) -> Graph:
-    """Single edge u_i v_i."""
-    return Graph.build([u(i), v(i)], [(u(i), v(i))])
-
-
-def null_graph(m: int, component: int = 1) -> Graph:
-    """O_m: m isolated vertices x_{component,1..m}."""
-    return Graph.build([x(component, j) for j in range(1, m + 1)], [])
-
-
-def join(g: Graph, h: Graph) -> Graph:
-    """Join product: g + h plus every cross edge between them."""
-    if not set(g.names).isdisjoint(h.names):
-        raise AntimagicError("join requires disjoint vertex sets")
-    cross = [(a, b) for a in g.names for b in h.names]
-    return Graph.build(g.names + h.names, [*g.edge_index, *h.edge_index, *cross])
-
-
 def copies_of_p2_join_null(a: int, m: int) -> Graph:
     """a(P_2 ∨ O_m): a disjoint copies, copy i on u_i, v_i, x_{i,1..m}.
 

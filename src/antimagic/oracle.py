@@ -13,7 +13,6 @@ it.  Exact-mode results are deterministic.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import random
 import time
@@ -21,7 +20,7 @@ from dataclasses import dataclass
 
 from .errors import AntimagicError
 from .graph import Graph, components
-from .labeling import EdgeLabeling, chi_la_lower_bound, is_local_antimagic
+from .labeling import EdgeLabeling, chi_la_lower_bound
 
 DEFAULT_EDGE_CAP = 12
 HEURISTIC_RESTARTS = 200
@@ -99,10 +98,10 @@ def _symmetries(g: Graph) -> list[dict[int, int]]:
 
 class _Search:
     """Backtracking over one graph's edge-label bijections; ``run`` is the
-    one entry, for any number of runs, serial or in pool workers.  The
-    search is one recursive closure inside ``run`` that reads the tables
-    as locals; it restores ``sums``, ``free`` and ``color_count`` on every
-    exit, found or not, so each run starts from the tables as built.
+    one entry, for any number of runs.  The search is one recursive
+    closure inside ``run`` that reads the tables as locals; it restores
+    ``sums``, ``free`` and ``color_count`` on every exit, found or not, so
+    each run starts from the tables as built.
 
     ``closes[pos]`` pairs each vertex whose last edge sits at ``pos``
     with its neighbours that finish first (the search finishes an edge's
@@ -113,8 +112,7 @@ class _Search:
     orbit meets (symmetry breaking, see README).  ``at[t]`` is
     the search position of edge t, ``g.ends[t]``.  ``n_colors`` asks for
     exactly that many colors: it caps the colors while searching and is
-    required in full at the leaf.  ``first_labels`` limits the first
-    edge's label.
+    required in full at the leaf.
     """
 
     def __init__(self, g: Graph):
@@ -144,8 +142,7 @@ class _Search:
         self.free = [True] * (self.q + 1)
         self.assignment: list[int] = [0] * self.q
 
-    def run(self, target_colors: frozenset[int] | None, n_colors: int | None,
-            first_labels: list[int] | None = None) -> tuple[tuple[int, ...] | None, int]:
+    def run(self, target_colors: frozenset[int] | None, n_colors: int | None) -> tuple[tuple[int, ...] | None, int]:
         """(the labels, aligned with ``g.ends``, of the first labeling meeting
         the constraints or None, nodes expanded)."""
         q, edge_ends, closes, less, at = self.q, self.edge_ends, self.closes, self.less, self.at
@@ -160,12 +157,9 @@ class _Search:
                 if n_colors is not None and len(color_count) != n_colors:
                     return None
                 return tuple(map(assignment.__getitem__, at))
-            if pos == 0 and first_labels is not None:
-                labs = [lab for lab in first_labels if free[lab]]
-            else:
-                smaller = less[pos]
-                start = max(map(assignment.__getitem__, smaller)) + 1 if smaller else 1
-                labs = itertools.compress(range(start, q + 1), free[start:])
+            smaller = less[pos]
+            start = max(map(assignment.__getitem__, smaller)) + 1 if smaller else 1
+            labs = itertools.compress(range(start, q + 1), free[start:])
             closing = closes[pos]
             if closing:
                 allowed = target_colors
@@ -224,35 +218,24 @@ class ChiLaResult:
     seconds: float
 
 
-def exact_chi_la(g: Graph, cap: int | None = None, jobs: int = 1) -> ChiLaResult:
+def exact_chi_la(g: Graph, cap: int | None = None) -> ChiLaResult:
     """Minimum c(f) over all local antimagic bijections, by exhaustion.
 
     Tries each of ``_budgets(g)`` upward, asking for exactly that many
     colors; once every budget fails, no labeling exists at all.  An
     edgeless graph has the empty labeling, found at budget 1 (every
-    vertex gets color 0), or at budget 0 when it has no vertices.  With
-    ``jobs > 1`` each budget's search is split over worker processes by
-    the first edge's label; the branches partition the search, so the
-    value does not depend on ``jobs`` (the node count does: every branch
-    runs to its end).
+    vertex gets color 0), or at budget 0 when it has no vertices.  All
+    budgets run on one ``_Search``.
     """
     _check_cap(g, cap)
     t0 = time.perf_counter()
     search = _Search(g)
-    jobs = min(jobs, g.size)
-    pool, starmap, chunks = contextlib.nullcontext(), itertools.starmap, [None]  # serial: every first label
-    if jobs > 1:
-        from multiprocessing import Pool  # imported here: it costs more than a small query's search
-        pool = Pool(processes=jobs)
-        starmap, chunks = pool.starmap, [list(range(start, g.size + 1, jobs)) for start in range(1, jobs + 1)]
     nodes = 0
-    with pool:
-        for budget in _budgets(g):
-            results = list(starmap(search.run, [(None, budget, chunk) for chunk in chunks]))
-            nodes += sum(n for _, n in results)
-            hits = [found for found, _ in results if found is not None]
-            if hits:
-                return ChiLaResult(EdgeLabeling(g, hits[0]).coloring.c, nodes, time.perf_counter() - t0)
+    for budget in _budgets(g):
+        found, n = search.run(None, budget)
+        nodes += n
+        if found is not None:
+            return ChiLaResult(EdgeLabeling(g, found).coloring.c, nodes, time.perf_counter() - t0)
     return ChiLaResult(None, nodes, time.perf_counter() - t0)
 
 
@@ -261,7 +244,6 @@ class FindResult:
     labeling: EdgeLabeling | None
     nodes: int
     seconds: float
-    mode: str
 
 
 def find_labeling(
@@ -289,52 +271,56 @@ def find_labeling(
         _check_cap(g, cap)
     n_colors = len(target_colors) if target_c is None and target_colors is not None else target_c
     if n_colors is not None and n_colors not in _budgets(g):
-        return FindResult(None, 0, time.perf_counter() - t0, mode)
+        return FindResult(None, 0, time.perf_counter() - t0)
     if mode == "heuristic":
-        return FindResult(_heuristic(g, target_colors, target_c, seed), 0, time.perf_counter() - t0, mode)
+        return FindResult(_heuristic(g, target_colors, target_c, seed), 0, time.perf_counter() - t0)
     found, nodes = _Search(g).run(None if target_colors is None else frozenset(target_colors), n_colors)
-    return FindResult(None if found is None else EdgeLabeling(g, found), nodes, time.perf_counter() - t0, mode)
-
-
-def _penalty(labeling: EdgeLabeling, target_colors, target_c) -> int:
-    coloring = labeling.coloring
-    pen = 1000 * len(is_local_antimagic(labeling)[1])
-    if target_colors is not None:
-        pen += sum(1 for c in coloring.color_set if c not in target_colors)
-        pen += sum(1 for c in target_colors if c not in coloring.color_set)
-    if target_c is not None:
-        pen += abs(coloring.c - target_c)
-    return pen
+    return FindResult(None if found is None else EdgeLabeling(g, found), nodes, time.perf_counter() - t0)
 
 
 def _heuristic(g: Graph, target_colors, target_c, seed: int) -> EdgeLabeling | None:
+    """Seeded random restarts, each keeping a label swap unless it raises the
+    penalty: 1000 per edge whose ends tie, plus the colors on one side only of
+    ``target_colors``, plus the distance of the color count from ``target_c``."""
     rng = random.Random(seed)
-    q = g.size
-    order = sorted(range(q), key=g.ends.__getitem__)  # labels are dealt and swapped in sorted-edge order
+    q, ends = g.size, g.ends
+    order = sorted(range(q), key=ends.__getitem__)  # labels are dealt and swapped in sorted-edge order
     values = [0] * q
+
+    def penalty() -> int:
+        sums = [0] * g.order
+        for (a, b), lab in zip(ends, values):
+            sums[a] += lab
+            sums[b] += lab
+        pen = 1000 * sum(1 for a, b in ends if sums[a] == sums[b])
+        colors = set(sums)
+        if target_colors is not None:
+            pen += len(colors ^ target_colors)
+        if target_c is not None:
+            pen += abs(len(colors) - target_c)
+        return pen
+
     for _ in range(HEURISTIC_RESTARTS):
         labels = list(range(1, q + 1))
         rng.shuffle(labels)
         for t, lab in zip(order, labels):
             values[t] = lab
-        current = EdgeLabeling(g, tuple(values))
-        pen = _penalty(current, target_colors, target_c)
+        pen = penalty()
         if q < 2:  # the only labeling: no swap to make
-            return current if pen == 0 else None
+            break
         for _ in range(HEURISTIC_ITERS):
             if pen == 0:
-                return current
+                break
             i, j = rng.sample(order, 2)
             values[i], values[j] = values[j], values[i]
-            cand = EdgeLabeling(g, tuple(values))
-            cand_pen = _penalty(cand, target_colors, target_c)
-            if cand_pen <= pen:
-                current, pen = cand, cand_pen
+            swapped = penalty()
+            if swapped <= pen:
+                pen = swapped
             else:
                 values[i], values[j] = values[j], values[i]
         if pen == 0:
-            return current
-    return None
+            break
+    return EdgeLabeling(g, tuple(values)) if pen == 0 else None
 
 
 def certify_no_2_coloring(g: Graph, cap: int | None = None) -> bool:

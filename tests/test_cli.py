@@ -5,8 +5,13 @@ import pytest
 
 from antimagic.cli import main
 from antimagic.serialize import dumps, graph_doc, matrix_doc
-from antimagic.graph import null_graph, p2, join, copies_of_p2_join_null
+from antimagic.graph import Graph, copies_of_p2_join_null, u, v, x
 from antimagic.schemes import ODD, build_matrix
+
+
+def triangle() -> Graph:
+    """P_2 v O_1: the triangle on u1, v1, x1.1."""
+    return Graph.build([u(1), v(1), x(1, 1)], [(u(1), v(1)), (u(1), x(1, 1)), (v(1), x(1, 1))])
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -222,7 +227,7 @@ def test_document_exit_codes(tmp_path, capsys, command, doc, code):
 ])
 def test_unwritable_output_exit_2(tmp_path, capsys, argv):
     (tmp_path / "file").write_text("")
-    (tmp_path / "graph.json").write_text(dumps(graph_doc(join(p2(1), null_graph(1)))))
+    (tmp_path / "graph.json").write_text(dumps(graph_doc(triangle())))
     assert main(argv(tmp_path)) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.out == ""
@@ -230,17 +235,13 @@ def test_unwritable_output_exit_2(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("argv", [
     pytest.param(["sweep", "--n-max", "1", "--k-max", "1", "--jobs", "0"], id="sweep-jobs-0"),
-    pytest.param(["oracle", "GRAPH", "--jobs", "0"], id="oracle-jobs-0"),
-    pytest.param(["oracle", "GRAPH", "--jobs", "-1"], id="oracle-jobs-minus-1"),
     pytest.param(["sweep", "--n-max", "-1", "--k-max", "2"], id="sweep-n-max-minus-1"),
     pytest.param(["sweep", "--n-max", "0", "--k-max", "1"], id="sweep-n-max-0"),
     pytest.param(["sweep", "--n-max", "1", "--k-max", "0"], id="sweep-k-max-0"),
 ])
-def test_counts_below_one_exit_2(tmp_path, capsys, argv):
-    graph = tmp_path / "graph.json"
-    graph.write_text(dumps(graph_doc(join(p2(1), null_graph(1)))))
+def test_counts_below_one_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
-        main([str(graph) if arg == "GRAPH" else arg for arg in argv])
+        main(argv)
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert "must be at least 1" in captured.err and captured.out == ""
@@ -325,7 +326,7 @@ class TestOracle:
         return str(path)
 
     def test_triangle(self, tmp_path, capsys):
-        path = self.write_graph(tmp_path, join(p2(1), null_graph(1)))
+        path = self.write_graph(tmp_path, triangle())
         code, out = run(capsys, "oracle", path)
         assert code == 0
         report = json.loads(out)
@@ -339,7 +340,7 @@ class TestOracle:
         assert json.loads(out)["result"] == "no labeling exists"
 
     def test_edgeless_graph_has_one_color(self, tmp_path, capsys):
-        path = self.write_graph(tmp_path, null_graph(3))
+        path = self.write_graph(tmp_path, Graph.build([x(1, j) for j in (1, 2, 3)], []))
         code, out = run(capsys, "oracle", path)
         assert code == 0
         assert json.loads(out)["result"] == 1

@@ -10,11 +10,8 @@ from antimagic.graph import (
     copies_of_p2_join_null,
     edge,
     is_bipartite_equal_parts,
-    join,
     merge_vertices_mapped,
     merged,
-    null_graph,
-    p2,
     parse_token,
     rewire,
     u,
@@ -61,36 +58,6 @@ class TestVertexId:
     def test_indices_start_at_one(self):
         with pytest.raises(AntimagicError):
             u(0)
-
-
-class TestJoin:
-    def test_smallest_join_is_triangle(self):
-        k3 = join(p2(1), null_graph(1))
-        assert k3.order == 3 and k3.size == 3
-
-    def test_join_2p2_o2_order_and_size(self):
-        g = join(two_p2(), null_graph(2))
-        assert g.order == 6
-        assert g.size == 10  # 2k(4n+1) at k = n = 1
-
-    def test_null_null_join_is_complete_bipartite(self):
-        g = join(null_graph(2, component=1), null_graph(2, component=2))
-        assert g.size == 4
-        assert all(degree(g, w) == 2 for w in g.names)
-
-    def test_overlapping_vertex_sets_rejected(self):
-        with pytest.raises(AntimagicError):
-            join(p2(1), p2(1))
-
-    def test_size_identity_random(self):
-        rng = random.Random(7)
-        for _ in range(25):
-            na, nb = rng.randint(1, 5), rng.randint(1, 5)
-            va = [u(i) for i in range(1, na + 1)]
-            vb = [x(1, j) for j in range(1, nb + 1)]
-            ea = [(a, b) for a in va for b in va if a < b and rng.random() < 0.4]
-            g, h = Graph.build(va, ea), Graph.build(vb, [])
-            assert join(g, h).size == g.size + h.size + g.order * h.order
 
 
 class TestDisjointUnion:
@@ -140,7 +107,9 @@ class TestMerge:
             merge_vertices_mapped(two_p2(), [[u(1), v(1)]])
 
     def test_shared_neighbor_raises_parallel(self):
-        g = join(two_p2(), null_graph(2))
+        xs = [x(1, 1), x(1, 2)]
+        g = Graph.build([u(1), v(1), u(2), v(2), *xs],
+                        [(u(1), v(1)), (u(2), v(2))] + [(w, y) for w in (u(1), v(1), u(2), v(2)) for y in xs])
         with pytest.raises(ParallelEdgeError):
             merge_vertices_mapped(g, [[u(1), u(2)]])
 
@@ -215,7 +184,7 @@ class TestComponentsAndBipartition:
         assert g.names[comps[0][0]] < g.names[comps[1][0]]
 
     def test_triangle_not_bipartite(self):
-        assert bipartition(join(p2(1), null_graph(1))) == [None]
+        assert bipartition(Graph.build([u(1), v(1), x(1, 1)], [(u(1), v(1)), (u(1), x(1, 1)), (v(1), x(1, 1))])) == [None]
 
     def test_odd_component_then_bipartite_one(self):
         """The walk of the triangle's component stops at its first clash and
@@ -284,5 +253,5 @@ class TestComponentsAndBipartition:
             [(u(1), v(1)), (v(1), u(2)), (u(2), v(2)), (v(2), u(1))],
         )
         assert is_bipartite_equal_parts(c4)
-        assert not is_bipartite_equal_parts(join(p2(1), null_graph(1)))
+        assert not is_bipartite_equal_parts(Graph.build([u(1), v(1), x(1, 1)], [(u(1), v(1)), (u(1), x(1, 1)), (v(1), x(1, 1))]))
 

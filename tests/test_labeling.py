@@ -3,7 +3,7 @@ import random
 import pytest
 
 from antimagic.errors import AntimagicError
-from antimagic.graph import Graph, copies_of_p2_join_null, join, null_graph, p2, u, v, x
+from antimagic.graph import Graph, copies_of_p2_join_null, u, v, x
 from antimagic.labeling import (
     EdgeLabeling,
     chi_la_lower_bound,
@@ -15,15 +15,24 @@ from antimagic.sweep import _colors_ok
 from antimagic.transforms import LabeledGraph, block_merge, from_matrix, split_x
 
 
+def triangle() -> Graph:
+    """P_2 v O_1: the triangle on u1, v1, x1.1."""
+    return Graph.build([u(1), v(1), x(1, 1)], [(u(1), v(1)), (u(1), x(1, 1)), (v(1), x(1, 1))])
+
+
+def single_edge() -> Graph:
+    return Graph.build([u(1), v(1)], [(u(1), v(1))])
+
+
 def triangle_labeling() -> EdgeLabeling:
-    g = join(p2(1), null_graph(1))
+    g = triangle()
     labels = {(u(1), v(1)): 1, (u(1), x(1, 1)): 2, (v(1), x(1, 1)): 3}
     return EdgeLabeling.from_dict(g, labels)
 
 
 class TestEdgeLabeling:
     def test_bijection_enforced(self):
-        g = p2(1)
+        g = single_edge()
         with pytest.raises(AntimagicError):
             EdgeLabeling.from_dict(g, {(u(1), v(1)): 2})
 
@@ -65,7 +74,7 @@ class TestIsLocalAntimagic:
         assert ok and not bad
 
     def test_single_edge_always_fails(self):
-        labeling = EdgeLabeling.from_dict(p2(1), {(u(1), v(1)): 1})
+        labeling = EdgeLabeling.from_dict(single_edge(), {(u(1), v(1)): 1})
         ok, bad = is_local_antimagic(labeling)
         assert not ok
         assert bad == [(u(1), v(1))]
@@ -96,7 +105,7 @@ class TestAssertThreeColoring:
         assert "999" in detail and "146" in detail
 
     def test_equal_color_edge_reported(self):
-        lg = LabeledGraph(EdgeLabeling.from_dict(p2(1), {(u(1), v(1)): 1}), ())
+        lg = LabeledGraph(EdgeLabeling.from_dict(single_edge(), {(u(1), v(1)): 1}), ())
         ok, detail = _colors_ok(lg, {1})
         assert not ok
         assert "u1-v1" in detail
@@ -113,13 +122,13 @@ class TestLowerBound:
             assert part is not None and len(part[0]) == len(part[1]) == 6
 
     def test_triangle_bound_via_chromatic(self):
-        assert chi_la_lower_bound(join(p2(1), null_graph(1))) == (3, "chromatic")
+        assert chi_la_lower_bound(triangle()) == (3, "chromatic")
 
     def test_edgeless(self):
-        assert chi_la_lower_bound(null_graph(4)) == (1, "edgeless")
+        assert chi_la_lower_bound(Graph.build([x(1, j) for j in range(1, 5)], [])) == (1, "edgeless")
 
     def test_no_vertices(self):
-        assert chi_la_lower_bound(null_graph(0)) == (0, "edgeless")
+        assert chi_la_lower_bound(Graph((), ())) == (0, "edgeless")
 
     def test_unequal_bipartite_graph_gets_two(self):
         star = Graph.build([u(1), v(1), v(2), v(3)], [(u(1), v(1)), (u(1), v(2)), (u(1), v(3))])

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from antimagic.errors import AntimagicError
-from antimagic.graph import Graph, copies_of_p2_join_null, join, null_graph, p2, u, v, x
+from antimagic.graph import Graph, copies_of_p2_join_null, u, v, x
 from antimagic.labeling import EdgeLabeling, chi_la_lower_bound, induce, is_local_antimagic
 from antimagic.oracle import (
     _edge_order,
@@ -19,6 +19,20 @@ from antimagic.oracle import (
 )
 from antimagic.schemes import build_matrix, special_2p2_o2
 from antimagic.transforms import from_matrix
+
+
+def triangle() -> Graph:
+    """P_2 v O_1: the triangle on u1, v1, x1.1."""
+    return Graph.build([u(1), v(1), x(1, 1)], [(u(1), v(1)), (u(1), x(1, 1)), (v(1), x(1, 1))])
+
+
+def single_edge() -> Graph:
+    return Graph.build([u(1), v(1)], [(u(1), v(1))])
+
+
+def null(m: int) -> Graph:
+    """O_m on x1.1..x1.m."""
+    return Graph.build([x(1, j) for j in range(1, m + 1)], [])
 
 
 def c4() -> Graph:
@@ -43,26 +57,24 @@ def star3() -> Graph:
 
 class TestExactChiLa:
     def test_triangle(self):
-        assert exact_chi_la(join(p2(1), null_graph(1))).value == 3
+        assert exact_chi_la(triangle()).value == 3
 
     def test_single_edge_has_no_labeling(self):
-        assert exact_chi_la(p2(1)).value is None
+        assert exact_chi_la(single_edge()).value is None
 
     def test_two_edges_have_no_labeling(self):
         assert exact_chi_la(copies_of_p2_join_null(2, 0)).value is None
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_edgeless_graph_has_one_color(self, jobs):
+    def test_edgeless_graph_has_one_color(self):
         # the empty labeling is local antimagic; every vertex gets color 0
-        g = null_graph(3)
-        assert exact_chi_la(g, jobs=jobs).value == 1
+        g = null(3)
+        assert exact_chi_la(g).value == 1
         assert chi_la_lower_bound(g) == (1, "edgeless")
         assert induce(find_labeling(g).labeling).c == 1
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_graph_without_vertices_has_no_color(self, jobs):
-        g = null_graph(0)
-        assert exact_chi_la(g, jobs=jobs).value == 0
+    def test_graph_without_vertices_has_no_color(self):
+        g = Graph((), ())
+        assert exact_chi_la(g).value == 0
         assert chi_la_lower_bound(g) == (0, "edgeless")
         assert induce(find_labeling(g).labeling).c == 0
 
@@ -75,7 +87,7 @@ class TestExactChiLa:
         assert exact_chi_la(star3()).value == 4
 
     def test_bound_soundness_on_corpus(self):
-        for g in (join(p2(1), null_graph(1)), c4(), star3(), special_2p2_o2()[0]):
+        for g in (triangle(), c4(), star3(), special_2p2_o2()[0]):
             res = exact_chi_la(g)
             if res.value is not None:
                 assert res.value >= chi_la_lower_bound(g)[0]
@@ -95,12 +107,6 @@ class TestExactChiLa:
         b = exact_chi_la(c4())
         assert (a.value, a.nodes) == (b.value, b.nodes)
 
-    def test_parallel_matches_serial(self):
-        g, _ = special_2p2_o2()
-        serial = exact_chi_la(g)
-        two = exact_chi_la(g, jobs=2)
-        assert serial.value == two.value == 3
-
 
 class TestFindLabeling:
     def test_prescribed_color_set(self):
@@ -112,23 +118,23 @@ class TestFindLabeling:
         assert ok
 
     def test_impossible_target_c(self):
-        assert find_labeling(p2(1), target_c=1).labeling is None
+        assert find_labeling(single_edge(), target_c=1).labeling is None
 
     def test_unreachable_two_colors_on_c4(self):
         assert find_labeling(c4(), target_c=2).labeling is None
 
     def test_edgeless_graph_has_the_empty_labeling(self):
-        res = find_labeling(null_graph(3))
+        res = find_labeling(null(3))
         assert res.labeling is not None and res.labeling.labels == {}
         assert induce(res.labeling).c == 1
 
     @pytest.mark.parametrize("mode", ["exact", "heuristic"])
     def test_empty_target_set_means_no_color(self, mode):
         # 0 colors is outside the budgets of every graph with a vertex
-        for g in (c4(), null_graph(3)):
+        for g in (c4(), null(3)):
             res = find_labeling(g, target_colors=set(), mode=mode)
             assert (res.labeling, res.nodes) == (None, 0)
-        res = find_labeling(null_graph(0), target_colors=set(), mode=mode)
+        res = find_labeling(Graph((), ()), target_colors=set(), mode=mode)
         assert res.labeling is not None and res.labeling.labels == {} and res.nodes == 0
 
     def test_target_c_means_exactly_c_colors(self):
@@ -142,16 +148,16 @@ class TestFindLabeling:
 
     def test_heuristic_without_a_swap_returns_none(self):
         # O_3 has only the empty labeling (c = 1); P_2 has one labeling, not local antimagic
-        assert find_labeling(null_graph(3), target_c=2, mode="heuristic").labeling is None
-        assert find_labeling(null_graph(3), target_c=1, mode="heuristic").labeling is not None
-        assert find_labeling(p2(1), mode="heuristic").labeling is None
+        assert find_labeling(null(3), target_c=2, mode="heuristic").labeling is None
+        assert find_labeling(null(3), target_c=1, mode="heuristic").labeling is not None
+        assert find_labeling(single_edge(), mode="heuristic").labeling is None
 
     def test_contradictory_constraints(self):
         with pytest.raises(AntimagicError):
             find_labeling(c4(), target_colors={1, 2, 3}, target_c=2)
 
     def test_found_labelings_always_verify(self):
-        for g in (join(p2(1), null_graph(1)), c4(), star3()):
+        for g in (triangle(), c4(), star3()):
             res = find_labeling(g)
             assert res.labeling is not None
             assert is_local_antimagic(res.labeling)[0]
@@ -172,23 +178,36 @@ class TestFindLabeling:
             assert a.labeling.labels == b.labeling.labels
 
     # recorded labels per seed: they are dealt and swapped in sorted-edge order, which
-    # the odd matrix graph (ends not sorted) tells apart from edge order
-    @pytest.mark.parametrize("graph,colors,pinned", [
-        pytest.param(lambda: from_matrix(build_matrix("odd", 1, 1)).graph, None, [
+    # the odd matrix graph (ends not sorted) tells apart from edge order; the last
+    # three ask for exactly three colors, alone or with a color set
+    @pytest.mark.parametrize("graph,colors,c,pinned", [
+        pytest.param(lambda: from_matrix(build_matrix("odd", 1, 1)).graph, None, None, [
             (2, 11, 9, 10, 5, 6, 1, 12, 3, 13, 4, 7, 8, 14),
             (4, 11, 8, 1, 14, 13, 5, 7, 6, 2, 12, 3, 9, 10),
             (10, 4, 3, 7, 6, 13, 12, 11, 8, 2, 9, 1, 5, 14),
         ], id="odd-matrix"),
-        pytest.param(c5, None, [(3, 2, 1, 5, 4), (3, 4, 5, 1, 2), (3, 2, 4, 5, 1)], id="C5"),
-        pytest.param(lambda: special_2p2_o2()[0], {14, 19, 22}, [
+        pytest.param(c5, None, None, [(3, 2, 1, 5, 4), (3, 4, 5, 1, 2), (3, 2, 4, 5, 1)], id="C5"),
+        pytest.param(lambda: special_2p2_o2()[0], {14, 19, 22}, None, [
             (4, 2, 8, 7, 6, 1, 5, 10, 9, 3),
             (8, 10, 4, 9, 6, 7, 1, 5, 2, 3),
             (4, 10, 5, 7, 1, 6, 2, 8, 9, 3),
         ], id="special-colors"),
+        pytest.param(lambda: special_2p2_o2()[0], None, 3, [
+            (7, 3, 6, 10, 9, 1, 5, 8, 2, 4),
+            (6, 7, 4, 3, 5, 9, 1, 8, 10, 2),
+            (6, 7, 4, 5, 10, 1, 2, 8, 3, 9),
+        ], id="special-c3"),
+        pytest.param(c5, None, 3, [(3, 2, 4, 1, 5), (1, 4, 5, 3, 2), (3, 4, 2, 5, 1)], id="C5-c3"),
+        pytest.param(lambda: special_2p2_o2()[0], {14, 19, 22}, 3, [
+            (8, 4, 10, 9, 7, 6, 5, 1, 3, 2),
+            (7, 6, 1, 4, 2, 8, 9, 3, 5, 10),
+            (4, 10, 5, 7, 1, 6, 8, 2, 3, 9),
+        ], id="special-colors-c3"),
     ])
-    def test_heuristic_labelings_are_pinned(self, graph, colors, pinned):
+    def test_heuristic_labelings_are_pinned(self, graph, colors, c, pinned):
         g = graph()
-        got = [find_labeling(g, target_colors=colors, mode="heuristic", seed=s).labeling.values for s in range(3)]
+        got = [find_labeling(g, target_colors=colors, target_c=c, mode="heuristic", seed=s).labeling.values
+               for s in range(3)]
         assert got == pinned
 
 
@@ -218,10 +237,10 @@ class TestCertifyNoTwoColoring:
         assert certify_no_2_coloring(star3())
 
     def test_single_edge_vacuous(self):
-        assert certify_no_2_coloring(p2(1))
+        assert certify_no_2_coloring(single_edge())
 
     def test_edgeless_graph_has_no_two_coloring(self):
-        assert certify_no_2_coloring(null_graph(3))
+        assert certify_no_2_coloring(null(3))
 
     def test_agrees_with_find(self):
         for g in (c4(), star3()):
@@ -320,12 +339,6 @@ def test_rule_graphs_get_their_bound(name, reason):
     assert chi_la_lower_bound(RULE_GRAPHS[name]) == ((3 if reason != "adjacent-pair" else 2), reason)
 
 
-@pytest.mark.parametrize("name", list(RULE_GRAPHS))
-def test_pooled_search_agrees_with_plain_exhaustion(name):
-    first = plain_exhaustion(RULE_GRAPHS[name])
-    assert exact_chi_la(RULE_GRAPHS[name], jobs=2).value == (min(first) if first else None)
-
-
 def cycle(n: int) -> Graph:
     return Graph.build([u(i) for i in range(1, n + 1)], [(u(i), u(i % n + 1)) for i in range(1, n + 1)])
 
@@ -377,16 +390,10 @@ def test_search_tree_is_pinned(name, chi, nodes):
     assert (res.value, res.nodes) == (chi, nodes)
 
 
-def test_pooled_search_tree_is_pinned():
-    # with jobs=2 every first-label branch runs to its end, so more nodes than the serial 40,021
-    res = exact_chi_la(CORPUS["2P2vO2"], jobs=2)
-    assert (res.value, res.nodes) == (3, 73_485)
-
-
 @pytest.mark.parametrize("name, chi", [(name, chi) for name, chi, _ in TREES])
 def test_runs_leave_the_tables_as_built(name, chi):
-    """The budget loop and the pool workers reuse one ``_Search``: every
-    run must undo what it placed, found or not."""
+    """The budget loop reuses one ``_Search``: every run must undo what it
+    placed, found or not."""
     g = CORPUS[name]
     search, fresh = _Search(g), _Search(g)
 
@@ -398,8 +405,6 @@ def test_runs_leave_the_tables_as_built(name, chi):
     colors = frozenset(EdgeLabeling(g, hit).coloring.color_set)
     assert search.run(colors, chi)[0] == hit and as_built()  # the first labeling with chi colors has these
     assert search.run(None, chi - 1)[0] is None and as_built()
-    search.run(None, chi, list(range(2, g.size + 1, 2)))  # the second first-label chunk of jobs=2
-    assert as_built()
 
 
 def test_exact_find_is_pinned():
