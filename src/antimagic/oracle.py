@@ -6,9 +6,10 @@ certified impossibility of 2-colorings.  Backtracking assigns labels
 edge by edge (edges clustered around high-degree vertices so vertices
 finish early) and prunes on finished-vertex ties, color budgets, forced
 last labels and symmetry (twin and isomorphic-component swaps); the
-pruning keeps the first (lex-least) labeling found.  A query builds the
-graph's tables once, in one ``_Search``, and runs each color budget on
-it.  Exact-mode results are deterministic.
+pruning keeps the first (lex-least) labeling found.  The minimum color
+count is one branch-and-bound run that lowers its color cap at each
+labeling it finds, trying labels middle-out.  A query builds the graph's
+tables once, in one ``_Search``.  Exact-mode results are deterministic.
 """
 
 from __future__ import annotations
@@ -112,7 +113,9 @@ class _Search:
     orbit meets (symmetry breaking, see README).  ``at[t]`` is
     the search position of edge t, ``g.ends[t]``.  ``n_colors`` asks for
     exactly that many colors: it caps the colors while searching and is
-    required in full at the leaf.
+    required in full at the leaf.  A first-hit run tries labels in
+    ascending order; a minimising run tries them in ``middle_out`` order,
+    by distance from (q+1)/2, the lower label first on a tie.
     """
 
     def __init__(self, g: Graph):
@@ -141,25 +144,40 @@ class _Search:
         self.color_count: dict[int, int] = {0: isolated} if isolated else {}
         self.free = [True] * (self.q + 1)
         self.assignment: list[int] = [0] * self.q
+        self.middle_out = sorted(range(1, self.q + 1), key=lambda lab: abs(2 * lab - self.q - 1))  # stable: ties low first
 
-    def run(self, target_colors: frozenset[int] | None, n_colors: int | None) -> tuple[tuple[int, ...] | None, int]:
+    def run(
+        self, target_colors: frozenset[int] | None, n_colors: int | None, least: int | None = None
+    ) -> tuple[tuple[int, ...] | None, int]:
         """(the labels, aligned with ``g.ends``, of the first labeling meeting
-        the constraints or None, nodes expanded)."""
+        the constraints or None, nodes expanded).  With ``least``, the run
+        minimises instead: ``n_colors`` is a cap, each leaf lowers it below
+        its own color count, and the last labeling found is returned; the
+        run stops once the cap falls below ``least``."""
         q, edge_ends, closes, less, at = self.q, self.edge_ends, self.closes, self.less, self.at
         sums, free, assignment, color_count = self.sums, self.free, self.assignment, self.color_count
+        middle_out = self.middle_out
         nodes = 0
+        best = None
 
         def search(pos: int) -> tuple[int, ...] | None:
-            nonlocal nodes
+            nonlocal nodes, n_colors, best
             if pos == q:
                 if target_colors is not None and color_count.keys() != target_colors:
                     return None
+                if least is not None:  # at most n_colors: record the labeling and ask for fewer colors
+                    best = tuple(map(assignment.__getitem__, at))
+                    n_colors = len(color_count) - 1
+                    return best if n_colors < least else None
                 if n_colors is not None and len(color_count) != n_colors:
                     return None
                 return tuple(map(assignment.__getitem__, at))
             smaller = less[pos]
             start = max(map(assignment.__getitem__, smaller)) + 1 if smaller else 1
-            labs = itertools.compress(range(start, q + 1), free[start:])
+            if least is None:
+                labs = itertools.compress(range(start, q + 1), free[start:])
+            else:
+                labs = [lab for lab in middle_out if lab >= start and free[lab]]
             closing = closes[pos]
             if closing:
                 allowed = target_colors
@@ -201,9 +219,12 @@ class _Search:
                 free[lab] = True
                 if found is not None:
                     return found
+                if least is not None and len(color_count) > n_colors:
+                    return None  # a leaf below lowered the cap under the colors placed above
             return None
 
-        return search(0), nodes
+        found = search(0)
+        return (found if least is None else best), nodes
 
 
 def _budgets(g: Graph) -> range:
@@ -221,22 +242,19 @@ class ChiLaResult:
 def exact_chi_la(g: Graph, cap: int | None = None) -> ChiLaResult:
     """Minimum c(f) over all local antimagic bijections, by exhaustion.
 
-    Tries each of ``_budgets(g)`` upward, asking for exactly that many
-    colors; once every budget fails, no labeling exists at all.  An
-    edgeless graph has the empty labeling, found at budget 1 (every
-    vertex gets color 0), or at budget 0 when it has no vertices.  All
-    budgets run on one ``_Search``.
+    One minimising run of ``_Search``: the color cap starts at the top of
+    ``_budgets(g)`` and drops below the count of each labeling found; the
+    run ends once the cap is under the lower bound or the tree is spent,
+    and the value is read off the last labeling found.  None means no
+    labeling exists at all; an empty budget range takes no search.  An
+    edgeless graph has the empty labeling, with 1 color (every vertex
+    gets color 0), or 0 when it has no vertices.
     """
     _check_cap(g, cap)
     t0 = time.perf_counter()
-    search = _Search(g)
-    nodes = 0
-    for budget in _budgets(g):
-        found, n = search.run(None, budget)
-        nodes += n
-        if found is not None:
-            return ChiLaResult(EdgeLabeling(g, found).coloring.c, nodes, time.perf_counter() - t0)
-    return ChiLaResult(None, nodes, time.perf_counter() - t0)
+    budgets = _budgets(g)
+    found, nodes = _Search(g).run(None, budgets[-1], least=budgets[0]) if budgets else (None, 0)
+    return ChiLaResult(None if found is None else EdgeLabeling(g, found).coloring.c, nodes, time.perf_counter() - t0)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ from antimagic.errors import AntimagicError
 from antimagic.graph import Graph, copies_of_p2_join_null, u, v, x
 from antimagic.labeling import EdgeLabeling, chi_la_lower_bound, induce, is_local_antimagic
 from antimagic.oracle import (
+    _budgets,
     _edge_order,
     _isomorphism,
     _Search,
@@ -375,25 +376,61 @@ POOL = {f"pool#{e['index']}": Graph.build([u(i) for i in range(1, e["order"] + 1
         for e in EXPECTED["full"]["oracle-corpus"]["pool"]}
 
 
-# chi_la and nodes expanded on the corpus: a change to the search tree shows here
+# chi_la on the corpus, and the nodes ``find_labeling`` expands asking for each
+# color count from the lower bound up to chi_la: a change to the first-hit tree shows here
 TREES = [
     ("C4", 3, 6), ("C5", 3, 21), ("C6", 3, 18), ("C7", 3, 113), ("C8", 3, 44),
     ("P5", 3, 17), ("P6", 3, 15), ("P7", 3, 110),
     ("K2,3", 3, 11), ("K2,4", 2, 237), ("K2,5", 3, 79), ("K3,3", 3, 548),
     ("2(P2vO1)", 4, 150), ("3(P2vO1)", 5, 7_914), ("2P2vO2", 3, 40_021), ("2(P2vO2)", 4, 101_910),
 ]
+# the nodes ``exact_chi_la`` expands on the same graphs: a change to the minimising tree shows here
+MINIMISING_NODES = {
+    "C4": 4, "C5": 5, "C6": 8, "C7": 14, "C8": 22, "P5": 4, "P6": 5, "P7": 6,
+    "K2,3": 51, "K2,4": 225, "K2,5": 74, "K3,3": 3_614,
+    "2(P2vO1)": 143, "3(P2vO1)": 4_733, "2P2vO2": 5_423, "2(P2vO2)": 96_375,
+}
+
+
+def budget_loop(g: Graph) -> tuple[int | None, int]:
+    """(the first color count of ``_budgets(g)`` that ``find_labeling`` meets or None,
+    the nodes expanded up to it): chi_la by asking for each count upward."""
+    nodes = 0
+    for c in _budgets(g):
+        res = find_labeling(g, target_c=c)
+        nodes += res.nodes
+        if res.labeling is not None:
+            return c, nodes
+    return None, nodes
 
 
 @pytest.mark.parametrize("name, chi, nodes", TREES)
 def test_search_tree_is_pinned(name, chi, nodes):
     res = exact_chi_la(CORPUS[name])
-    assert (res.value, res.nodes) == (chi, nodes)
+    assert (res.value, res.nodes) == (chi, MINIMISING_NODES[name])
+    assert budget_loop(CORPUS[name]) == (chi, nodes)
+
+
+@pytest.mark.parametrize("g", [*POOL.values(), *RULE_GRAPHS.values()], ids=[*POOL, *RULE_GRAPHS])
+def test_minimising_search_agrees_with_the_budget_loop(g):
+    """Plain exhaustion stops at 7 edges; this checks the minimising search
+    up to 10 (the corpus is checked by ``test_search_tree_is_pinned``)."""
+    assert exact_chi_la(g).value == budget_loop(g)[0]
+
+
+@pytest.mark.parametrize("a, m, nodes", [(2, 3, 360_203), (3, 2, 378_554)])
+def test_paper_graphs_past_the_default_cap(a, m, nodes):
+    """chi_la(aP2 v O_m) = 3; the triangle u1 v1 x certifies the bound."""
+    g = matching_join(a, m)
+    res = exact_chi_la(g, cap=g.size)
+    assert chi_la_lower_bound(g) == (3, "chromatic")
+    assert (res.value, res.nodes) == (3, nodes)
 
 
 @pytest.mark.parametrize("name, chi", [(name, chi) for name, chi, _ in TREES])
 def test_runs_leave_the_tables_as_built(name, chi):
-    """The budget loop reuses one ``_Search``: every run must undo what it
-    placed, found or not."""
+    """Runs may share one ``_Search``: every run must undo what it placed,
+    found or not, first-hit or minimising."""
     g = CORPUS[name]
     search, fresh = _Search(g), _Search(g)
 
@@ -405,6 +442,9 @@ def test_runs_leave_the_tables_as_built(name, chi):
     colors = frozenset(EdgeLabeling(g, hit).coloring.color_set)
     assert search.run(colors, chi)[0] == hit and as_built()  # the first labeling with chi colors has these
     assert search.run(None, chi - 1)[0] is None and as_built()
+    budgets = _budgets(g)
+    least, _ = search.run(None, budgets[-1], least=budgets[0])
+    assert EdgeLabeling(g, least).coloring.c == chi and as_built()
 
 
 def test_exact_find_is_pinned():
