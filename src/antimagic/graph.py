@@ -11,6 +11,7 @@ nothing mutates.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -26,6 +27,7 @@ MERGED_ROLE = "m"
 _ROLES = (U_ROLE, V_ROLE, X_ROLE, MERGED_ROLE)
 _ROLE_RANK = {role: rank for rank, role in enumerate(_ROLES)}
 _SIMPLE_ROLES = tuple(frozenset((role,)) for role in _ROLES[:3])
+_SIMPLE_TOKEN = re.compile(r"([uv])([1-9][0-9]*)|x([1-9][0-9]*)\.([1-9][0-9]*)")  # ASCII digits, no leading 0
 
 
 class VertexId(tuple):
@@ -113,25 +115,31 @@ def merged(parts: Iterable[VertexId]) -> VertexId:
 
 
 def parse_token(tok: str) -> VertexId:
-    """Inverse of :meth:`VertexId.token`; any other input raises
-    :class:`AntimagicError`."""
+    """Inverse of :meth:`VertexId.token`, up to surrounding whitespace: any
+    other input, also a spelling ``int`` or ``merged`` would read (``v01``,
+    ``u+1``, ``x1. 2``, ``m(v11|v1)``), raises :class:`AntimagicError`."""
     if not isinstance(tok, str):
         raise AntimagicError(f"vertex token must be a string: {tok!r}")
     tok = tok.strip()
     try:
-        if tok.startswith("m(") and tok.endswith(")"):
-            inner = tok[2:-1]
-            return merged(parse_token(t) for t in inner.split("|"))
-        if tok.startswith("x"):
-            a, _, b = tok[1:].partition(".")
-            return x(int(a), int(b))
-        if tok.startswith("u"):
-            return u(int(tok[1:]))
-        if tok.startswith("v"):
-            return v(int(tok[1:]))
-    except (ValueError, RecursionError) as exc:
+        if not (tok.startswith("m(") and tok.endswith(")")):
+            w = _simple_id(tok)
+        else:  # at least two simple parts, sorted and distinct, as ``merged`` leaves them
+            ids = [_simple_id(t) for t in tok[2:-1].split("|")]
+            ok = None not in ids and len(ids) > 1 and all(a < b for a, b in zip(ids, ids[1:]))
+            w = tuple.__new__(VertexId, (3, *ids)) if ok else None
+    except ValueError as exc:  # an index with more digits than int() reads
         raise AntimagicError(f"unparseable vertex token: {tok!r}") from exc
-    raise AntimagicError(f"unparseable vertex token: {tok!r}")
+    if w is None:
+        raise AntimagicError(f"unparseable vertex token: {tok!r}")
+    return w
+
+
+def _simple_id(tok: str) -> VertexId | None:
+    """The u, v or x id whose token is ``tok``, or None."""
+    f = _SIMPLE_TOKEN.fullmatch(tok)
+    # the pattern admits no index below 1, so the canonical tuple is built directly
+    return f and tuple.__new__(VertexId, (_ROLE_RANK[f[1]], int(f[2]), 0) if f[1] else (2, int(f[3]), int(f[4])))
 
 
 Edge = tuple[VertexId, VertexId]
@@ -152,7 +160,8 @@ class Graph:
     ``(a, b)`` pair of positions in ``names`` per edge, ``a < b``; edge
     ``t`` is ``ends[t]``, the position an :class:`EdgeLabeling` keys its
     labels by.  ``index`` and ``edge_index``, built on first use, map an id
-    or an edge back to its position.  Two graphs are equal when they have
+    or an edge back to its position; ``components`` and ``bipartition`` read
+    one walk, also made on first use.  Two graphs are equal when they have
     the same vertices and edges, in any edge order.
     """
 
@@ -203,6 +212,35 @@ class Graph:
             nbrs[a].append(b)
             nbrs[b].append(a)
         return nbrs
+
+    @cached_property
+    def _walk(self) -> tuple[list[list[int]], list[tuple[list[int], list[int]] | None]]:
+        """The one breadth-first walk of the graph, from each component's
+        smallest position: the components as ``components`` lists them,
+        and per component its two sides or None, as ``bipartition`` lists
+        them.  Every caller shares these lists, so none may change them."""
+        nbrs = self.neighbors
+        side = [-1] * len(nbrs)  # -1: not reached; else the parity of the distance from the seed
+        comps: list[list[int]] = []
+        parts: list[tuple[list[int], list[int]] | None] = []
+        for seed in range(len(nbrs)):
+            if side[seed] >= 0:
+                continue
+            side[seed] = 0
+            comp = [seed]
+            ok = True
+            for cur in comp:  # grows while it is walked: one pass over the component
+                here = side[cur]
+                for nb in nbrs[cur]:
+                    if side[nb] < 0:
+                        side[nb] = 1 - here
+                        comp.append(nb)
+                    elif side[nb] == here:
+                        ok = False
+            comp.sort()
+            comps.append(comp)
+            parts.append(([i for i in comp if not side[i]], [i for i in comp if side[i]]) if ok else None)
+        return comps, parts
 
 
 def copies_of_p2_join_null(a: int, m: int) -> Graph:
@@ -283,52 +321,17 @@ def merge_vertices_mapped(g: Graph, groups: Sequence[Iterable[VertexId]]) -> Gra
 
 def components(g: Graph) -> list[list[int]]:
     """Connected components, each the sorted list of its vertex positions
-    in ``g.names``, ordered by their smallest vertex."""
-    nbrs = g.neighbors
-    seen = [False] * g.order
-    comps: list[list[int]] = []
-    for seed in range(g.order):
-        if seen[seed]:
-            continue
-        seen[seed] = True
-        comp = [seed]
-        for cur in comp:  # grows while it is walked: one pass over the component
-            for nb in nbrs[cur]:
-                if not seen[nb]:
-                    seen[nb] = True
-                    comp.append(nb)
-        comp.sort()
-        comps.append(comp)
-    return comps
+    in ``g.names``, ordered by their smallest vertex (read off ``g._walk``:
+    shared, so read-only)."""
+    return g._walk[0]
 
 
 def bipartition(g: Graph) -> list[tuple[list[int], list[int]] | None]:
     """Per component of ``components(g)``: its 2-coloring classes as
-    sorted position lists, or None if not bipartite.
-
-    The side holding the component's smallest position is listed first,
-    making the output deterministic.  Each component is walked on the
-    graph's own adjacency, from its smallest vertex.
-    """
-    nbrs = g.neighbors
-    side = [-1] * g.order  # components are disjoint, so one array serves them all
-    out = []
-    for comp in components(g):
-        side[comp[0]] = 0
-        queue = [comp[0]]
-        ok = True
-        for cur in queue:  # grows while it is walked: one pass over the component
-            here = side[cur]
-            for nb in nbrs[cur]:
-                if side[nb] < 0:
-                    side[nb] = 1 - here
-                    queue.append(nb)
-                elif side[nb] == here:
-                    ok = False
-            if not ok:
-                break
-        out.append(([i for i in comp if not side[i]], [i for i in comp if side[i]]) if ok else None)
-    return out
+    sorted position lists, the side holding the component's smallest
+    position first, or None if not bipartite (read off ``g._walk``:
+    shared, so read-only)."""
+    return g._walk[1]
 
 
 def is_bipartite_equal_parts(g: Graph) -> bool:

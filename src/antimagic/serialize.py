@@ -29,8 +29,9 @@ def json_int(value: Any, what: str) -> int:
 
 
 def graph_from_doc(doc: dict[str, Any]) -> Graph:
-    """The graph a document lists; a vertex or edge listed twice (also as
-    ``v01`` beside ``v1``, or as ``[b, a]`` beside ``[a, b]``) raises."""
+    """The graph a document lists; a token that is not a vertex's own
+    (``v01``, see ``parse_token``) or a vertex or edge listed twice (also
+    as ``[b, a]`` beside ``[a, b]``) raises."""
     try:
         vs = [parse_token(item["id"]) for item in doc["vertices"]]
         es = [(parse_token(a), parse_token(b)) for a, b in doc["edges"]]

@@ -89,33 +89,30 @@ class _GroupTable:
     ``group_components`` merges side vertices only inside a group, so H(ks)
     is the disjoint union of one piece per group (start, ka), the same
     labeled piece in every composition holding it; a verdict read off one
-    whole H graph holds for its group in all of them.
+    whole H graph holds for its group in all of them; each build is read once.
     """
 
     def __init__(self, lg: LabeledGraph, expected: set[int]):
         self.lg, self.expected = lg, expected
-        # (start, ka) -> [smallest violating edge or None, colors, every component bipartite with equal parts or None]
-        self.verdicts: dict[tuple[int, int], list] = {}
-        self.checked: set[tuple[int, int]] = set()  # the groups with a bipartite verdict
+        # (start, ka) -> (its smallest violating edge or None, its colors)
+        self.verdicts: dict[tuple[int, int], tuple[Edge | None, frozenset[int]]] = {}
+        # (start, ka) -> whether its components are bipartite with equal parts
+        self.bipartite: dict[tuple[int, int], bool] = {}
 
     def row(self, ks: tuple[int, ...], check_bipartite: bool) -> tuple[tuple[int, ...], bool, str]:
         """Colors, verdict and detail of the H row for ``ks``, as
         ``group_components`` then ``_colors_ok`` (then
         ``is_bipartite_equal_parts`` if ``check_bipartite``) give them."""
         groups, verdicts = list(zip(accumulate(ks, initial=1), ks)), self.verdicts
-        known = self.checked if check_bipartite else verdicts
+        known = self.bipartite if check_bipartite else verdicts
         if not all(map(known.__contains__, groups)):
             plan = self._plan(groups, known)
-            built = group_components(self.lg, [ka for _, ka in plan])
-            self._read(built, plan, False)
+            self._read(group_components(self.lg, [ka for _, ka in plan]), plan, check_bipartite)
         entries = [verdicts[key] for key in groups]
         colors = frozenset().union(*[e[1] for e in entries])
         ok, detail = _verdict(min([e[0] for e in entries if e[0]], default=None), colors, self.expected)
-        if ok and check_bipartite:
-            if not self.checked.issuperset(groups):  # then this row built a plan holding them
-                self._read(built, plan, True)
-            if not all(e[2] for e in entries):
-                ok, detail = False, "even groups should be bipartite with equal parts"
+        if ok and check_bipartite and not all(map(self.bipartite.__getitem__, groups)):
+            ok, detail = False, "even groups should be bipartite with equal parts"
         return tuple(sorted(colors)), ok, detail
 
     def _plan(self, groups: list[tuple[int, int]], known) -> list[tuple[int, int]]:
@@ -138,8 +135,8 @@ class _GroupTable:
 
     def _read(self, built: LabeledGraph, groups: list[tuple[int, int]], bipartite: bool) -> None:
         """Record each group's smallest violating edge and colors in
-        ``built``, the H graph of ``groups``, or with ``bipartite`` whether
-        its components (each its smallest position's) have equal sides."""
+        ``built``, the H graph of ``groups``, and with ``bipartite`` whether
+        its components have equal sides."""
         owner = [0]  # component c -> the index of its group, at index c
         for t, (_, ka) in enumerate(groups):
             owner += [t] * ka
@@ -148,24 +145,20 @@ class _GroupTable:
             return [owner[c] for c in source_components(ids, self.lg.k)]
 
         source = owners(built.graph.names)  # position -> the index of its group
-        if bipartite:
-            parts = bipartition(built.graph)  # its first side starts with the component's smallest position
-            firsts = [c[0] for c in components(built.graph)] if None in parts else [p[0][0] for p in parts]
-            unequal = {source[f] for f, p in zip(firsts, parts) if p is None or len(p[0]) != len(p[1])}
-            for t, key in enumerate(groups):
-                self.verdicts[key][2] = t not in unequal
-            self.checked.update(groups)
-            return
         colors: list[set[int]] = [set() for _ in groups]
-        coloring = built.coloring
-        for t, c in set(zip(source, coloring.sums)):
+        for t, c in set(zip(source, built.coloring.sums)):
             colors[t].add(c)
         bad: list = [None] * len(groups)
         violating = is_local_antimagic(built.labeling)[1]  # sorted, so a group's first is its smallest
         for t, e in zip(owners([e[0] for e in violating]), violating):
             bad[t] = bad[t] or e
         for key, e, cs in zip(groups, bad, colors):
-            self.verdicts.setdefault(key, [e, frozenset(cs), None])
+            self.verdicts.setdefault(key, (e, frozenset(cs)))
+        if bipartite:
+            unequal = {source[comp[0]] for comp, p in zip(components(built.graph), bipartition(built.graph))
+                       if p is None or len(p[0]) != len(p[1])}
+            for t, key in enumerate(groups):
+                self.bipartite[key] = t not in unequal
 
 
 def sweep(

@@ -173,8 +173,8 @@ def odd_matrix_doc(n=1, entry=int) -> dict:
     return doc
 
 
-# four vertices, four edges and labels 1-4, but v01 is v1, so the edge
-# u1-v01 is u1-v1 again; read without the repeat check it is a valid triangle
+# four vertices, four edges and labels 1-4; v01 is not a vertex token (only v1
+# renders as itself), and read as v1 it would make u1-v01 the edge u1-v1 again
 V01_DOC = relabeled(
     with_extra(triangle_labeling_doc(), vertices=["v01"], edges=[("u1", "v01")], labels=[(("u1", "v01"), 1)]),
     [4, 2, 3],
@@ -197,6 +197,8 @@ DOCUMENTS = {
     "verify-vertex-id-without-index": ("verify", triangle_labeling_doc(vertex="ux"), 2),
     "oracle-vertex-id-not-a-string": ("oracle", triangle_labeling_doc(vertex=3), 2),
     "oracle-vertex-id-without-index": ("oracle", triangle_labeling_doc(vertex="ux"), 2),
+    # x1.+1 would be x1.1 to int(), and the document a valid triangle
+    "verify-vertex-id-non-canonical": ("verify", triangle_labeling_doc(vertex="x1.+1"), 2),
     "labels-float-string-bool": ("verify", relabeled(triangle_labeling_doc(), [3.9, "2", True]), 2),
     "label-float": ("verify", relabeled(triangle_labeling_doc(), [1, 2, 3.0]), 2),
     "matrix-ok": ("verify", odd_matrix_doc(), 0),

@@ -38,6 +38,14 @@ class TestVertexId:
     def test_token_round_trip(self):
         for w in (u(3), v(12), x(2, 7), merged([v(1), v(11)]), merged([x(1, 2), x(6, 2)])):
             assert parse_token(w.token()) == w
+        assert parse_token(" x2.7\n") == x(2, 7)  # surrounding whitespace is stripped
+
+    @pytest.mark.parametrize("tok", ["u+1", "u 1", "v1_0", "x1.+2", "x01.1", "u\u0663", "v01", "x1. 2",
+                                     "m(v11|v1)", "m(v1)", "m(m(v1|v2)|v3)", "m( v1|v11)"])
+    def test_non_canonical_spellings_raise(self, tok):
+        """Spellings ``int`` or ``merged`` would accept but that do not render back."""
+        with pytest.raises(AntimagicError, match="unparseable vertex token"):
+            parse_token(tok)
 
     def test_merged_flattens_and_sorts(self):
         a = merged([merged([v(2), v(1)]), v(3)])
@@ -187,9 +195,10 @@ class TestComponentsAndBipartition:
         assert bipartition(Graph.build([u(1), v(1), x(1, 1)], [(u(1), v(1)), (u(1), x(1, 1)), (v(1), x(1, 1))])) == [None]
 
     def test_odd_component_then_bipartite_one(self):
-        """The walk of the triangle's component stops at its first clash and
-        leaves x1.1 without a side; the next component, whose positions
-        interleave with it, is still 2-colored from its own smallest vertex."""
+        """The triangle's component is None although the walk runs through
+        it past its first clash (it lists the component too); the next
+        component, whose positions interleave with it, is still 2-colored
+        from its own smallest vertex."""
         g = Graph.build(
             [u(1), u(2), v(1), x(1, 1), u(3), v(2), x(1, 2)],
             [(u(1), u(2)), (u(1), v(1)), (u(2), v(1)), (v(1), x(1, 1)), (u(3), v(2)), (v(2), x(1, 2))],
@@ -207,6 +216,8 @@ class TestComponentsAndBipartition:
             edges = [(a, b) for a in verts for b in verts if a < b and rng.random() < 0.35]
             g = Graph.build(verts, edges)
             parts = bipartition(g)
+            fresh = Graph(g.names, g.ends)  # bipartition asked first of g, components first of the copy
+            assert (components(fresh), bipartition(fresh)) == (components(g), parts)
             for comp, part in zip(components(g), parts):
                 vs = [g.names[i] for i in comp]
                 inner = [(a, b) for a, b in g.edge_index if a in vs]
@@ -232,6 +243,8 @@ class TestComponentsAndBipartition:
             ref.add_edges_from(edges)
             expected = sorted((ref.subgraph(c) for c in nx.connected_components(ref)), key=min)
             comps = components(g)
+            fresh = Graph(g.names, g.ends)  # components asked first of g, bipartition first of the copy
+            assert (bipartition(fresh), components(fresh)) == (bipartition(g), comps)
             assert [frozenset(g.names[i] for i in comp) for comp in comps] == [frozenset(c.nodes) for c in expected]
             assert sorted(i for comp in comps for i in comp) == list(range(g.order))
             assert all(comp == sorted(comp) for comp in comps)

@@ -14,6 +14,7 @@ import pytest
 from antimagic.graph import components, is_bipartite_equal_parts, merged, u, v, x
 from antimagic.labeling import EdgeLabeling
 from antimagic.schemes import EVEN, ODD, build_matrix
+import antimagic.sweep as sweep_module
 from antimagic.sweep import _colors_ok, _GroupTable, _sweep_cell, compositions_min2
 from antimagic.transforms import (
     LabeledGraph,
@@ -127,6 +128,20 @@ def test_two_faulted_groups_report_the_smallest_violating_edge():
         details[ks] = row[2]
     assert details[(2, 2, 2)] == "equal colors across u4-m(v4|v10)"
     assert len(set(details.values())) > 1
+
+
+def test_serial_grid_builds_and_reads_as_planned(monkeypatch):
+    """A serial ``sweep(2, 12)`` makes 892 ``group_components`` builds and
+    checks 124 of them with ``bipartition``: a change to the build plan, or
+    a build read twice, shows here."""
+    calls = {"group_components": 0, "bipartition": 0}
+    for name in calls:
+        def counted(*args, real=getattr(sweep_module, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(sweep_module, name, counted)
+    assert all(row.ok for row in sweep_module.sweep(2, 12))
+    assert calls == {"group_components": 892, "bipartition": 124}
 
 
 @pytest.mark.parametrize("parity", [EVEN, ODD])

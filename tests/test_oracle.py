@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -441,10 +442,41 @@ def test_runs_leave_the_tables_as_built(name, chi):
     assert hit is not None and as_built()
     colors = frozenset(EdgeLabeling(g, hit).coloring.color_set)
     assert search.run(colors, chi)[0] == hit and as_built()  # the first labeling with chi colors has these
-    assert search.run(None, chi - 1)[0] is None and as_built()
+    # a miss that still expands nodes: only an isolated vertex takes color 0, and the corpus has none
+    missed, nodes = search.run(colors | {0}, None)
+    assert missed is None and nodes > 0 and as_built()
     budgets = _budgets(g)
     least, _ = search.run(None, budgets[-1], least=budgets[0])
     assert EdgeLabeling(g, least).coloring.c == chi and as_built()
+
+
+@pytest.fixture
+def walked(monkeypatch) -> list[Graph]:
+    """The graphs ``Graph._walk`` walks, one entry per walk: a graph whose
+    walk is cached already is not listed again."""
+    graphs: list[Graph] = []
+    walk = Graph.__dict__["_walk"].func
+
+    def counted(g: Graph):
+        graphs.append(g)
+        return walk(g)
+
+    prop = cached_property(counted)
+    prop.__set_name__(Graph, "_walk")
+    monkeypatch.setattr(Graph, "_walk", prop)
+    return graphs
+
+
+@pytest.mark.parametrize("name", list(CORPUS))
+def test_an_exact_query_walks_its_graph_once(walked, name):
+    """The lower bound, its equal-bipartition test and the symmetries all
+    read one walk of the queried graph."""
+    queries = [exact_chi_la, find_labeling, lambda g: find_labeling(g, target_c=3),
+               lambda g: find_labeling(g, target_c=1)]
+    for query in queries:
+        g = Graph(CORPUS[name].names, CORPUS[name].ends)  # not walked yet
+        query(g)
+        assert len(walked) == 1 and walked.pop() is g
 
 
 def test_exact_find_is_pinned():

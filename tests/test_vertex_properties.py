@@ -51,6 +51,15 @@ def test_token_round_trip(w):
     assert parse_token(w.token()) == w
 
 
+@given(st.text(alphabet="uvxm()|.01239+ _\u0663", max_size=14))
+def test_a_token_parses_only_if_its_id_renders_back_to_it(tok):
+    try:
+        w = parse_token(tok)
+    except AntimagicError:
+        return
+    assert w.token() == tok.strip()
+
+
 @given(vertex_ids, vertex_ids, vertex_ids)
 def test_no_id_equals_an_edge(a, b, c):
     if a != b:
