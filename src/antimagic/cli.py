@@ -1,6 +1,8 @@
 """Command line interface: construct, verify, sweep, oracle.
 
 Exit codes: 0 success, 1 verification failure, 2 input/parameter error.
+Commands raise ``AntimagicError`` or ``OSError`` on bad input, and ``main``
+alone turns either into one ``error: …`` line on stderr and exit 2.
 All outputs are byte-stable across runs for identical inputs and flags.
 """
 
@@ -27,7 +29,6 @@ from .serialize import (
     labeling_from_doc,
     matrix_csv,
     matrix_doc,
-    provenance_doc,
 )
 from .sweep import ALL_FAMILIES, csv_text, sweep
 from .transforms import (
@@ -104,16 +105,12 @@ def _build_family(args) -> tuple:
 
 
 def cmd_construct(args) -> int:
-    try:
-        lg, mx = _build_family(args)
-    except AntimagicError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    lg, mx = _build_family(args)
     files = {
         "graph.json": dumps(graph_doc(lg.graph)),
         "labeling.json": dumps(labeling_doc(lg.labeling)),
-        "graph.dot": dot(lg.graph, lg.labeling),
-        "provenance.json": dumps({"provenance": provenance_doc(lg.provenance)}),
+        "graph.dot": dot(lg.labeling),
+        "provenance.json": dumps({"provenance": lg.provenance}),
     }
     if mx is not None:
         files["matrix.csv"] = matrix_csv(mx)
@@ -130,22 +127,19 @@ def cmd_construct(args) -> int:
     }
     files["report.json"] = dumps(report)
     out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        for name, text in files.items():
-            (out / name).write_text(text)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (out / name).write_text(text)
     print(f"{args.family}: order {lg.graph.order}, size {lg.graph.size}, colors {colors}")
     return 0
 
 
 def _load_doc(path: str) -> dict:
-    """The JSON object stored at ``path``; anything else is a parse error."""
+    """The JSON object stored at ``path``.  A file that cannot be opened
+    raises ``OSError``; any other content raises ``AntimagicError``."""
     try:
         doc = json.loads(Path(path).read_text())
-    except (OSError, ValueError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise AntimagicError(exc) from exc
     if not isinstance(doc, dict):
         raise AntimagicError("expected a JSON object")
@@ -153,24 +147,16 @@ def _load_doc(path: str) -> dict:
 
 
 def cmd_verify(args) -> int:
-    try:
-        doc = _load_doc(args.input)
-    except AntimagicError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
+    doc = _load_doc(args.input)
     if "rows" in doc:
         return _verify_matrix(doc)
     if "labels" not in doc:
-        print("parse error: document has neither labels nor matrix rows", file=sys.stderr)
-        return 2
+        raise AntimagicError("document has neither labels nor matrix rows")
     try:
         labeling = labeling_from_doc(doc)
     except BijectionError as exc:
         print(f"verification failed: bijection: {exc}")
         return 1
-    except AntimagicError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
     print("bijection: ok")
     ok, bad = is_local_antimagic(labeling)
     print(f"local-antimagic: {'ok' if ok else f'{len(bad)} violations'}")
@@ -194,9 +180,8 @@ def _verify_matrix(doc) -> int:
         m = scheme_m(parity, n, k)
         rows = doc["rows"]
         stored = {row["row"]: tuple(json_int(e, "matrix entry") for e in row["entries"]) for row in rows}
-    except (KeyError, TypeError, AntimagicError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
+    except (KeyError, TypeError) as exc:
+        raise AntimagicError(f"malformed matrix document: {exc}") from exc
     if len(rows) != 2 * m + 1 or any(len(entries) != 2 * k for entries in stored.values()):
         print(f"verification failed: matrix shape differs from {2 * m + 1} x {2 * k}")
         return 1
@@ -215,50 +200,38 @@ def cmd_sweep(args) -> int:
     families = tuple(args.families.split(",")) if args.families else ALL_FAMILIES
     unknown = set(families) - set(ALL_FAMILIES)
     if unknown:
-        print(f"error: unknown families {sorted(unknown)}", file=sys.stderr)
-        return 2
-    try:  # the output is opened first, so an unwritable path fails before the grid runs
-        with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as out:
-            rows = list(sweep(args.n_max, args.k_max, families, jobs=args.jobs))
-            out.write(csv_text(rows))
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise AntimagicError(f"unknown families {sorted(unknown)}")
+    # the output is opened first, so an unwritable path fails before the grid runs
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as out:
+        rows = list(sweep(args.n_max, args.k_max, families, jobs=args.jobs))
+        out.write(csv_text(rows))
     failed = sum(1 for row in rows if not row.ok)
     print(f"# {len(rows)} instances, {failed} failures", file=sys.stderr)
     return 1 if failed else 0
 
 
 def cmd_oracle(args) -> int:
-    try:
-        doc = _load_doc(args.input)
-        g = graph_from_doc(doc.get("graph", doc))
-    except AntimagicError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
+    doc = _load_doc(args.input)
+    g = graph_from_doc(doc.get("graph", doc))
     target_colors = set(args.target_colors) if args.target_colors else None
-    try:
-        if args.mode == "chi-la":
-            res = exact_chi_la(g, cap=args.cap)
-            result = res.value if res.value is not None else "no labeling exists"
-        elif args.mode == "certify-2":
-            res = find_labeling(g, target_c=2, cap=args.cap)
-            result = res.labeling is None
+    if args.mode == "chi-la":
+        res = exact_chi_la(g, cap=args.cap)
+        result = res.value if res.value is not None else "no labeling exists"
+    elif args.mode == "certify-2":
+        res = find_labeling(g, target_c=2, cap=args.cap)
+        result = res.labeling is None
+    else:
+        res = find_labeling(
+            g, target_colors=target_colors, target_c=args.target_c,
+            mode=("heuristic" if args.mode == "heuristic" else "exact"),
+            seed=args.seed, cap=args.cap,
+        )
+        if res.labeling is None:
+            result = "none" if args.mode == "find" else "not found"
         else:
-            res = find_labeling(
-                g, target_colors=target_colors, target_c=args.target_c,
-                mode=("heuristic" if args.mode == "heuristic" else "exact"),
-                seed=args.seed, cap=args.cap,
-            )
-            if res.labeling is None:
-                result = "none" if args.mode == "find" else "not found"
-            else:
-                result = sorted(res.labeling.coloring.color_set)
-                if args.save:
-                    Path(args.save).write_text(dumps(labeling_doc(res.labeling)))
-    except (AntimagicError, OSError) as exc:  # OSError: --save could not be written
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+            result = sorted(res.labeling.coloring.color_set)
+            if args.save:
+                Path(args.save).write_text(dumps(labeling_doc(res.labeling)))
     report = {
         "instance": Path(args.input).name,
         "mode": args.mode,
@@ -314,7 +287,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (AntimagicError, OSError) as exc:  # bad input, or a file that cannot be read or written
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

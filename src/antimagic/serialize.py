@@ -6,7 +6,7 @@ import json
 from typing import Any
 
 from .errors import AntimagicError, BijectionError
-from .graph import Graph, MERGED_ROLE, U_ROLE, V_ROLE, VertexId, edge, parse_token
+from .graph import Graph, MERGED_ROLE, U_ROLE, V_ROLE, edge, parse_token
 from .labeling import EdgeLabeling
 from .schemes import LabelMatrix
 
@@ -91,23 +91,14 @@ def matrix_doc(mx: LabelMatrix) -> dict[str, Any]:
     }
 
 
-def _shape(w: VertexId) -> str:
-    return _SHAPES.get(w.role, "ellipse")
-
-
-def dot(g: Graph, labeling: EdgeLabeling | None = None) -> str:
+def dot(labeling: EdgeLabeling) -> str:
+    """The labeled graph in DOT: role-shaped nodes, every edge with its label."""
+    g = labeling.graph
     tokens = [w.token() for w in g.names]
     lines = ["graph G {"]
     for w, tok in zip(g.names, tokens):
-        lines.append(f'  "{tok}" [shape={_shape(w)}];')
-    labeled = zip(g.ends, [None] * g.size) if labeling is None else zip(labeling.graph.ends, labeling.values)
-    for (a, b), lab in sorted(labeled):
-        attr = "" if lab is None else f' [label="{lab}"]'
-        lines.append(f'  "{tokens[a]}" -- "{tokens[b]}"{attr};')
+        lines.append(f'  "{tok}" [shape={_SHAPES.get(w.role, "ellipse")}];')
+    for (a, b), lab in sorted(zip(g.ends, labeling.values)):
+        lines.append(f'  "{tokens[a]}" -- "{tokens[b]}" [label="{lab}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def provenance_doc(provenance: tuple) -> list[Any]:
-    return json.loads(json.dumps([list(step) for step in provenance]))
-

@@ -218,6 +218,9 @@ def test_document_exit_codes(tmp_path, capsys, command, doc, code):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     assert main([command, str(path)]) == code
+    if code == 2:
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
 
 
 @pytest.mark.parametrize("argv", [
@@ -319,6 +322,16 @@ class TestSweep:
         monkeypatch.setattr(antimagic.cli, "sweep", refuse)
         assert main(["sweep", "--n-max", "12", "--k-max", "12", "--out", str(tmp_path / "missing" / "x.csv")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_error_outside_the_contract_raises(self, capsys, monkeypatch):
+        import antimagic.cli
+
+        def broken(*args, **kwargs):
+            raise KeyError("a programming error, not bad input")
+
+        monkeypatch.setattr(antimagic.cli, "sweep", broken)
+        with pytest.raises(KeyError):
+            main(["sweep", "--n-max", "1", "--k-max", "1"])
 
 
 class TestOracle:

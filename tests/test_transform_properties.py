@@ -19,7 +19,6 @@ from antimagic.serialize import (
     graph_from_doc,
     labeling_doc,
     labeling_from_doc,
-    provenance_doc,
 )
 from antimagic.sweep import compositions_min2
 from antimagic.transforms import (
@@ -96,7 +95,7 @@ def test_documents_round_trip(case):
     lg = chain[-1]
     assert graph_from_doc(json.loads(dumps(graph_doc(lg.graph)))) == lg.graph
     assert labeling_from_doc(json.loads(dumps(labeling_doc(lg.labeling)))) == lg.labeling
-    doc = json.loads(dumps({"provenance": provenance_doc(lg.provenance)}))
+    doc = json.loads(dumps({"provenance": lg.provenance}))
     assert replay(doc["provenance"]) == lg
 
 
