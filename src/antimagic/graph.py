@@ -25,7 +25,7 @@ X_ROLE = "x"
 MERGED_ROLE = "m"
 
 _ROLES = (U_ROLE, V_ROLE, X_ROLE, MERGED_ROLE)
-_ROLE_RANK = {role: rank for rank, role in enumerate(_ROLES)}
+_ROLE_RANK = {role: rank for rank, role in enumerate(_ROLES[:3])}  # the simple roles; a merged id has rank 3
 _SIMPLE_ROLES = tuple(frozenset((role,)) for role in _ROLES[:3])
 _SIMPLE_TOKEN = re.compile(r"([uv])([1-9][0-9]*)|x([1-9][0-9]*)\.([1-9][0-9]*)")  # ASCII digits, no leading 0
 
@@ -39,18 +39,22 @@ class VertexId(tuple):
     canonical form, ``(rank, i, j)`` for u/v/x (ranks 0/1/2) and
     ``(3, *parts)`` for a merged id, so hashing, equality and order run
     as tuple operations (an id also equals a plain tuple of the same
-    contents; an edge, with two entries, never equals an id).
+    contents; an edge, with two entries, never equals an id).  The
+    constructor mints only that form: u/v need ``i >= 1, j == 0``, x
+    ``i, j >= 1``, a merged id two or more distinct simple parts in
+    increasing order, as :func:`merged`, the way to make one, returns them.
     """
 
     __slots__ = ()
 
     def __new__(cls, role: str, i: int = 0, j: int = 0, parts: tuple["VertexId", ...] = ()):
         if role == MERGED_ROLE:
-            if len(parts) < 2:
-                raise AntimagicError("merged id needs at least two parts")
+            simple = all(isinstance(p, VertexId) and p[0] < 3 for p in parts)
+            if (i, j) != (0, 0) or len(parts) < 2 or not simple or not all(a < b for a, b in zip(parts, parts[1:])):
+                raise AntimagicError(f"merged id needs at least two parts, simple and increasing: {parts!r}")
             return tuple.__new__(cls, (3, *parts))
-        if i < 1 or (role == X_ROLE and j < 1):
-            raise AntimagicError(f"vertex indices must be >= 1: {role}{i}.{j}")
+        if role not in _ROLE_RANK or parts or i < 1 or (j < 1 if role == X_ROLE else j != 0):
+            raise AntimagicError(f"not a canonical vertex id: {role!r}, i={i}, j={j}, parts={parts!r}")
         return tuple.__new__(cls, (_ROLE_RANK[role], i, j))
 
     def __getnewargs__(self):
@@ -83,16 +87,17 @@ class VertexId(tuple):
         return f"VertexId({self.token()!r})"
 
 
+# u, v and x build their one form directly; on a bad index the constructor raises
 def u(i: int) -> VertexId:
-    return VertexId(U_ROLE, i)
+    return tuple.__new__(VertexId, (0, i, 0)) if i >= 1 else VertexId(U_ROLE, i)
 
 
 def v(i: int) -> VertexId:
-    return VertexId(V_ROLE, i)
+    return tuple.__new__(VertexId, (1, i, 0)) if i >= 1 else VertexId(V_ROLE, i)
 
 
 def x(i: int, j: int) -> VertexId:
-    return VertexId(X_ROLE, i, j)
+    return tuple.__new__(VertexId, (2, i, j)) if i >= 1 and j >= 1 else VertexId(X_ROLE, i, j)
 
 
 def merged(parts: Iterable[VertexId]) -> VertexId:

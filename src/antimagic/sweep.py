@@ -8,7 +8,7 @@ order is canonical either way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 from itertools import accumulate, groupby
 from typing import Iterable, Iterator
@@ -192,11 +192,13 @@ def _cell_rows(cell: tuple) -> list[SweepRow]:
 
 def _sweep_cell(parity: str, n: int, k: int, want: frozenset[str]) -> Iterator[SweepRow]:
     base_params = f"n={n} k={k}"
+
+    def checked(family: str, params: str, lg: LabeledGraph, expected: set[int]) -> SweepRow:
+        return SweepRow(family, parity, params, tuple(sorted(lg.colors)), *_colors_ok(lg, expected))
+
     if parity == EVEN and (n, k) == (1, 1):
         if "merge-all" in want:
-            lg = special_labeled()
-            ok, detail = _colors_ok(lg, set(SPECIAL_COLOR_SET))
-            yield SweepRow("merge-all", parity, base_params + " (bespoke)", tuple(sorted(lg.colors)), ok, detail)
+            yield checked("merge-all", base_params + " (bespoke)", special_labeled(), set(SPECIAL_COLOR_SET))
         return
 
     mx = build_matrix(parity, n, k)
@@ -216,45 +218,36 @@ def _sweep_cell(parity: str, n: int, k: int, want: frozenset[str]) -> Iterator[S
         )
 
     if "merge-all" in want:
-        lg = merge_all_x(base)
-        ok, detail = _colors_ok(lg, expected_colors_block(parity, n, k, s=k))
-        yield SweepRow("merge-all", parity, base_params, tuple(sorted(lg.colors)), ok, detail)
+        yield checked("merge-all", base_params, merge_all_x(base), expected_colors_block(parity, n, k, s=k))
+    if k < 2:
+        return
 
+    # the s = 1 graphs, k(2P_2 ∨ O_m) and its split: each is built once, in the first row that reads it
+    pairs_graph = cache(lambda: block_merge(base, k, 1))
+    split_graph = cache(lambda: split_x(pairs_graph()))
     factorizations = [(r, k // r) for r in range(2, k + 1) if k % r == 0] if want & {"block", "split"} else []
-    pairs_graph = split_graph = None  # the s = 1 graphs, k(2P_2 ∨ O_m) and its split, for the J and H families
     for r, s in factorizations:
         params = f"{base_params} r={r} s={s}"
-        lg = block_merge(base, r, s)
-        if s == 1:
-            pairs_graph = lg
+        lg = pairs_graph() if s == 1 else block_merge(base, r, s)
         if "block" in want:
-            ok, detail = _colors_ok(lg, expected_colors_block(parity, n, k, s))
-            yield SweepRow("block", parity, params, tuple(sorted(lg.colors)), ok, detail)
+            yield checked("block", params, lg, expected_colors_block(parity, n, k, s))
         if "split" in want:
-            sg = split_x(lg)
-            if s == 1:
-                split_graph = sg
-            ok, detail = _colors_ok(sg, expected_colors_split(parity, n, k, s))
-            if ok:  # "equal-bipartition" implies bipartite with equal parts
+            sg = split_graph() if s == 1 else split_x(lg)
+            row = checked("split", params, sg, expected_colors_split(parity, n, k, s))
+            if row.ok:  # "equal-bipartition" implies bipartite with equal parts
                 bound, cert = chi_la_lower_bound(sg.graph)
                 if (bound, cert) != (3, "equal-bipartition"):
-                    ok, detail = False, f"lower bound {bound} via {cert}"
-            yield SweepRow("split", parity, params, tuple(sorted(sg.colors)), ok, detail)
+                    row = replace(row, ok=False, detail=f"lower bound {bound} via {cert}")
+            yield row
 
-    if k < 2 or not (want & {"J1", "J2", "H"}):
-        return
-    pairs_graph = pairs_graph or block_merge(base, k, 1)
-    split_graph = split_graph or (split_x(pairs_graph) if want & {"J2", "H"} else None)
-
-    j_sizes = [s for s in range(2, k + 1) if (2 * k) % s == 0]
+    j_sizes = [s for s in range(2, k + 1) if (2 * k) % s == 0] if want & {"J1", "J2", "H"} else []
     for s in j_sizes:
-        blocks = chunk_blocks(pairs_graph, s)
+        blocks = chunk_blocks(pairs_graph(), s)
         if "J1" in want:
-            lg = merge_v_blocks(pairs_graph, blocks)
-            ok, detail = _colors_ok(lg, expected_colors_j(parity, n, k, s, split=False))
-            yield SweepRow("J1", parity, f"{base_params} s={s}", tuple(sorted(lg.colors)), ok, detail)
+            yield checked("J1", f"{base_params} s={s}", merge_v_blocks(pairs_graph(), blocks),
+                          expected_colors_j(parity, n, k, s, split=False))
         if "J2" in want:
-            lg = merge_v_blocks(split_graph, blocks)
+            lg = merge_v_blocks(split_graph(), blocks)
             ok, detail = _colors_ok(lg, expected_colors_j(parity, n, k, s, split=True))
             cert = theorem_certificate(lg.graph)
             if ok and cert == "unverified by theorem":
@@ -262,8 +255,8 @@ def _sweep_cell(parity: str, n: int, k: int, want: frozenset[str]) -> Iterator[S
             yield SweepRow("J2", parity, f"{base_params} s={s}", tuple(sorted(lg.colors)), ok, f"{cert}{'; ' + detail if detail else ''}")
 
     if "H" in want:
-        h1 = _GroupTable(pairs_graph, expected_colors_j(parity, n, k, 2, split=False))
-        h2 = _GroupTable(split_graph, expected_colors_j(parity, n, k, 2, split=True))
+        h1 = _GroupTable(pairs_graph(), expected_colors_j(parity, n, k, 2, split=False))
+        h2 = _GroupTable(split_graph(), expected_colors_j(parity, n, k, 2, split=True))
         for ks in compositions_min2(k):
             params = f"{base_params} ks={'+'.join(map(str, ks))}"
             yield SweepRow("H1", parity, params, *h1.row(ks, False))

@@ -201,6 +201,7 @@ def delete_add(lg: LabeledGraph, spec: SwapSpec) -> LabeledGraph:
     :class:`SumDriftError`.
     """
     dels = [edge(*e) for e in spec.delete]
+    adds = [(edge(*e), lab) for e, lab in spec.add]  # canonical, as the provenance step spells them
     if len(set(dels)) != len(dels):
         raise AntimagicError("duplicate edge in delete list")
     g = lg.graph
@@ -212,12 +213,12 @@ def delete_add(lg: LabeledGraph, spec: SwapSpec) -> LabeledGraph:
         except KeyError:
             raise AntimagicError(f"cannot delete missing edge {a}-{b}") from None
     del_labels = sorted(labels[t] for t in moved)
-    add_labels = sorted(lab for _, lab in spec.add)
+    add_labels = sorted(lab for _, lab in adds)
     if del_labels != add_labels:
         raise AntimagicError("added labels must be exactly the deleted labels")
     by_label = {labels[t]: t for t in moved}
     ends = list(g.ends)
-    for (a, b), lab in spec.add:
+    for (a, b), lab in adds:
         t = by_label[lab]
         uv_old = {names[i] for i in g.ends[t] if _uv_side(names[i])}
         if not uv_old:
@@ -238,7 +239,7 @@ def delete_add(lg: LabeledGraph, spec: SwapSpec) -> LabeledGraph:
     step = (
         "delete_add",
         tuple((a.token(), b.token()) for a, b in dels),
-        tuple((a.token(), b.token(), lab) for (a, b), lab in spec.add),
+        tuple((a.token(), b.token(), lab) for (a, b), lab in adds),
     )
     return LabeledGraph(labeling, lg.provenance + (step,))
 

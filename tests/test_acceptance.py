@@ -6,6 +6,7 @@ pass lines.  The grid sweep (criteria 3/4/6) is computed once and shared.
 
 import csv
 import hashlib
+import itertools
 import random
 import time
 
@@ -16,7 +17,7 @@ from antimagic.graph import Graph, copies_of_p2_join_null, edge, merged, u, v, x
 from antimagic.labeling import chi_la_lower_bound, induce
 from antimagic.oracle import certify_no_2_coloring, exact_chi_la
 from antimagic.schemes import EVEN, ODD, build_matrix, special_2p2_o2
-from antimagic.sweep import SweepRow, _verdict, csv_text, sweep
+from antimagic.sweep import ALL_FAMILIES, SweepRow, _verdict, csv_text, sweep
 from antimagic.transforms import (
     SwapSpec,
     block_merge,
@@ -125,6 +126,15 @@ def test_deep_grid_csv_bytes_are_pinned():
     assert len(rows) == 34294
     assert [r for r in rows if not r.ok] == []
     assert hashlib.sha256(csv_text(rows).encode()).hexdigest() == DEEP_CSV_SHA256
+
+
+def test_family_subsets_give_the_full_grids_rows():
+    """Every single family and every pair of families yields exactly the
+    full grid's rows of those families (H1 and H2 are the rows of H)."""
+    full = list(sweep(2, 6))
+    for fams in [*itertools.combinations(ALL_FAMILIES, 1), *itertools.combinations(ALL_FAMILIES, 2)]:
+        want = [r for r in full if (r.family[0] if r.family in ("H1", "H2") else r.family) in fams]
+        assert list(sweep(2, 6, fams)) == want, fams
 
 
 def test_failing_row_keeps_six_csv_fields():

@@ -4,7 +4,9 @@ import pytest
 
 from antimagic.errors import AntimagicError, LoopError, ParallelEdgeError
 from antimagic.graph import (
+    MERGED_ROLE,
     Graph,
+    VertexId,
     bipartition,
     components,
     copies_of_p2_join_null,
@@ -66,6 +68,30 @@ class TestVertexId:
     def test_indices_start_at_one(self):
         with pytest.raises(AntimagicError):
             u(0)
+
+    @pytest.mark.parametrize(
+        "args, kwargs",
+        [
+            ((MERGED_ROLE,), {"parts": (v(2), v(1))}),  # out of order
+            ((MERGED_ROLE,), {"parts": (v(1), v(1))}),  # a repeated part
+            ((MERGED_ROLE,), {"parts": (merged([v(1), v(2)]), u(3))}),  # a nested bundle
+            ((MERGED_ROLE,), {"parts": (v(1),)}),  # one part
+            ((MERGED_ROLE, 1), {"parts": (v(1), v(2))}),  # an index on a bundle
+            (("u", 1, 5), {}),  # a u id with j
+            (("v", 1), {"parts": (v(1), v(2))}),  # a simple id with parts
+            (("x", 1), {}),  # an x id without j
+            (("q", 1), {}),  # no such role
+        ],
+        ids=["unsorted", "repeated", "nested", "single", "indexed-bundle", "u-with-j", "v-with-parts",
+             "x-without-j", "unknown-role"],
+    )
+    def test_constructor_mints_only_canonical_ids(self, args, kwargs):
+        with pytest.raises(AntimagicError):
+            VertexId(*args, **kwargs)
+
+    def test_constructor_agrees_with_the_helpers(self):
+        assert VertexId(MERGED_ROLE, parts=(v(1), v(2))) == merged([v(2), v(1)])
+        assert VertexId("u", 1) == u(1) and VertexId("x", 2, 7) == x(2, 7)
 
 
 class TestDisjointUnion:

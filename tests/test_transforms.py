@@ -391,6 +391,15 @@ class TestCertificatesAndReplay:
         assert again.labeling.labels == lg.labeling.labels
         assert again.graph == lg.graph
 
+    def test_replay_of_reversed_adds(self):
+        """Adds given as (b, a) are logged in the canonical order, so the log replays to the value."""
+        lg = block_merge(even_base(1, 4), 4, 1)
+        spec = random_swap_spec(lg, random.Random(0))
+        reversed_adds = SwapSpec(spec.delete, tuple(((b, a), lab) for (a, b), lab in spec.add))
+        out = delete_add(lg, reversed_adds)
+        assert out == delete_add(lg, spec)
+        assert replay(out.provenance) == out
+
     def test_replay_j_chain(self):
         pairs = block_merge(odd_base(1, 3), 3, 1)
         out = group_components(pairs, (3,))
