@@ -3,13 +3,14 @@
 Ground truth for tiny graphs: the minimum color count over all local
 antimagic labelings, labelings hitting a prescribed color set, and
 certified impossibility of 2-colorings.  Backtracking assigns labels
-edge by edge (edges clustered around high-degree vertices so vertices
-finish early) and prunes on finished-vertex ties, color budgets, forced
-last labels and symmetry (twin and isomorphic-component swaps); the
-pruning keeps the first (lex-least) labeling found.  The minimum color
-count is one branch-and-bound run that lowers its color cap at each
-labeling it finds, trying labels middle-out.  A query builds the graph's
-tables once, in one ``_Search``.  Exact-mode results are deterministic.
+edge by edge (one component after another, each walked breadth first
+from a highest-degree vertex, so vertices finish early) and prunes on
+finished-vertex ties, color budgets, forced last labels and symmetry
+(twin and isomorphic-component swaps); the pruning keeps the first
+(lex-least) labeling found.  The minimum color count is one
+branch-and-bound run that lowers its color cap at each labeling it
+finds, trying labels middle-out.  A query builds the graph's tables
+once, in one ``_Search``.  Exact-mode results are deterministic.
 """
 
 from __future__ import annotations
@@ -38,12 +39,28 @@ def _check_cap(g: Graph, cap: int | None) -> None:
 
 def _edge_order(g: Graph) -> list[tuple[int, int]]:
     """The search's edge order, as position pairs (positions order as the sorted ids do):
-    edges grouped by their end that comes first in a stable descending-degree order
-    of the vertices, each group in pair order."""
+    edges grouped by their earlier-ranked end, each group in pair order.  The vertices
+    are ranked one component after another, each breadth first from its first vertex
+    in a stable descending-degree order, visiting neighbours in that order too, so a
+    component's vertices finish before the next component starts."""
     nbrs = g.neighbors
-    rank = [0] * g.order
-    for r, w in enumerate(sorted(range(g.order), key=lambda w: -len(nbrs[w]))):  # stable: ties stay in id order
-        rank[w] = r
+    by_degree = sorted(range(g.order), key=lambda w: -len(nbrs[w]))  # stable: ties stay in id order
+    ordered: list[list[int]] = [[] for _ in nbrs]  # each vertex's neighbours in by_degree order
+    for w in by_degree:
+        for nb in nbrs[w]:
+            ordered[nb].append(w)
+    rank = [-1] * g.order
+    ranked = 0
+    for seed in by_degree:
+        if rank[seed] < 0:
+            rank[seed] = ranked
+            comp = [seed]
+            for w in comp:  # breadth first: the loop reaches the vertices it appends
+                for nb in ordered[w]:
+                    if rank[nb] < 0:
+                        rank[nb] = ranked + len(comp)
+                        comp.append(nb)
+            ranked += len(comp)
     return sorted(g.ends, key=lambda e: (min(rank[e[0]], rank[e[1]]), e))
 
 

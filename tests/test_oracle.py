@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from antimagic.errors import AntimagicError
-from antimagic.graph import Graph, copies_of_p2_join_null, u, v, x
+from antimagic.graph import Graph, components, copies_of_p2_join_null, u, v, x
 from antimagic.labeling import EdgeLabeling, chi_la_lower_bound, induce, is_local_antimagic
 from antimagic.oracle import (
     _budgets,
@@ -380,16 +380,16 @@ POOL = {f"pool#{e['index']}": Graph.build([u(i) for i in range(1, e["order"] + 1
 # chi_la on the corpus, and the nodes ``find_labeling`` expands asking for each
 # color count from the lower bound up to chi_la: a change to the first-hit tree shows here
 TREES = [
-    ("C4", 3, 6), ("C5", 3, 21), ("C6", 3, 18), ("C7", 3, 113), ("C8", 3, 44),
+    ("C4", 3, 6), ("C5", 3, 25), ("C6", 3, 28), ("C7", 3, 157), ("C8", 3, 80),
     ("P5", 3, 17), ("P6", 3, 15), ("P7", 3, 110),
-    ("K2,3", 3, 11), ("K2,4", 2, 237), ("K2,5", 3, 79), ("K3,3", 3, 548),
-    ("2(P2vO1)", 4, 150), ("3(P2vO1)", 5, 7_914), ("2P2vO2", 3, 40_021), ("2(P2vO2)", 4, 101_910),
+    ("K2,3", 3, 11), ("K2,4", 2, 237), ("K2,5", 3, 79), ("K3,3", 3, 543),
+    ("2(P2vO1)", 4, 132), ("3(P2vO1)", 5, 3_054), ("2P2vO2", 3, 20_625), ("2(P2vO2)", 4, 27_633),
 ]
 # the nodes ``exact_chi_la`` expands on the same graphs: a change to the minimising tree shows here
 MINIMISING_NODES = {
-    "C4": 4, "C5": 5, "C6": 8, "C7": 14, "C8": 22, "P5": 4, "P6": 5, "P7": 6,
-    "K2,3": 51, "K2,4": 225, "K2,5": 74, "K3,3": 3_614,
-    "2(P2vO1)": 143, "3(P2vO1)": 4_733, "2P2vO2": 5_423, "2(P2vO2)": 96_375,
+    "C4": 4, "C5": 7, "C6": 10, "C7": 16, "C8": 26, "P5": 4, "P6": 5, "P7": 6,
+    "K2,3": 51, "K2,4": 225, "K2,5": 74, "K3,3": 1_854,
+    "2(P2vO1)": 111, "3(P2vO1)": 2_575, "2P2vO2": 3_157, "2(P2vO2)": 25_664,
 }
 
 
@@ -419,7 +419,7 @@ def test_minimising_search_agrees_with_the_budget_loop(g):
     assert exact_chi_la(g).value == budget_loop(g)[0]
 
 
-@pytest.mark.parametrize("a, m, nodes", [(2, 3, 360_203), (3, 2, 378_554)])
+@pytest.mark.parametrize("a, m, nodes", [(2, 3, 13_624), (3, 2, 75_727), (2, 4, 162_587)])
 def test_paper_graphs_past_the_default_cap(a, m, nodes):
     """chi_la(aP2 v O_m) = 3; the triangle u1 v1 x certifies the bound."""
     g = matching_join(a, m)
@@ -481,7 +481,29 @@ def test_an_exact_query_walks_its_graph_once(walked, name):
 
 def test_exact_find_is_pinned():
     res = find_labeling(CORPUS["2P2vO2"], target_colors={14, 19, 22})
-    assert (res.labeling.values, res.nodes) == ((7, 1, 6, 4, 2, 8, 9, 3, 10, 5), 1_926)
+    assert (res.labeling.values, res.nodes) == ((7, 1, 6, 4, 2, 8, 9, 3, 10, 5), 259)
+
+
+UNIONS = {f"union-{seed}": random_union(seed) for seed in range(6, 30)}  # union-0..5 are rule graphs
+
+
+@pytest.mark.parametrize("g", [*CORPUS.values(), *POOL.values(), *RULE_GRAPHS.values(), *UNIONS.values()],
+                         ids=[*CORPUS, *POOL, *RULE_GRAPHS, *UNIONS])
+def test_edge_order_walks_one_component_at_a_time(g):
+    """The order holds each edge once, each component's edges in one run of
+    positions, and every edge of a run after its first touches a vertex an
+    earlier edge reached: each vertex but a component's seed is ranked after
+    a neighbour, as a breadth-first walk ranks them."""
+    order = _edge_order(g)
+    assert sorted(order) == sorted(g.ends)
+    component = {w: i for i, comp in enumerate(components(g)) for w in comp}
+    runs = [component[a] for a, _ in order]
+    firsts = [pos for pos in range(len(runs)) if pos == 0 or runs[pos - 1] != runs[pos]]
+    assert len({runs[pos] for pos in firsts}) == len(firsts)
+    reached: set[int] = set()
+    for pos, (a, b) in enumerate(order):
+        assert pos in firsts or a in reached or b in reached
+        reached |= {a, b}
 
 
 @pytest.mark.parametrize("g", list(CORPUS.values()) + list(POOL.values()), ids=list(CORPUS) + list(POOL))
