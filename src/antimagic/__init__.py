@@ -37,7 +37,6 @@ from .schemes import (
     ODD,
     build_matrix,
     check_identities,
-    special_2p2_o2,
 )
 from .transforms import (
     LabeledGraph,
@@ -49,6 +48,7 @@ from .transforms import (
     merge_all_x,
     merge_v_blocks,
     replay,
+    special_labeled,
     split_x,
 )
 

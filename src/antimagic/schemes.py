@@ -13,10 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 from .errors import AntimagicError, UseSpecialCase
-from .graph import Graph, copies_of_p2_join_null, u, v, x
-from .labeling import EdgeLabeling
 
 EVEN = "even"
 ODD = "odd"
@@ -93,33 +92,22 @@ class LabelMatrix:
         side, j = key
         return "uv" if side == "uv" else f"{side}{j}"
 
-    def entry(self, key: RowKey, i: int) -> int:
-        return self.data[key][i - 1]
-
     def row(self, key: RowKey) -> tuple[int, ...]:
         return self.data[key]
-
-    def u_block_sum(self, i: int) -> int:
-        """Column sum over all u-rows plus the uv row (= f+(u_i))."""
-        return sum(self.entry(("ux", j), i) for j in range(1, self.m + 1)) + self.entry(("uv", 0), i)
-
-    def v_block_sum(self, i: int) -> int:
-        """Column sum over the uv row plus all v-rows (= f+(v_i))."""
-        return sum(self.entry(("vx", j), i) for j in range(1, self.m + 1)) + self.entry(("uv", 0), i)
 
 
 def scheme_m(parity: str, n: int, k: int) -> int:
     """The null order m of the scheme with these parameters.
 
     Raises :class:`AntimagicError` when no scheme has them, and
-    :class:`UseSpecialCase` for 2(P_2 ∨ O_2), which has no matrix.
+    :class:`UseSpecialCase` for 2P_2 ∨ O_2, which has no matrix.
     """
     if parity not in (EVEN, ODD):
         raise AntimagicError(f"unknown parity {parity!r}")
     if n < 1 or k < 1:
         raise AntimagicError("n and k must be >= 1")
     if (parity, n, k) == (EVEN, 1, 1):
-        raise UseSpecialCase("2(P_2 ∨ O_2) uses the bespoke labeling; see special_2p2_o2()")
+        raise UseSpecialCase("2P_2 ∨ O_2 uses the bespoke labeling; see special_labeled()")
     return 2 * n if parity == EVEN else 2 * n + 1
 
 
@@ -156,37 +144,6 @@ def build_matrix(parity: str, n: int, k: int) -> LabelMatrix:
         runs[("uv", 0)] = [(c, 1, 1)]
         runs[("vx", 1)] = [(c, 4 * k, -1)]
     return LabelMatrix(n=n, k=k, parity=parity, data={key: _runs(r) for key, r in runs.items()})
-
-
-# --- bespoke 2(P_2 ∨ O_2) fixture -----------------------------------------
-#
-# The 10-edge labeling below was found once by exhaustive search (the
-# oracle regenerates it) and is frozen here.  Both degree-4 vertices get
-# 22, the u's 19 and the v's 14.
-
-_SPECIAL_LABELS = {
-    (u(1), v(1)): 7,
-    (u(2), v(2)): 4,
-    (u(1), x(1, 1)): 3,
-    (u(1), x(1, 2)): 9,
-    (u(2), x(1, 1)): 10,
-    (u(2), x(1, 2)): 5,
-    (v(1), x(1, 1)): 1,
-    (v(1), x(1, 2)): 6,
-    (v(2), x(1, 1)): 8,
-    (v(2), x(1, 2)): 2,
-}
-
-SPECIAL_COLOR_SET = frozenset({14, 19, 22})
-
-
-def special_2p2_o2() -> tuple[Graph, EdgeLabeling]:
-    """The join of two disjoint edges with two isolated vertices,
-    labeled so the induced colors are exactly {14, 19, 22}."""
-    vs = [u(1), v(1), u(2), v(2), x(1, 1), x(1, 2)]
-    g = Graph.build(vs, list(_SPECIAL_LABELS))
-    labeling = EdgeLabeling.from_dict(g, {tuple(sorted(e)): lab for e, lab in _SPECIAL_LABELS.items()})
-    return g, labeling
 
 
 # --- identity checks --------------------------------------------------------
@@ -238,24 +195,26 @@ def check_identities(mx: LabelMatrix) -> MatrixReport:
     pair constant.  Returns every violated identity; nothing is raised.
     """
     n, k, m, parity = mx.n, mx.k, mx.m, mx.parity
+    ux = [mx.row(("ux", j)) for j in range(1, m + 1)]
+    uv = mx.row(("uv", 0))
+    vx = [mx.row(("vx", j)) for j in range(1, m + 1)]
     failures: list[str] = []
 
-    all_entries = sorted(val for row in mx.data.values() for val in row)
-    if all_entries != list(range(1, mx.q + 1)):
+    if sorted(chain(uv, *ux, *vx)) != list(range(1, mx.q + 1)):
         failures.append(f"bijection: entries are not a permutation of [1..{mx.q}]")
 
+    # column i of the u-rows plus the uv row sums to f+(u_i); of the v-rows plus uv, to f+(v_i)
     uc, vc = u_color(parity, n, k), v_color(parity, n, k)
-    if not all(mx.u_block_sum(i) == uc for i in range(1, mx.cols + 1)):
+    if any(sum(col) != uc for col in zip(uv, *ux)):
         failures.append(f"u-block: some column sum != {uc}")
-    if not all(mx.v_block_sum(i) == vc for i in range(1, mx.cols + 1)):
+    if any(sum(col) != vc for col in zip(uv, *vx)):
         failures.append(f"v-block: some column sum != {vc}")
 
     # quads of x-row j: (ux[i], vx[i], ux[2k+1-i], vx[2k+1-i]) for i = 1..k
     pair_const, cross = x_pair_constant(parity, n, k), cross_pair_constant(parity, n, k)
     four_terms: list[list[int]] = []
     pair_sums_ok = cross_pairs_ok = True
-    for j in range(1, m + 1):
-        ux_row, vx_row = mx.row(("ux", j)), mx.row(("vx", j))
+    for j, (ux_row, vx_row) in enumerate(zip(ux, vx), 1):
         quads = list(zip(ux_row[:k], vx_row[:k], reversed(ux_row[k:]), reversed(vx_row[k:])))
         sums = [a + b + c + d for a, b, c, d in quads]
         four_terms.append(sums)

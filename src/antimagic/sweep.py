@@ -15,9 +15,10 @@ from typing import Iterable, Iterator
 
 from .graph import Edge, bipartition, components
 from .labeling import chi_la_lower_bound, is_local_antimagic
-from .schemes import EVEN, ODD, SPECIAL_COLOR_SET, build_matrix, check_identities, u_color, v_color
+from .schemes import EVEN, ODD, build_matrix, check_identities, u_color, v_color
 from .transforms import (
     LabeledGraph,
+    SPECIAL_COLOR_SET,
     block_merge,
     chunk_blocks,
     expected_colors_block,
@@ -240,7 +241,7 @@ def _sweep_cell(parity: str, n: int, k: int, want: frozenset[str]) -> Iterator[S
                     row = replace(row, ok=False, detail=f"lower bound {bound} via {cert}")
             yield row
 
-    j_sizes = [s for s in range(2, k + 1) if (2 * k) % s == 0] if want & {"J1", "J2", "H"} else []
+    j_sizes = [s for s in range(2, k + 1) if (2 * k) % s == 0] if want & {"J1", "J2"} else []
     for s in j_sizes:
         blocks = chunk_blocks(pairs_graph(), s)
         if "J1" in want:

@@ -41,7 +41,6 @@ from .schemes import (
     block_columns,
     build_matrix,
     cross_pair_constant,
-    special_2p2_o2,
     u_color,
     v_color,
     x_pair_constant,
@@ -117,9 +116,34 @@ def from_matrix(mx: LabelMatrix) -> LabeledGraph:
     return LabeledGraph(EdgeLabeling(g, tuple(values)), (("matrix", mx.parity, mx.n, mx.k),))
 
 
+# --- bespoke 2P_2 ∨ O_2 fixture -------------------------------------------
+#
+# 2P_2 ∨ O_2 (even, n = k = 1) has no matrix; special_labeled() returns
+# the 10-edge labeling below, found once by exhaustive search (the oracle
+# regenerates it) and frozen here.  Both degree-4 vertices get 22, the u's
+# 19 and the v's 14.
+
+_SPECIAL_LABELS = {
+    (u(1), v(1)): 7,
+    (u(2), v(2)): 4,
+    (u(1), x(1, 1)): 3,
+    (u(1), x(1, 2)): 9,
+    (u(2), x(1, 1)): 10,
+    (u(2), x(1, 2)): 5,
+    (v(1), x(1, 1)): 1,
+    (v(1), x(1, 2)): 6,
+    (v(2), x(1, 1)): 8,
+    (v(2), x(1, 2)): 2,
+}
+
+SPECIAL_COLOR_SET = frozenset({14, 19, 22})
+
+
 def special_labeled() -> LabeledGraph:
-    g, labeling = special_2p2_o2()
-    return LabeledGraph(labeling, (("special",),))
+    """2P_2 ∨ O_2, the join of two disjoint edges with two isolated
+    vertices, labeled so the induced colors are exactly {14, 19, 22}."""
+    g = Graph.build([u(1), v(1), u(2), v(2), x(1, 1), x(1, 2)], _SPECIAL_LABELS)
+    return LabeledGraph(EdgeLabeling.from_dict(g, _SPECIAL_LABELS), (("special",),))
 
 
 def _is_fresh_matrix(lg: LabeledGraph) -> bool:

@@ -16,7 +16,7 @@ from antimagic.errors import AntimagicError, ParallelEdgeError, SumDriftError
 from antimagic.graph import Graph, copies_of_p2_join_null, edge, merged, u, v, x
 from antimagic.labeling import chi_la_lower_bound, induce
 from antimagic.oracle import certify_no_2_coloring, exact_chi_la
-from antimagic.schemes import EVEN, ODD, build_matrix, special_2p2_o2
+from antimagic.schemes import EVEN, ODD, build_matrix
 from antimagic.sweep import ALL_FAMILIES, SweepRow, _verdict, csv_text, sweep
 from antimagic.transforms import (
     SwapSpec,
@@ -27,6 +27,7 @@ from antimagic.transforms import (
     merge_all_x,
     merge_v_blocks,
     random_swap_spec,
+    special_labeled,
     split_x,
 )
 
@@ -76,7 +77,7 @@ def test_criterion_1_matrix_fixtures():
 
 def test_criterion_2_color_triples():
     t0 = time.perf_counter()
-    _, special = special_2p2_o2()
+    special = special_labeled().labeling
     cases = [
         ("2P2 v O2 bespoke", special, {14, 19, 22}),
         ("even block n=2 k=2", block_merge(from_matrix(build_matrix(EVEN, 2, 2)), 2, 1).labeling, {108, 77, 74}),
@@ -161,7 +162,7 @@ def test_criterion_4_matrix_identity_suite(grid):
 
 def test_criterion_5_oracle_concordance():
     t0 = time.perf_counter()
-    g_special, _ = special_2p2_o2()
+    g_special = special_labeled().graph
     checks = [
         exact_chi_la(g_special).value == 3,
         exact_chi_la(Graph.build([u(1), v(1), x(1, 1)], [(u(1), v(1)), (u(1), x(1, 1)), (v(1), x(1, 1))])).value == 3,
@@ -183,7 +184,7 @@ def test_criterion_6_lower_bound_soundness(grid):
     split_rows = [r for r in rows if r.family == "split"]
     bad = [r for r in split_rows if not r.ok]
     fixture_graphs = [
-        special_2p2_o2()[0],
+        special_labeled().graph,
         block_merge(from_matrix(build_matrix(EVEN, 2, 2)), 2, 1).graph,
         group_components(block_merge(from_matrix(build_matrix(EVEN, 1, 6)), 6, 1), (6,)).graph,
     ]

@@ -368,9 +368,9 @@ class TestOracle:
         assert json.loads(out)["result"] == 0
 
     def test_find_with_target_colors(self, tmp_path, capsys):
-        from antimagic.schemes import special_2p2_o2
+        from antimagic.transforms import special_labeled
 
-        g, _ = special_2p2_o2()
+        g = special_labeled().graph
         path = self.write_graph(tmp_path, g)
         save = tmp_path / "found.json"
         code, out = run(capsys, "oracle", path, "--mode", "find", "--target-colors", "14,19,22", "--save", str(save))
@@ -381,9 +381,9 @@ class TestOracle:
         assert code == 0
 
     def test_find_more_colors_than_vertices_takes_no_search(self, tmp_path, capsys):
-        from antimagic.schemes import special_2p2_o2
+        from antimagic.transforms import special_labeled
 
-        path = self.write_graph(tmp_path, special_2p2_o2()[0])  # six vertices
+        path = self.write_graph(tmp_path, special_labeled().graph)  # six vertices
         code, out = run(capsys, "oracle", path, "--mode", "find", "--target-c", "7")
         assert code == 0
         report = json.loads(out)

@@ -10,9 +10,9 @@ from antimagic.labeling import (
     induce,
     is_local_antimagic,
 )
-from antimagic.schemes import EVEN, ODD, build_matrix, special_2p2_o2
+from antimagic.schemes import EVEN, ODD, build_matrix
 from antimagic.sweep import _colors_ok
-from antimagic.transforms import LabeledGraph, block_merge, from_matrix, split_x
+from antimagic.transforms import LabeledGraph, block_merge, from_matrix, special_labeled, split_x
 
 
 def triangle() -> Graph:
@@ -49,7 +49,7 @@ class TestInduce:
         assert coloring.c == 3
 
     def test_total_is_q_q_plus_one(self):
-        _, labeling = special_2p2_o2()
+        labeling = special_labeled().labeling
         assert sum(induce(labeling).colors.values()) == 10 * 11
         lg = from_matrix(build_matrix(EVEN, 2, 2))
         q = lg.graph.size
@@ -69,7 +69,7 @@ class TestInduce:
 
 class TestIsLocalAntimagic:
     def test_special_fixture_is_valid(self):
-        _, labeling = special_2p2_o2()
+        labeling = special_labeled().labeling
         ok, bad = is_local_antimagic(labeling)
         assert ok and not bad
 

@@ -19,8 +19,8 @@ from antimagic.oracle import (
     exact_chi_la,
     find_labeling,
 )
-from antimagic.schemes import build_matrix, special_2p2_o2
-from antimagic.transforms import from_matrix
+from antimagic.schemes import build_matrix
+from antimagic.transforms import from_matrix, special_labeled
 
 
 def triangle() -> Graph:
@@ -81,7 +81,7 @@ class TestExactChiLa:
         assert induce(find_labeling(g).labeling).c == 0
 
     def test_join_of_two_edges_and_two_nulls(self):
-        g, _ = special_2p2_o2()
+        g = special_labeled().graph
         assert exact_chi_la(g).value == 3
 
     def test_star_needs_four(self):
@@ -89,7 +89,7 @@ class TestExactChiLa:
         assert exact_chi_la(star3()).value == 4
 
     def test_bound_soundness_on_corpus(self):
-        for g in (triangle(), c4(), star3(), special_2p2_o2()[0]):
+        for g in (triangle(), c4(), star3(), special_labeled().graph):
             res = exact_chi_la(g)
             if res.value is not None:
                 assert res.value >= chi_la_lower_bound(g)[0]
@@ -112,7 +112,7 @@ class TestExactChiLa:
 
 class TestFindLabeling:
     def test_prescribed_color_set(self):
-        g, _ = special_2p2_o2()
+        g = special_labeled().graph
         res = find_labeling(g, target_colors={14, 19, 22})
         assert res.labeling is not None
         assert induce(res.labeling).color_set == {14, 19, 22}
@@ -165,14 +165,14 @@ class TestFindLabeling:
             assert is_local_antimagic(res.labeling)[0]
 
     def test_heuristic_mode_smoke(self):
-        g, _ = special_2p2_o2()
+        g = special_labeled().graph
         res = find_labeling(g, target_c=3, mode="heuristic", seed=1)
         if res.labeling is not None:  # heuristic proves nothing when absent
             assert is_local_antimagic(res.labeling)[0]
             assert induce(res.labeling).c <= 3
 
     def test_heuristic_is_seeded(self):
-        g, _ = special_2p2_o2()
+        g = special_labeled().graph
         a = find_labeling(g, mode="heuristic", seed=7)
         b = find_labeling(g, mode="heuristic", seed=7)
         assert (a.labeling is None) == (b.labeling is None)
@@ -189,18 +189,18 @@ class TestFindLabeling:
             (10, 4, 3, 7, 6, 13, 12, 11, 8, 2, 9, 1, 5, 14),
         ], id="odd-matrix"),
         pytest.param(c5, None, None, [(3, 2, 1, 5, 4), (3, 4, 5, 1, 2), (3, 2, 4, 5, 1)], id="C5"),
-        pytest.param(lambda: special_2p2_o2()[0], {14, 19, 22}, None, [
+        pytest.param(lambda: special_labeled().graph, {14, 19, 22}, None, [
             (4, 2, 8, 7, 6, 1, 5, 10, 9, 3),
             (8, 10, 4, 9, 6, 7, 1, 5, 2, 3),
             (4, 10, 5, 7, 1, 6, 2, 8, 9, 3),
         ], id="special-colors"),
-        pytest.param(lambda: special_2p2_o2()[0], None, 3, [
+        pytest.param(lambda: special_labeled().graph, None, 3, [
             (7, 3, 6, 10, 9, 1, 5, 8, 2, 4),
             (6, 7, 4, 3, 5, 9, 1, 8, 10, 2),
             (6, 7, 4, 5, 10, 1, 2, 8, 3, 9),
         ], id="special-c3"),
         pytest.param(c5, None, 3, [(3, 2, 4, 1, 5), (1, 4, 5, 3, 2), (3, 4, 2, 5, 1)], id="C5-c3"),
-        pytest.param(lambda: special_2p2_o2()[0], {14, 19, 22}, 3, [
+        pytest.param(lambda: special_labeled().graph, {14, 19, 22}, 3, [
             (8, 4, 10, 9, 7, 6, 5, 1, 3, 2),
             (7, 6, 1, 4, 2, 8, 9, 3, 5, 10),
             (4, 10, 5, 7, 1, 6, 8, 2, 3, 9),
@@ -225,7 +225,7 @@ class TestFeasibleRange:
             raise AssertionError("the heuristic ran on a color count no labeling has")
 
         monkeypatch.setattr(antimagic.oracle, "_heuristic", refuse)
-        g, _ = special_2p2_o2()
+        g = special_labeled().graph
         for res in (find_labeling(g, target_c=c, mode=mode),
                     find_labeling(g, target_colors=set(range(1, c + 1)), mode=mode)):
             assert res.labeling is None and res.nodes == 0
@@ -405,7 +405,7 @@ def budget_loop(g: Graph) -> tuple[int | None, int]:
     return None, nodes
 
 
-@pytest.mark.parametrize("name, chi, nodes", TREES)
+@pytest.mark.parametrize("name, chi, nodes", TREES, ids=[name for name, _, _ in TREES])
 def test_search_tree_is_pinned(name, chi, nodes):
     res = exact_chi_la(CORPUS[name])
     assert (res.value, res.nodes) == (chi, MINIMISING_NODES[name])
@@ -419,7 +419,8 @@ def test_minimising_search_agrees_with_the_budget_loop(g):
     assert exact_chi_la(g).value == budget_loop(g)[0]
 
 
-@pytest.mark.parametrize("a, m, nodes", [(2, 3, 13_624), (3, 2, 75_727), (2, 4, 162_587)])
+@pytest.mark.parametrize("a, m, nodes", [(2, 3, 13_624), (3, 2, 75_727), (2, 4, 162_587)],
+                         ids=["2P2vO3", "3P2vO2", "2P2vO4"])
 def test_paper_graphs_past_the_default_cap(a, m, nodes):
     """chi_la(aP2 v O_m) = 3; the triangle u1 v1 x certifies the bound."""
     g = matching_join(a, m)

@@ -1,4 +1,6 @@
+import ast
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -8,12 +10,11 @@ from antimagic.schemes import (
     EVEN,
     LabelMatrix,
     ODD,
-    SPECIAL_COLOR_SET,
     build_matrix,
     check_identities,
-    special_2p2_o2,
 )
 from antimagic.serialize import matrix_csv
+from antimagic.transforms import SPECIAL_COLOR_SET, special_labeled
 
 # Worked 9x8 matrix for n=2, k=4 (frozen fixture).
 MATRIX_N2_K4 = {
@@ -88,15 +89,15 @@ class TestEvenMatrix:
 
     def test_tail_column_sum(self):
         mx = build_matrix(EVEN, 2, 4)
-        total = mx.entry(("ux", 3), 1) + mx.entry(("ux", 4), 1) + mx.entry(("uv", 0), 1)
+        total = mx.row(("ux", 3))[0] + mx.row(("ux", 4))[0] + mx.row(("uv", 0))[0]
         assert total == 49 + 40 + 44 == 133 == 12 * 4 * 2 + 9 * 4 + 1
 
     def test_single_component_pair_columns(self):
         # k = 1, n = 2: column 1 top to bottom, then the two columns
         # jointly exhaust [1..18]
         mx = build_matrix(EVEN, 2, 1)
-        col1 = tuple(mx.entry(key, 1) for key in mx.rows)
-        col2 = tuple(mx.entry(key, 2) for key in mx.rows)
+        col1 = tuple(mx.row(key)[0] for key in mx.rows)
+        col2 = tuple(mx.row(key)[1] for key in mx.rows)
         assert col1 == (17, 4, 13, 10, 11, 1, 16, 5, 7)
         assert sorted(col1 + col2) == list(range(1, 19))
 
@@ -121,7 +122,7 @@ class TestEvenMatrix:
         assert sorted(val for row in mx.data.values() for val in row) == list(range(1, 31))
 
     def test_smallest_case_is_special(self):
-        with pytest.raises(UseSpecialCase):
+        with pytest.raises(UseSpecialCase, match="special_labeled"):
             build_matrix(EVEN, 1, 1)
 
     @pytest.mark.parametrize("n,k", [(1, 2), (2, 2), (3, 4), (5, 1), (4, 7)])
@@ -136,12 +137,14 @@ class TestOddMatrix:
 
     def test_u_block_column_sum(self):
         mx = build_matrix(ODD, 2, 3)
-        assert mx.u_block_sum(1) == 66 + 55 + 54 + 43 + 42 + 1 == 261
-        assert mx.u_block_sum(1) == (2 + 1) * (12 * 2 * 3 + 4 * 3 + 1) + 2 * 3
+        u_block = sum(mx.row(key)[0] for key in mx.rows if key[0] != "vx")  # u-rows and uv
+        assert u_block == 66 + 55 + 54 + 43 + 42 + 1 == 261
+        assert u_block == (2 + 1) * (12 * 2 * 3 + 4 * 3 + 1) + 2 * 3
 
     def test_v_block_column_sum(self):
         mx = build_matrix(ODD, 2, 3)
-        assert mx.v_block_sum(1) == (2 + 1) * (4 * 2 * 3 + 4 * 3 + 1) == 111
+        v_block = sum(mx.row(key)[0] for key in mx.rows if key[0] != "ux")  # uv and v-rows
+        assert v_block == (2 + 1) * (4 * 2 * 3 + 4 * 3 + 1) == 111
 
     def test_uv_row_is_identity(self):
         mx = build_matrix(ODD, 3, 2)
@@ -171,18 +174,31 @@ def test_every_matrix_pinned():
     assert digest.hexdigest() == ALL_MATRICES_SHA256
 
 
+def test_schemes_imports_only_errors_from_the_package():
+    # the matrices are plain arithmetic: graphs and labelings are built from them downstream
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "src" / "antimagic" / "schemes.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert {name for name in imported if name.startswith((".", "antimagic"))} == {".errors"}
+
+
 class TestSpecialFixture:
     def test_color_set(self):
-        _, labeling = special_2p2_o2()
+        labeling = special_labeled().labeling
         coloring = induce(labeling)
         assert coloring.color_set == SPECIAL_COLOR_SET
 
     def test_color_total_is_twice_label_sum(self):
-        _, labeling = special_2p2_o2()
+        labeling = special_labeled().labeling
         assert sum(induce(labeling).colors.values()) == 110  # q(q+1) at q = 10
 
     def test_degree_four_vertices_get_22(self):
-        g, labeling = special_2p2_o2()
+        lg = special_labeled()
+        g, labeling = lg.graph, lg.labeling
         colors = induce(labeling).colors
         for w, nbs in zip(g.names, g.neighbors):
             expected = {1: None, 3: 19 if w.role == "u" else 14, 4: 22}[len(nbs)]
@@ -206,9 +222,9 @@ class TestCheckIdentities:
         odd = check_identities(build_matrix(ODD, 2, 3))
         assert not failed_identities(odd)  # cross pairs 8kn+8k+1 = 73; e.g. 66 + 7
         mx = build_matrix(EVEN, 2, 4)
-        assert mx.entry(("ux", 1), 1) + mx.entry(("vx", 1), 8) == 73
+        assert mx.row(("ux", 1))[0] + mx.row(("vx", 1))[7] == 73
         mo = build_matrix(ODD, 2, 3)
-        assert mo.entry(("ux", 1), 1) + mo.entry(("vx", 1), 6) == 73
+        assert mo.row(("ux", 1))[0] + mo.row(("vx", 1))[5] == 73
 
     def test_swapped_entries_fail_column_sums_only(self):
         mx = build_matrix(EVEN, 2, 4)

@@ -1,7 +1,7 @@
 import json
 
 from antimagic.graph import merged, u, v, x
-from antimagic.schemes import EVEN, build_matrix, special_2p2_o2
+from antimagic.schemes import EVEN, build_matrix
 from antimagic.serialize import (
     dot,
     dumps,
@@ -11,12 +11,12 @@ from antimagic.serialize import (
     labeling_from_doc,
     matrix_csv,
 )
-from antimagic.transforms import block_merge, from_matrix, replay, split_x
+from antimagic.transforms import block_merge, from_matrix, replay, special_labeled, split_x
 
 
 class TestGraphDoc:
     def test_round_trip(self):
-        g, _ = special_2p2_o2()
+        g = special_labeled().graph
         assert graph_from_doc(graph_doc(g)) == g
 
     def test_round_trip_with_merged_ids(self):
@@ -30,7 +30,7 @@ class TestGraphDoc:
         assert any(tok.startswith("x") and "." in tok for tok in ids)
 
     def test_vertices_sorted(self):
-        g, _ = special_2p2_o2()
+        g = special_labeled().graph
         doc = graph_doc(g)
         ids = [item["id"] for item in doc["vertices"]]
         assert ids == ["u1", "u2", "v1", "v2", "x1.1", "x1.2"]
@@ -38,11 +38,11 @@ class TestGraphDoc:
 
 class TestLabelingDoc:
     def test_round_trip(self):
-        _, labeling = special_2p2_o2()
+        labeling = special_labeled().labeling
         assert labeling_from_doc(labeling_doc(labeling)).labels == labeling.labels
 
     def test_sorted_by_label(self):
-        _, labeling = special_2p2_o2()
+        labeling = special_labeled().labeling
         doc = labeling_doc(labeling)
         labs = [item["label"] for item in doc["labels"]]
         assert labs == sorted(labs) == list(range(1, 11))
@@ -67,7 +67,7 @@ class TestMatrixCsv:
 
 class TestDot:
     def test_role_shapes_and_labels(self):
-        _, labeling = special_2p2_o2()
+        labeling = special_labeled().labeling
         text = dot(labeling)
         assert '"u1" [shape=box];' in text
         assert '"v1" [shape=diamond];' in text
