@@ -221,7 +221,9 @@ def check_identities(mx: LabelMatrix) -> MatrixReport:
         pair_sums_ok &= all(t == pair_const for t in sums)
         if parity == EVEN:
             cu, cv = _even_pair_constant(("ux", j), n, k), _even_pair_constant(("vx", j), n, k)
-            pair_sums_ok &= all(a + c == cu and b + d == cv for a, b, c, d in quads)
+        else:  # an odd x-row is one run with step ±1, so every mirror pair sums as the first does
+            cu, cv = quads[0][0] + quads[0][2], quads[0][1] + quads[0][3]
+        pair_sums_ok &= all(a + c == cu and b + d == cv for a, b, c, d in quads)
         cross_pairs_ok &= all(a + d == cross == b + c for a, b, c, d in quads)
     if not pair_sums_ok:
         failures.append("pair-sums: complementary column pair sum off for some row")

@@ -6,7 +6,7 @@ import json
 from typing import Any
 
 from .errors import AntimagicError, BijectionError
-from .graph import Graph, MERGED_ROLE, U_ROLE, V_ROLE, edge, parse_token
+from .graph import Graph, MERGED_ROLE, U_ROLE, V_ROLE, VertexId, edge, parse_token
 from .labeling import EdgeLabeling
 from .schemes import LabelMatrix
 
@@ -28,13 +28,31 @@ def json_int(value: Any, what: str) -> int:
     return value
 
 
+class _Tokens(dict):
+    """One document read's vertex ids by exact spelling: ``parse_token`` runs
+    once per distinct spelling, and the table lives only for that read."""
+
+    def __missing__(self, tok: str) -> VertexId:
+        w = self[tok] = parse_token(tok)
+        return w
+
+    def read(self, tok: Any) -> VertexId:
+        # a non-string id (a list or dict is not even hashable) meets parse_token's own check
+        return self[tok] if type(tok) is str else parse_token(tok)
+
+
 def graph_from_doc(doc: dict[str, Any]) -> Graph:
     """The graph a document lists; a token that is not a vertex's own
     (``v01``, see ``parse_token``) or a vertex or edge listed twice (also
     as ``[b, a]`` beside ``[a, b]``) raises."""
+    return _graph_from_doc(doc, _Tokens())
+
+
+def _graph_from_doc(doc: dict[str, Any], tokens: _Tokens) -> Graph:
+    read = tokens.read
     try:
-        vs = [parse_token(item["id"]) for item in doc["vertices"]]
-        es = [(parse_token(a), parse_token(b)) for a, b in doc["edges"]]
+        vs = [read(item["id"]) for item in doc["vertices"]]
+        es = [(read(a), read(b)) for a, b in doc["edges"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise AntimagicError(f"malformed graph document: {exc}") from exc
     g = Graph.build(vs, es)
@@ -55,12 +73,14 @@ def labeling_doc(labeling: EdgeLabeling) -> dict[str, Any]:
 
 def labeling_from_doc(doc: dict[str, Any]) -> EdgeLabeling:
     """The labeling a document lists; an edge that does not name exactly
-    two vertices raises."""
-    g = graph_from_doc(doc.get("graph", {}))
+    two vertices raises. The graph and the labels share one token table."""
+    tokens = _Tokens()
+    g = _graph_from_doc(doc.get("graph", {}), tokens)
+    read = tokens.read
     try:
         items = doc["labels"]
         labels = {
-            edge(parse_token(a), parse_token(b)): json_int(lab, "label")
+            edge(read(a), read(b)): json_int(lab, "label")
             for (a, b), lab in ((item["edge"], item["label"]) for item in items)
         }
     except (KeyError, TypeError, ValueError) as exc:

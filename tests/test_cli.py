@@ -184,6 +184,10 @@ V01_DOC = relabeled(
 THREE_ID_DOC = triangle_labeling_doc()
 THREE_ID_DOC["labels"][0]["edge"] = ["u1", "v1", "zzz"]
 
+# a valid triangle whose first label names the end u1 as an object
+DICT_END_DOC = triangle_labeling_doc()
+DICT_END_DOC["labels"][0]["edge"] = [{"id": "u1"}, "v1"]
+
 DOCUMENTS = {
     "labeling-ok": ("verify", triangle_labeling_doc(), 0),
     "matrix-even-n1-k1": ("verify", {"parity": "even", "n": 1, "k": 1, "rows": []}, 2),
@@ -210,17 +214,29 @@ DOCUMENTS = {
     "edge-listed-twice": ("verify", with_extra(triangle_labeling_doc(), edges=[("v1", "u1")]), 2),
     "edge-labeled-twice": ("verify", with_extra(triangle_labeling_doc(), labels=[(("u1", "v1"), 1)]), 1),
     "label-edge-three-ids": ("verify", THREE_ID_DOC, 2),
+    # a list or dict is not hashable, so it must not reach a dict lookup before the string check
+    "verify-vertex-id-a-list": ("verify", triangle_labeling_doc(vertex=["x1.1"]), 2),
+    "oracle-vertex-id-a-list": ("oracle", triangle_labeling_doc(vertex=["x1.1"]), 2),
+    "label-edge-end-a-dict": ("verify", DICT_END_DOC, 2),
 }
 
+# documents whose one error line must come from parse_token's string check
+NOT_A_STRING = {"verify-vertex-id-not-a-string", "oracle-vertex-id-not-a-string",
+                "verify-vertex-id-a-list", "oracle-vertex-id-a-list", "label-edge-end-a-dict"}
 
-@pytest.mark.parametrize("command,doc,code", DOCUMENTS.values(), ids=DOCUMENTS.keys())
-def test_document_exit_codes(tmp_path, capsys, command, doc, code):
+
+@pytest.mark.parametrize("case", DOCUMENTS)
+def test_document_exit_codes(tmp_path, capsys, case):
+    command, doc, code = DOCUMENTS[case]
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     assert main([command, str(path)]) == code
     if code == 2:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.out == ""
+        if case in NOT_A_STRING:
+            lines = captured.err.splitlines()
+            assert len(lines) == 1 and "vertex token must be a string" in lines[0]
 
 
 @pytest.mark.parametrize("argv", [

@@ -334,11 +334,11 @@ class TestIdentityReport:
         "parity,n,k,names",
         [
             (EVEN, 2, 4, ("u-block", "v-block", "pair-sums", "cross-pairs")),
-            (ODD, 2, 3, ("u-block", "v-block", "cross-pairs")),
+            (ODD, 2, 3, ("u-block", "v-block", "pair-sums", "cross-pairs")),
         ],
     )
-    def test_u_v_swap_trips_only_the_even_row_constants(self, parity, n, k, names):
+    def test_u_v_swap_trips_the_row_pair_constants(self, parity, n, k, names):
         # moving one entry's worth between ux1 and vx1 keeps every four-term
-        # sum; only even parity pins each row's own pair constant
+        # sum; each x-row's own pair constant catches it, at either parity
         report = check_identities(tampered(parity, n, k, swaps=[((UX1, 1), (VX1, 1))]))
         assert report.failures == tuple(REPORT_LINES[parity, n, k][name] for name in names)

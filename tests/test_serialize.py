@@ -1,6 +1,7 @@
 import json
 
-from antimagic.graph import merged, u, v, x
+from antimagic import serialize
+from antimagic.graph import Graph, merged, u, v, x
 from antimagic.schemes import EVEN, build_matrix
 from antimagic.serialize import (
     dot,
@@ -11,7 +12,7 @@ from antimagic.serialize import (
     labeling_from_doc,
     matrix_csv,
 )
-from antimagic.transforms import block_merge, from_matrix, replay, special_labeled, split_x
+from antimagic.transforms import block_merge, from_matrix, group_components, replay, special_labeled, split_x
 
 
 class TestGraphDoc:
@@ -53,6 +54,30 @@ class TestLabelingDoc:
         assert dumps(labeling_doc(lg.labeling)) == dumps(
             labeling_doc(block_merge(from_matrix(build_matrix(EVEN, 2, 2)), 2, 1).labeling)
         )
+
+
+class TestTokenTable:
+    def test_each_distinct_token_parsed_once(self, monkeypatch):
+        labeling = group_components(block_merge(from_matrix(build_matrix(EVEN, 2, 4)), 4, 1), (2, 2)).labeling
+        doc = json.loads(dumps(labeling_doc(labeling)))
+        parse_token, parsed = serialize.parse_token, []
+
+        def counting(tok):
+            parsed.append(tok)
+            return parse_token(tok)
+
+        monkeypatch.setattr(serialize, "parse_token", counting)
+        assert labeling_from_doc(doc) == labeling
+        # every edge end is a listed vertex, so the distinct tokens are the vertex ids
+        assert sorted(parsed) == sorted(item["id"] for item in doc["graph"]["vertices"])
+        assert any(tok.startswith("m(") for tok in parsed)
+
+    def test_padded_spellings_read_as_one_id(self):
+        graph = {"vertices": [{"id": " u1"}, {"id": "v1"}], "edges": [["u1 ", "v1"]]}
+        doc = {"graph": graph, "labels": [{"edge": ["v1 ", "\tu1"], "label": 1}]}
+        g = Graph.build([u(1), v(1)], [(u(1), v(1))])
+        assert graph_from_doc(graph) == g
+        assert labeling_from_doc(doc).labels == {(u(1), v(1)): 1}
 
 
 class TestMatrixCsv:
