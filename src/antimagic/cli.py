@@ -186,7 +186,7 @@ def _verify_matrix(doc) -> int:
         print(f"verification failed: matrix shape differs from {2 * m + 1} x {2 * k}")
         return 1
     mx = build_matrix(parity, n, k)
-    if stored != {mx.row_name(key): mx.row(key) for key in mx.rows}:
+    if stored != dict(mx.named_rows()):
         print("verification failed: matrix entries differ from the closed forms")
         return 1
     report = check_identities(mx)

@@ -5,24 +5,20 @@ The even scheme (m = 2n) fills a (4n+1) x 2k matrix, the odd scheme
 few arithmetic runs (count, first entry, step), read left to right: one
 run for every odd row and every leading even row, at most four for an
 even tail row, split at columns 1, k and 2k - 1 (for k = 1 the middle
-runs are empty).  A run sums in closed form to c*a + d*c(c-1)/2.  Rows
-are keyed by edge role so both parities share one type.
+runs are empty).  A run sums in closed form to c*a + d*c(c-1)/2.  Both
+parities share one type: the u_i x_{i,j} rows, the u_i v_i row and the
+v_i x_{i,j} rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 
 from .errors import AntimagicError, UseSpecialCase
 
 EVEN = "even"
 ODD = "odd"
-
-# row keys: ("ux", j), ("uv", 0), ("vx", j)
-RowKey = tuple[str, int]
-
 
 def u_color(parity: str, n: int, k: int) -> int:
     """Induced label of every u_i under the scheme."""
@@ -62,14 +58,20 @@ def block_columns(k: int, s: int, b: int) -> tuple[list[int], list[int]]:
 
 @dataclass(frozen=True)
 class LabelMatrix:
+    """The matrix as its rows, each over columns i = 1..2k: ``ux[j-1]``
+    labels the edges u_i x_{i,j}, ``uv`` the edges u_i v_i and
+    ``vx[j-1]`` the edges v_i x_{i,j}."""
+
     n: int
     k: int
     parity: str
-    data: dict[RowKey, tuple[int, ...]]
+    ux: tuple[tuple[int, ...], ...]
+    uv: tuple[int, ...]
+    vx: tuple[tuple[int, ...], ...]
 
     @property
     def m(self) -> int:
-        return 2 * self.n if self.parity == EVEN else 2 * self.n + 1
+        return len(self.ux)
 
     @property
     def cols(self) -> int:
@@ -79,21 +81,11 @@ class LabelMatrix:
     def q(self) -> int:
         return self.cols * (2 * self.m + 1)
 
-    @cached_property
-    def rows(self) -> tuple[RowKey, ...]:
-        """Row order: u-rows by ascending j, then uv, then v-rows."""
-        ux = tuple(("ux", j) for j in range(1, self.m + 1))
-        vx = tuple(("vx", j) for j in range(1, self.m + 1))
-        return ux + (("uv", 0),) + vx
-
-    @staticmethod
-    def row_name(key: RowKey) -> str:
-        """The row's name in CSV and JSON: ``ux1``, ``uv``, ``vx3``."""
-        side, j = key
-        return "uv" if side == "uv" else f"{side}{j}"
-
-    def row(self, key: RowKey) -> tuple[int, ...]:
-        return self.data[key]
+    def named_rows(self) -> list[tuple[str, tuple[int, ...]]]:
+        """Each row with its name in CSV and JSON, in canonical order:
+        ``ux1`` … ``uxm``, ``uv``, ``vx1`` … ``vxm``."""
+        return ([(f"ux{j}", row) for j, row in enumerate(self.ux, 1)] + [("uv", self.uv)]
+                + [(f"vx{j}", row) for j, row in enumerate(self.vx, 1)])
 
 
 def scheme_m(parity: str, n: int, k: int) -> int:
@@ -121,29 +113,31 @@ def build_matrix(parity: str, n: int, k: int) -> LabelMatrix:
     m = 2n + 1 (odd)."""
     m = scheme_m(parity, n, k)
     c = 2 * k
-    runs: dict[RowKey, list[tuple[int, int, int]]] = {}
+    ux: dict[int, list[tuple[int, int, int]]] = {}  # j -> the runs of row ux_j; vx likewise
+    vx: dict[int, list[tuple[int, int, int]]] = {}
     if parity == EVEN:
         o = 4 * k * (n - 1)
         for jj in range(1, n):  # leading rows, none when n = 1
-            runs[("ux", 2 * jj - 1)] = [(c, 4 * k * (2 * n + 1 - jj) + 1, 1)]
-            runs[("ux", 2 * jj)] = [(c, 4 * k * jj, -1)]
-            runs[("vx", 2 * jj - 1)] = [(c, 4 * k * (jj - 1) + 1, 1)]
-            runs[("vx", 2 * jj)] = [(c, 4 * k * (2 * n + 1 - jj), -1)]
-        runs[("ux", m - 1)] = [(1, o + 8 * k + 1, 0), (k - 1, o + 9 * k + 1, 1), (k - 1, o + 8 * k + 2, 1), (1, o + 10 * k, 0)]
-        runs[("ux", m)] = [(k, o + 6 * k, 1), (k, o + 7 * k + 1, 1)]
-        runs[("uv", 0)] = [(1, o + 7 * k, 0), (k - 1, o + 6 * k - 1, -2), (k - 1, o + 6 * k - 2, -2), (1, o + 3 * k + 1, 0)]
-        runs[("vx", m - 1)] = [(1, o + 1, 0), (k - 1, o + k + 1, 1), (k - 1, o + 2, 1), (1, o + 2 * k, 0)]
-        runs[("vx", m)] = [(k, o + 2 * k + 1, 1), (k, o + 3 * k + 2, 1)]
+            ux[2 * jj - 1] = [(c, 4 * k * (2 * n + 1 - jj) + 1, 1)]
+            ux[2 * jj] = [(c, 4 * k * jj, -1)]
+            vx[2 * jj - 1] = [(c, 4 * k * (jj - 1) + 1, 1)]
+            vx[2 * jj] = [(c, 4 * k * (2 * n + 1 - jj), -1)]
+        ux[m - 1] = [(1, o + 8 * k + 1, 0), (k - 1, o + 9 * k + 1, 1), (k - 1, o + 8 * k + 2, 1), (1, o + 10 * k, 0)]
+        ux[m] = [(k, o + 6 * k, 1), (k, o + 7 * k + 1, 1)]
+        uv = [(1, o + 7 * k, 0), (k - 1, o + 6 * k - 1, -2), (k - 1, o + 6 * k - 2, -2), (1, o + 3 * k + 1, 0)]
+        vx[m - 1] = [(1, o + 1, 0), (k - 1, o + k + 1, 1), (k - 1, o + 2, 1), (1, o + 2 * k, 0)]
+        vx[m] = [(k, o + 2 * k + 1, 1), (k, o + 3 * k + 2, 1)]
     else:
         for jj in range(1, n + 1):
-            runs[("ux", 2 * jj - 1)] = [(c, 4 * k * (2 * n - jj) + 10 * k, -1)]
-            runs[("ux", 2 * jj)] = [(c, 4 * k * (2 * n - jj) + 6 * k + 1, 1)]
-            runs[("vx", 2 * jj)] = [(c, 4 * k * jj + 1, 1)]
-            runs[("vx", 2 * jj + 1)] = [(c, 4 * k * (jj + 1), -1)]
-        runs[("ux", m)] = [(c, 4 * k * n + 6 * k, -1)]
-        runs[("uv", 0)] = [(c, 1, 1)]
-        runs[("vx", 1)] = [(c, 4 * k, -1)]
-    return LabelMatrix(n=n, k=k, parity=parity, data={key: _runs(r) for key, r in runs.items()})
+            ux[2 * jj - 1] = [(c, 4 * k * (2 * n - jj) + 10 * k, -1)]
+            ux[2 * jj] = [(c, 4 * k * (2 * n - jj) + 6 * k + 1, 1)]
+            vx[2 * jj] = [(c, 4 * k * jj + 1, 1)]
+            vx[2 * jj + 1] = [(c, 4 * k * (jj + 1), -1)]
+        ux[m] = [(c, 4 * k * n + 6 * k, -1)]
+        uv = [(c, 1, 1)]
+        vx[1] = [(c, 4 * k, -1)]
+    return LabelMatrix(n=n, k=k, parity=parity, ux=tuple(_runs(ux[j]) for j in range(1, m + 1)),
+                       uv=_runs(uv), vx=tuple(_runs(vx[j]) for j in range(1, m + 1)))
 
 
 # --- identity checks --------------------------------------------------------
@@ -161,28 +155,17 @@ class MatrixReport:
         return not self.failures
 
 
-def _even_pair_constant(key: RowKey, n: int, k: int) -> int:
-    """Sum entry(i) + entry(2k+1-i) for an x-row, constant over i."""
-    side, j = key
-    if side == "ux":
-        if j == 2 * n - 1:
-            return 8 * k * n + 10 * k + 1
-        if j == 2 * n:
-            return 8 * k * n + 6 * k
-        if j % 2 == 1:
-            jj = (j + 1) // 2
-            return 4 * k * (4 * n + 3 - 2 * jj) - 2 * k + 1
-        jj = j // 2
-        return 4 * k * (2 * jj - 1) + 2 * k + 1
+def _even_pair_constants(j: int, n: int, k: int) -> tuple[int, int]:
+    """Sums entry(i) + entry(2k+1-i) of the even rows ux_j and vx_j, each
+    constant over i."""
     if j == 2 * n - 1:
-        return 8 * k * n - 6 * k + 1
+        return 8 * k * n + 10 * k + 1, 8 * k * n - 6 * k + 1
     if j == 2 * n:
-        return 8 * k * n - 2 * k + 2
+        return 8 * k * n + 6 * k, 8 * k * n - 2 * k + 2
+    jj = (j + 1) // 2
     if j % 2 == 1:
-        jj = (j + 1) // 2
-        return 8 * k * (jj - 1) + 2 * k + 1
-    jj = j // 2
-    return 4 * k * (4 * n + 2 - 2 * jj) - 2 * k + 1
+        return 4 * k * (4 * n + 3 - 2 * jj) - 2 * k + 1, 8 * k * (jj - 1) + 2 * k + 1
+    return 4 * k * (2 * jj - 1) + 2 * k + 1, 4 * k * (4 * n + 2 - 2 * jj) - 2 * k + 1
 
 
 def check_identities(mx: LabelMatrix) -> MatrixReport:
@@ -194,10 +177,8 @@ def check_identities(mx: LabelMatrix) -> MatrixReport:
     with r >= 2, both read off the four-term pair sums; and the cross
     pair constant.  Returns every violated identity; nothing is raised.
     """
-    n, k, m, parity = mx.n, mx.k, mx.m, mx.parity
-    ux = [mx.row(("ux", j)) for j in range(1, m + 1)]
-    uv = mx.row(("uv", 0))
-    vx = [mx.row(("vx", j)) for j in range(1, m + 1)]
+    n, k, parity = mx.n, mx.k, mx.parity
+    ux, uv, vx = mx.ux, mx.uv, mx.vx
     failures: list[str] = []
 
     if sorted(chain(uv, *ux, *vx)) != list(range(1, mx.q + 1)):
@@ -220,7 +201,7 @@ def check_identities(mx: LabelMatrix) -> MatrixReport:
         four_terms.append(sums)
         pair_sums_ok &= all(t == pair_const for t in sums)
         if parity == EVEN:
-            cu, cv = _even_pair_constant(("ux", j), n, k), _even_pair_constant(("vx", j), n, k)
+            cu, cv = _even_pair_constants(j, n, k)
         else:  # an odd x-row is one run with step ±1, so every mirror pair sums as the first does
             cu, cv = quads[0][0] + quads[0][2], quads[0][1] + quads[0][3]
         pair_sums_ok &= all(a + c == cu and b + d == cv for a, b, c, d in quads)

@@ -95,10 +95,10 @@ def dumps(doc: dict[str, Any]) -> str:
 
 
 def matrix_csv(mx: LabelMatrix) -> str:
-    """Rows in canonical order: u-rows by ascending j, uv, v-rows."""
+    """Rows in ``named_rows()`` order: ux1 .. uxm, uv, vx1 .. vxm."""
     lines = ["row," + ",".join(str(i) for i in range(1, mx.cols + 1))]
-    for key in mx.rows:
-        lines.append(mx.row_name(key) + "," + ",".join(str(val) for val in mx.row(key)))
+    for name, row in mx.named_rows():
+        lines.append(name + "," + ",".join(str(val) for val in row))
     return "\n".join(lines) + "\n"
 
 
@@ -107,7 +107,7 @@ def matrix_doc(mx: LabelMatrix) -> dict[str, Any]:
         "n": mx.n,
         "k": mx.k,
         "parity": mx.parity,
-        "rows": [{"row": mx.row_name(key), "entries": list(mx.row(key))} for key in mx.rows],
+        "rows": [{"row": name, "entries": list(row)} for name, row in mx.named_rows()],
     }
 
 

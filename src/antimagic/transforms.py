@@ -103,11 +103,8 @@ class SwapSpec:
 
 def from_matrix(mx: LabelMatrix) -> LabeledGraph:
     """2k disjoint copies of P_2 ∨ O_m labeled straight off the matrix."""
-    m, k = mx.m, mx.k
+    m, k, uv, ux, vx = mx.m, mx.k, mx.uv, mx.ux, mx.vx
     g = copies_of_p2_join_null(2 * k, m)
-    uv = mx.row(("uv", 0))
-    ux = [mx.row(("ux", j)) for j in range(1, m + 1)]
-    vx = [mx.row(("vx", j)) for j in range(1, m + 1)]
     values: list[int] = []
     for i in range(2 * k):  # the edge order of copies_of_p2_join_null
         values.append(uv[i])

@@ -17,6 +17,7 @@ from antimagic.graph import Graph, copies_of_p2_join_null, edge, merged, u, v, x
 from antimagic.labeling import chi_la_lower_bound, induce
 from antimagic.oracle import certify_no_2_coloring, exact_chi_la
 from antimagic.schemes import EVEN, ODD, build_matrix
+import antimagic.sweep as sweep_module
 from antimagic.sweep import ALL_FAMILIES, SweepRow, _verdict, csv_text, sweep
 from antimagic.transforms import (
     SwapSpec,
@@ -66,10 +67,8 @@ def test_criterion_1_matrix_fixtures():
     ]
     entries = 0
     for mx, fixture in fixtures:
-        assert set(mx.data) == set(fixture)
-        for key, row in fixture.items():
-            assert mx.row(key) == row, f"row {key} differs"
-            entries += len(row)
+        assert mx.named_rows() == list(fixture.items())
+        entries += sum(map(len, fixture.values()))
     elapsed = time.perf_counter() - t0
     _report("1 (matrix fixtures)", entries == 72 + 66 + 36 + 54 and elapsed < 1.0,
             f"{entries} entries exact in {elapsed:.3f}s")
@@ -146,6 +145,20 @@ def test_failing_row_keeps_six_csv_fields():
     row = SweepRow("H1", EVEN, "n=1 k=4 ks=2+2", tuple(sorted(colors)), ok, detail)
     fields = next(csv.reader([row.csv()]))
     assert fields == ["H1", EVEN, "n=1 k=4 ks=2+2", "14 19", "FAIL", "colors 14 19 != expected 14 19 22"]
+
+
+def test_planted_lower_bound_fails_every_split_row(monkeypatch):
+    """A split row that passes its color check still fails unless its
+    lower bound is 3 by an equal bipartition."""
+    monkeypatch.setattr(sweep_module, "chi_la_lower_bound", lambda g: (2, "adjacent-pair"))
+    rows = list(sweep(2, 4, ("split",)))
+    assert rows and all(not r.ok and r.detail == "lower bound 2 via adjacent-pair" for r in rows)
+
+
+def test_planted_missing_certificate_fails_every_j2_row(monkeypatch):
+    monkeypatch.setattr(sweep_module, "theorem_certificate", lambda g: "unverified by theorem")
+    rows = list(sweep(2, 4, ("J2",)))
+    assert rows and all(not r.ok and r.detail == "unverified by theorem; no structural certificate" for r in rows)
 
 
 def test_criterion_4_matrix_identity_suite(grid):

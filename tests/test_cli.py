@@ -91,6 +91,22 @@ class TestConstruct:
         assert code == 0
         assert "[112, 122, 127]" in out
 
+    def test_h_group_without_ks_exit_2(self, tmp_path, capsys):
+        assert main(["construct", "--family", "H-group", "--n", "1", "--k", "6", "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: H-group requires --ks") and captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["--family", "kP2-join", "--n", "1", "--k", "2"], id="kP2-join-matrix-case"),
+        pytest.param(["--family", "J2", "--n", "1", "--k", "3"], id="J2"),
+    ])
+    def test_construct_then_verify(self, tmp_path, capsys, argv):
+        assert main(["construct", *argv, "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "matrix.json").is_file()
+        code, out = run(capsys, "verify", str(tmp_path / "labeling.json"))
+        assert code == 0
+        assert "local-antimagic: ok" in out
+
     def test_each_labeling_is_induced_once(self, tmp_path, capsys, monkeypatch):
         import antimagic.labeling
 
@@ -190,6 +206,7 @@ DICT_END_DOC["labels"][0]["edge"] = [{"id": "u1"}, "v1"]
 
 DOCUMENTS = {
     "labeling-ok": ("verify", triangle_labeling_doc(), 0),
+    "neither-labels-nor-rows": ("verify", {"graph": triangle_labeling_doc()["graph"]}, 2),
     "matrix-even-n1-k1": ("verify", {"parity": "even", "n": 1, "k": 1, "rows": []}, 2),
     "matrix-unknown-parity": ("verify", {"parity": "prime", "n": 2, "k": 2, "rows": []}, 2),
     "matrix-row-without-entries": ("verify", {"parity": "odd", "n": 1, "k": 1, "rows": [{"row": "uv"}]}, 2),
@@ -278,6 +295,16 @@ def test_matrix_shape_checked_before_building(tmp_path, capsys, monkeypatch):
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({"parity": "odd", "n": 10**9, "k": 10**9, "rows": [{"row": "uv", "entries": [1]}]}))
     assert main(["verify", str(path)]) == 1
+
+def test_matrix_entry_changed_exit_1(tmp_path, capsys):
+    # the right shape, so the stored rows are compared with the built ones
+    doc = odd_matrix_doc()
+    doc["rows"][1]["entries"][0] += 1
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "verify", str(path))
+    assert code == 1
+    assert out == "verification failed: matrix entries differ from the closed forms\n"
 
 
 class TestSweep:
@@ -459,3 +486,4 @@ class TestOracle:
     def test_parse_error_exit_2(self, tmp_path, capsys):
         (tmp_path / "bad.json").write_text("[[]]")
         assert main(["oracle", str(tmp_path / "bad.json")]) == 2
+

@@ -43,9 +43,12 @@ class TestVertexId:
         assert parse_token(" x2.7\n") == x(2, 7)  # surrounding whitespace is stripped
 
     @pytest.mark.parametrize("tok", ["u+1", "u 1", "v1_0", "x1.+2", "x01.1", "u\u0663", "v01", "x1. 2",
-                                     "m(v11|v1)", "m(v1)", "m(m(v1|v2)|v3)", "m( v1|v11)"])
+                                     "m(v11|v1)", "m(v1)", "m(m(v1|v2)|v3)", "m( v1|v11)",
+                                     # int() refuses over 4,300 digits with a ValueError
+                                     pytest.param("u" + "1" * 5000, id="u-5000-digits")])
     def test_non_canonical_spellings_raise(self, tok):
-        """Spellings ``int`` or ``merged`` would accept but that do not render back."""
+        """Spellings ``int`` or ``merged`` would accept but that do not render
+        back, and an index too long for ``int``."""
         with pytest.raises(AntimagicError, match="unparseable vertex token"):
             parse_token(tok)
 
@@ -115,6 +118,16 @@ class TestDisjointUnion:
         # a copies of P_2 ∨ O_m: a(m+2) vertices, a(2m+1) edges
         g = copies_of_p2_join_null(4, 3)
         assert g.order == 20 and g.size == 28
+
+
+class TestBuildErrors:
+    def test_edge_end_outside_the_vertex_set_raises(self):
+        with pytest.raises(AntimagicError, match="edge endpoint not in vertex set"):
+            Graph.build([u(1), v(1)], [(u(1), x(1, 1))])
+
+    def test_edge_from_a_vertex_to_itself_raises_loop(self):
+        with pytest.raises(LoopError):
+            edge(u(1), u(1))
 
 
 class TestMerge:

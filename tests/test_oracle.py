@@ -119,6 +119,10 @@ class TestFindLabeling:
         ok, _ = is_local_antimagic(res.labeling)
         assert ok
 
+    def test_unknown_mode_raises(self):
+        with pytest.raises(AntimagicError, match="unknown mode 'bogus'"):
+            find_labeling(single_edge(), mode="bogus")
+
     def test_impossible_target_c(self):
         assert find_labeling(single_edge(), target_c=1).labeling is None
 

@@ -1,6 +1,9 @@
 import json
 
+import pytest
+
 from antimagic import serialize
+from antimagic.errors import AntimagicError
 from antimagic.graph import Graph, merged, u, v, x
 from antimagic.schemes import EVEN, build_matrix
 from antimagic.serialize import (
@@ -29,6 +32,10 @@ class TestGraphDoc:
         ids = {item["id"] for item in doc["vertices"]}
         assert "u1" in ids and "v4" in ids
         assert any(tok.startswith("x") and "." in tok for tok in ids)
+
+    def test_document_without_vertices_raises(self):
+        with pytest.raises(AntimagicError, match="malformed graph document"):
+            graph_from_doc({"edges": []})
 
     def test_vertices_sorted(self):
         g = special_labeled().graph
