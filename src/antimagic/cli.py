@@ -76,16 +76,20 @@ def _build_family(args) -> tuple:
         return special_labeled(), None
     if args.family == "matrix-even" or (args.family == "matrix-odd"):
         parity = EVEN if args.family == "matrix-even" else ODD
+    try:
         mx = build_matrix(parity, args.n, args.k)
-        return from_matrix(mx), mx
-    if args.family == "kP2-join":
-        try:
-            mx = build_matrix(parity, args.n, args.k)
-        except UseSpecialCase:
+    except UseSpecialCase:
+        if args.family == "kP2-join":
             return special_labeled(), None
-        return merge_all_x(from_matrix(mx)), mx
-    mx = build_matrix(parity, args.n, args.k)
+        raise AntimagicError("even parity with n = k = 1 is 2P_2 ∨ O_2, which has no label matrix; "
+                             "pass --family special-2p2o2 for its labeling") from None
     base = from_matrix(mx)
+    if args.family in ("matrix-even", "matrix-odd"):
+        return base, mx
+    if args.family == "kP2-join":
+        return merge_all_x(base), mx
+    if args.family in ("block-merge", "split-G", "delete-add") and args.k != args.r * args.s:
+        raise AntimagicError(f"k = r*s required: --k {args.k} != --r {args.r} times --s {args.s}")
     if args.family == "block-merge":
         return block_merge(base, args.r, args.s), mx
     if args.family == "split-G":

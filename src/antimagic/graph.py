@@ -12,8 +12,8 @@ nothing mutates.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -157,7 +157,6 @@ def edge(a: VertexId, b: VertexId) -> Edge:
     return (a, b) if a < b else (b, a)
 
 
-@dataclass(frozen=True, eq=False)
 class Graph:
     """Finite simple undirected graph over :class:`VertexId`, held as indices.
 
@@ -168,10 +167,18 @@ class Graph:
     or an edge back to its position; ``components`` and ``bipartition`` read
     one walk, also made on first use.  Two graphs are equal when they have
     the same vertices and edges, in any edge order.
+
+    A graph made by :func:`merge_vertices_mapped` has its ``order`` and
+    ``ends`` at once but mints ``names`` on first read.  Its
+    ``merged_from`` is ``(source, into)``: the graph it was merged from and,
+    per position of ``source``, the position that vertex went to.  Any other
+    graph has ``merged_from`` None.
     """
 
-    names: tuple[VertexId, ...]
-    ends: tuple[tuple[int, int], ...]
+    merged_from: tuple["Graph", list[int]] | None = None
+
+    def __init__(self, names: tuple[VertexId, ...], ends: tuple[tuple[int, int], ...]):
+        self.names, self.ends, self.order = names, ends, len(names)
 
     @staticmethod
     def build(vertices: Iterable[VertexId], edges: Iterable[tuple[VertexId, VertexId]]) -> "Graph":
@@ -190,13 +197,43 @@ class Graph:
             return NotImplemented
         return self.names == other.names and set(self.ends) == set(other.ends)
 
-    @property
-    def order(self) -> int:
-        return len(self.names)
+    def __repr__(self) -> str:
+        return f"Graph(names={self.names!r}, ends={self.ends!r})"
+
+    @cached_property
+    def names(self) -> tuple[VertexId, ...]:
+        """Minted on first read, for a merged graph (any other graph is
+        given its names): a vertex left alone keeps its id, a class of
+        several gets ``merged`` of its members' ids."""
+        source, into = self.merged_from
+        members: list[list[VertexId]] = [[] for _ in range(self.order)]
+        for w, at in zip(source.names, into):
+            members[at].append(w)
+        return tuple(ws[0] if len(ws) == 1 else merged(ws) for ws in members)
 
     @property
     def size(self) -> int:
         return len(self.ends)
+
+    @cached_property
+    def _merge_keys(self) -> tuple[list[tuple], list[VertexId]] | None:
+        """What :func:`merge_vertices_mapped` orders a merge of this graph
+        by, or None if two ids share a simple part.  Per position: a sort
+        key, the id itself if simple and ``(3, smallest part)`` if merged,
+        and the smallest part (a simple id's is itself).
+
+        Sound when no two ids share a part: a simple id sorts before every
+        merged one by its rank slot, and two merged ids ``(3, *parts)``
+        first differ at their smallest parts, which are distinct; so the
+        keys order as the ids do.  A merge of such a graph keeps its parts
+        disjoint, and a new class's id has the smallest of its members'
+        smallest parts."""
+        names = self.names
+        lows = [w if w[0] < 3 else w[1] for w in names]
+        parts = [p for w in names for p in (w[1:] if w[0] == 3 else (w,))]
+        if len(set(parts)) != len(parts):
+            return None
+        return [w if w[0] < 3 else (3, lo) for w, lo in zip(names, lows)], lows
 
     @cached_property
     def index(self) -> dict[VertexId, int]:
@@ -212,7 +249,7 @@ class Graph:
     @cached_property
     def neighbors(self) -> list[list[int]]:
         """Per vertex position, the positions of its neighbors."""
-        nbrs: list[list[int]] = [[] for _ in self.names]
+        nbrs: list[list[int]] = [[] for _ in range(self.order)]
         for a, b in self.ends:
             nbrs[a].append(b)
             nbrs[b].append(a)
@@ -269,46 +306,63 @@ def rewire(names: Sequence[VertexId], ends: Iterable[tuple[int, int]]) -> Graph:
     ``names``, and its edge t joins ``names[a]`` and ``names[b]`` for the
     t-th pair ``(a, b)`` of ``ends``.  Positions holding one id become one
     vertex; the ids are put in sorted order and edge t stays edge t.
-
-    The one loop and parallel-edge guard of every surgery: raises
-    :class:`LoopError` if an edge joins a vertex to itself and
-    :class:`ParallelEdgeError` if two edges join one pair (either would
-    break the edge bijection).
+    Guarded as :func:`_renumber` guards every surgery.
     """
-    rank = [0] * len(names)
+    into = [0] * len(names)
     distinct: list[VertexId] = []
     for i in sorted(range(len(names)), key=names.__getitem__):
         if not distinct or names[i] != distinct[-1]:
             distinct.append(names[i])
-        rank[i] = len(distinct) - 1
+        into[i] = len(distinct) - 1
+    return Graph(tuple(distinct), _renumber(into, ends, distinct.__getitem__))
+
+
+def _renumber(into: Sequence[int], ends: Iterable[tuple[int, int]], name) -> tuple[tuple[int, int], ...]:
+    """``ends`` with each position p replaced by ``into[p]``, each pair
+    ordered: the one loop and parallel-edge guard of every surgery.
+
+    Raises :class:`LoopError` if an edge joins a vertex to itself and
+    :class:`ParallelEdgeError` if two edges join one pair (either would
+    break the edge bijection); ``name(a)`` is the id at new position a,
+    read only for the message.
+    """
     out: list[tuple[int, int]] = []
     append = out.append
     for a, b in ends:
-        a, b = rank[a], rank[b]
+        a, b = into[a], into[b]
         if a < b:
             append((a, b))
         elif a > b:
             append((b, a))
         else:
-            raise LoopError(f"loop at {distinct[a]}")
+            raise LoopError(f"loop at {name(a)}")
     if len(set(out)) != len(out):
         a, b = next(e for e, count in Counter(out).items() if count > 1)
-        raise ParallelEdgeError(f"surgery maps two edges onto {distinct[a]}-{distinct[b]} (parallel edge)")
-    return Graph(tuple(distinct), tuple(out))
+        raise ParallelEdgeError(f"surgery maps two edges onto {name(a)}-{name(b)} (parallel edge)")
+    return tuple(out)
 
 
 def merge_vertices_mapped(g: Graph, groups: Sequence[Iterable[VertexId]]) -> Graph:
     """Collapse each group to one merged vertex, preserving every edge:
     edge t of the result is the image of edge t of ``g``.
 
-    Raises :class:`LoopError` if a group contains adjacent vertices,
-    :class:`ParallelEdgeError` if two group members share a neighbor
-    (either would break the edge bijection) and :class:`AntimagicError`
-    if a group lists a vertex twice.
+    Every guard runs here, before any merged id is minted: raises
+    :class:`AntimagicError` if a group member is not in ``g``, two groups
+    overlap or a group lists a vertex twice, :class:`LoopError` if a group
+    contains adjacent vertices and :class:`ParallelEdgeError` if two group
+    members share a neighbor (either would break the edge bijection).
+
+    The result's positions follow sorted-id order, but its ``names`` are
+    minted only when first read: the vertices left alone keep ``g``'s
+    order and the new classes are slotted in by ``g._merge_keys``.  If two
+    ids of ``g`` share a part (a document may hold ``m(u1|v1)`` and
+    ``m(u1|v2)``), the merged ids are minted here and sorted whole, by
+    :func:`rewire`.
     """
-    index = g.index
-    names = list(g.names)  # position -> the id it becomes
+    index, keys = g.index, g._merge_keys
+    names = list(g.names) if keys is None else None  # position -> the id it becomes, when minted here
     seen: set[int] = set()
+    classes: list[tuple[tuple, list[int]]] = []  # (sort key, member positions) per group of two or more
     for group in groups:
         members = list(group)
         at = [index.get(w, -1) for w in members]
@@ -317,11 +371,41 @@ def merge_vertices_mapped(g: Graph, groups: Sequence[Iterable[VertexId]]) -> Gra
         if not seen.isdisjoint(at):
             raise AntimagicError("merge groups must be pairwise disjoint")
         seen.update(at)
-        if len(members) > 1:
+        if len(members) < 2:
+            continue
+        if names is not None:
             target = merged(members)
             for i in at:
                 names[i] = target
-    return rewire(names, g.ends)
+        elif len(set(at)) < len(at):
+            raise AntimagicError("merged parts must be pairwise distinct")  # as ``merged`` says it
+        else:
+            classes.append(((3, min([keys[1][i] for i in at])), at))
+    if names is not None:
+        return rewire(names, g.ends)
+    classes.sort()
+    into = [-1] * len(index)  # position in g -> position in the result; -2 until a class member is placed
+    for _, at in classes:
+        for i in at:
+            into[i] = -2
+    pos, c = 0, 0
+    cuts = [bisect_left(keys[0], key) for key, _ in classes] + [len(into)]  # where each class goes among g's keys
+    for i in range(len(into)):
+        while cuts[c] == i:
+            for m in classes[c][1]:
+                into[m] = pos
+            pos, c = pos + 1, c + 1
+        if into[i] == -1:
+            into[i] = pos
+            pos += 1
+    for _, at in classes[c:]:
+        for m in at:
+            into[m] = pos
+        pos += 1
+    out = Graph.__new__(Graph)
+    out.order, out.merged_from = pos, (g, into)
+    out.ends = _renumber(into, g.ends, lambda a: out.names[a])
+    return out
 
 
 def components(g: Graph) -> list[list[int]]:

@@ -52,8 +52,23 @@ class EdgeLabeling:
 
     def relabel_edges(self, new_graph: Graph) -> "EdgeLabeling":
         """Carry the labels across a surgery whose edge t became edge t of
-        ``new_graph``."""
-        return EdgeLabeling(new_graph, self.values)
+        ``new_graph``.  The values were checked as a bijection when this
+        labeling was made, so only the edge count is checked again.
+
+        If ``new_graph`` was merged from this labeling's graph, the new
+        labeling carries its coloring: a class's sum is its members' sums
+        added, since every edge keeps its label and ``merge_vertices_mapped``
+        lets no edge join two members of one class."""
+        if new_graph.size != len(self.values):
+            raise BijectionError(f"labels must be a bijection onto [1..{new_graph.size}]")
+        out = object.__new__(EdgeLabeling)  # skips the check in __post_init__
+        out.__dict__.update(graph=new_graph, values=self.values)
+        if new_graph.merged_from is not None and new_graph.merged_from[0] is self.graph:
+            sums = [0] * new_graph.order
+            for at, c in zip(new_graph.merged_from[1], self.coloring.sums):
+                sums[at] += c
+            out.__dict__["coloring"] = InducedColoring(new_graph, tuple(sums))
+        return out
 
     @cached_property
     def coloring(self) -> "InducedColoring":
@@ -62,15 +77,16 @@ class EdgeLabeling:
 
 @dataclass(frozen=True)
 class InducedColoring:
-    """``sums[i]`` is the color of vertex ``names[i]``; ``colors`` is the
-    id-keyed view, built on first use."""
+    """``sums[i]`` is the color of vertex ``graph.names[i]``; ``colors`` is
+    the id-keyed view, built on first use, and the one part that reads the
+    graph's ids."""
 
-    names: tuple[VertexId, ...]
+    graph: Graph
     sums: tuple[int, ...]
 
     @cached_property
     def colors(self) -> dict[VertexId, int]:
-        return dict(zip(self.names, self.sums))
+        return dict(zip(self.graph.names, self.sums))
 
     @cached_property
     def color_set(self) -> frozenset[int]:
@@ -88,7 +104,7 @@ def induce(labeling: EdgeLabeling) -> InducedColoring:
     for (a, b), lab in zip(g.ends, labeling.values):
         sums[a] += lab
         sums[b] += lab
-    return InducedColoring(g.names, tuple(sums))
+    return InducedColoring(g, tuple(sums))
 
 
 def is_local_antimagic(labeling: EdgeLabeling) -> tuple[bool, list[Edge]]:

@@ -70,6 +70,12 @@ def compositions_min2(k: int) -> tuple[tuple[int, ...], ...]:
                  for tail in compositions_min2(k - first) + ((k - first,),))
 
 
+def group_keys(ks: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The groups (start, ka) of the H row for ``ks``: ka components from
+    component ``start`` on, numbered from 1."""
+    return list(zip(accumulate(ks, initial=1), ks))
+
+
 def _verdict(bad: Edge | None, colors: frozenset[int], expected: set[int]) -> tuple[bool, str]:
     """The one color rule, given the smallest edge ``bad`` that joins two
     equal colors, if any, and the color set."""
@@ -96,16 +102,19 @@ class _GroupTable:
 
     def __init__(self, lg: LabeledGraph, expected: set[int]):
         self.lg, self.expected = lg, expected
+        # position in lg's graph -> the component of k(2P_2 ∨ O_m) it comes from, read once
+        self.component = source_components(lg.graph.names, lg.k)
         # (start, ka) -> (its smallest violating edge or None, its colors)
         self.verdicts: dict[tuple[int, int], tuple[Edge | None, frozenset[int]]] = {}
         # (start, ka) -> whether its components are bipartite with equal parts
         self.bipartite: dict[tuple[int, int], bool] = {}
 
-    def row(self, ks: tuple[int, ...], check_bipartite: bool) -> tuple[tuple[int, ...], bool, str]:
-        """Colors, verdict and detail of the H row for ``ks``, as
-        ``group_components`` then ``_colors_ok`` (then
-        ``is_bipartite_equal_parts`` if ``check_bipartite``) give them."""
-        groups, verdicts = list(zip(accumulate(ks, initial=1), ks)), self.verdicts
+    def row(self, groups: list[tuple[int, int]], check_bipartite: bool) -> tuple[tuple[int, ...], bool, str]:
+        """Colors, verdict and detail of the H row whose groups are
+        ``groups`` (``group_keys(ks)``), as ``group_components`` then
+        ``_colors_ok`` (then ``is_bipartite_equal_parts`` if
+        ``check_bipartite``) give them."""
+        verdicts = self.verdicts
         known = self.bipartite if check_bipartite else verdicts
         if not all(map(known.__contains__, groups)):
             plan = self._plan(groups, known)
@@ -139,22 +148,26 @@ class _GroupTable:
     def _read(self, built: LabeledGraph, groups: list[tuple[int, int]], bipartite: bool) -> None:
         """Record each group's smallest violating edge and colors in
         ``built``, the H graph of ``groups``, and with ``bipartite`` whether
-        its components have equal sides."""
+        its components have equal sides.  ``built`` was merged from the
+        table's graph, so each of its vertices is found through the
+        positions it was merged from."""
         owner = [0]  # component c -> the index of its group, at index c
         for t, (_, ka) in enumerate(groups):
             owner += [t] * ka
-
-        def owners(ids) -> list[int]:
-            return [owner[c] for c in source_components(ids, self.lg.k)]
-
-        source = owners(built.graph.names)  # position -> the index of its group
+        group_of = list(map(owner.__getitem__, self.component))  # position in the table's graph -> its group
+        into = built.graph.merged_from[1]
         colors: list[set[int]] = [set() for _ in groups]
-        for t, c in set(zip(source, built.coloring.sums)):
+        for t, c in set(zip(group_of, map(built.coloring.sums.__getitem__, into))):
             colors[t].add(c)
         bad: list = [None] * len(groups)
         violating = is_local_antimagic(built.labeling)[1]  # sorted, so a group's first is its smallest
-        for t, e in zip(owners([e[0] for e in violating]), violating):
-            bad[t] = bad[t] or e
+        if violating or bipartite:
+            source = [0] * built.graph.order  # position in built -> the index of its group
+            for at, t in zip(into, group_of):
+                source[at] = t
+            for e in violating:
+                t = source[built.graph.index[e[0]]]
+                bad[t] = bad[t] or e
         for key, e, cs in zip(groups, bad, colors):
             self.verdicts.setdefault(key, (e, frozenset(cs)))
         if bipartite:
@@ -213,8 +226,7 @@ def _sweep_cell(parity: str, n: int, k: int, want: frozenset[str]) -> Iterator[S
     base = from_matrix(mx)
     if "join" in want:
         uc, vc = u_color(parity, n, k), v_color(parity, n, k)
-        coloring = base.coloring
-        bad = [w for w, c in zip(coloring.names, coloring.sums)
+        bad = [w for w, c in zip(base.graph.names, base.coloring.sums)
                if (w.role == "u" and c != uc) or (w.role == "v" and c != vc)]
         yield SweepRow(
             "join", parity, base_params, tuple(sorted(base.colors)), not bad,
@@ -263,5 +275,6 @@ def _sweep_cell(parity: str, n: int, k: int, want: frozenset[str]) -> Iterator[S
         h2 = _GroupTable(split_graph(), expected_colors_j(parity, n, k, 2, split=True))
         for ks in compositions_min2(k):
             params = f"{base_params} ks={'+'.join(map(str, ks))}"
-            yield SweepRow("H1", parity, params, *h1.row(ks, False))
-            yield SweepRow("H2", parity, params, *h2.row(ks, all(ka % 2 == 0 for ka in ks)))
+            groups = group_keys(ks)
+            yield SweepRow("H1", parity, params, *h1.row(groups, False))
+            yield SweepRow("H2", parity, params, *h2.row(groups, all(ka % 2 == 0 for ka in ks)))

@@ -316,7 +316,8 @@ def chunk_blocks(lg: LabeledGraph, s: int) -> list[list[VertexId]]:
     if s < 2 or s > k or (2 * k) % s:
         raise AntimagicError(f"need 2 <= s <= k with s | 2k, got s={s}, k={k}")
     order = list(range(1, k + 1)) + list(range(2 * k, k, -1))
-    return [[VertexId(side, i) for i in order[t : t + s]] for t in range(0, 2 * k, s)]
+    make = v if side == V_ROLE else u
+    return [[make(i) for i in order[t : t + s]] for t in range(0, 2 * k, s)]
 
 
 def group_components(lg: LabeledGraph, ks) -> LabeledGraph:
@@ -330,16 +331,16 @@ def group_components(lg: LabeledGraph, ks) -> LabeledGraph:
         raise AntimagicError(f"group sizes must sum to k={k}, got {ks}")
     if any(ka < 2 for ka in ks):
         raise AntimagicError("every group must hold at least 2 components")
-    side = lg.side
+    make = v if lg.side == V_ROLE else u
     blocks: list[list[VertexId]] = []
     start = 1
     for ka in ks:
         comps = list(range(start, start + ka))
         for a in range(ka):
             c_here, c_next = comps[a], comps[(a + 1) % ka]
-            blocks.append([VertexId(side, c_here), VertexId(side, 2 * k + 1 - c_next)])
+            blocks.append([make(c_here), make(2 * k + 1 - c_next)])
         start += ka
-    return _merge_with_labels(lg, blocks, ("group_components", side, ks))
+    return _merge_with_labels(lg, blocks, ("group_components", lg.side, ks))
 
 
 def source_components(names, k: int) -> list[int]:

@@ -51,6 +51,20 @@ class TestConstruct:
         code = main(["construct", "--family", "block-merge", "--n", "2", "--k", "5", "--r", "2", "--s", "1", "--out", str(tmp_path)])
         assert code == 2
 
+    @pytest.mark.parametrize("family", ["matrix-even", "block-merge", "split-G", "J1", "H-group"])
+    def test_default_cell_points_to_the_special_family(self, tmp_path, capsys, family):
+        """The default flags name even n = k = 1, which has no matrix: the
+        error names the CLI family that builds it, not a library function."""
+        code = main(["construct", "--family", family, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "--family special-2p2o2" in err and "special_labeled" not in err
+
+    def test_k_not_r_times_s_names_the_flags(self, tmp_path, capsys):
+        code = main(["construct", "--family", "block-merge", "--n", "1", "--k", "6", "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: k = r*s required: --k 6 != --r 2 times --s 1\n"
+
     def test_even_smallest_join_routed_to_special(self, tmp_path, capsys):
         code, out = run(capsys, "construct", "--family", "kP2-join", "--n", "1", "--k", "1", "--out", str(tmp_path))
         assert code == 0

@@ -15,7 +15,7 @@ from antimagic.graph import components, is_bipartite_equal_parts, merged, u, v, 
 from antimagic.labeling import EdgeLabeling
 from antimagic.schemes import EVEN, ODD, build_matrix
 import antimagic.sweep as sweep_module
-from antimagic.sweep import _colors_ok, _GroupTable, _sweep_cell, compositions_min2
+from antimagic.sweep import _colors_ok, _GroupTable, _sweep_cell, compositions_min2, group_keys
 from antimagic.transforms import (
     LabeledGraph,
     block_merge,
@@ -77,7 +77,7 @@ def test_planted_fault_fails_as_the_direct_path_does():
             table = _GroupTable(bad, expected)
             details = set()
             for ks in compositions_min2(k):
-                row = table.row(ks, False)
+                row = table.row(group_keys(ks), False)
                 assert row == direct_row(bad, ks, expected, False), (parity, t1, t2, ks)
                 assert not row[1]
                 details.add(row[2])
@@ -102,7 +102,7 @@ def test_bipartite_verdicts_follow_their_groups(parity, k):
             table = _GroupTable(lg, expected)
             for ks in rows:
                 for check in (False, True):
-                    assert table.row(ks, check) == direct_row(lg, ks, expected, check), (split, ks, check)
+                    assert table.row(group_keys(ks), check) == direct_row(lg, ks, expected, check), (split, ks, check)
 
 
 def test_two_faulted_groups_report_the_smallest_violating_edge():
@@ -123,7 +123,7 @@ def test_two_faulted_groups_report_the_smallest_violating_edge():
     table = _GroupTable(bad, expected)
     details = {}
     for ks in compositions_min2(k):
-        row = table.row(ks, False)
+        row = table.row(group_keys(ks), False)
         assert row == direct_row(bad, ks, expected, False), ks
         details[ks] = row[2]
     assert details[(2, 2, 2)] == "equal colors across u4-m(v4|v10)"

@@ -12,11 +12,12 @@ import random
 
 import pytest
 
-from antimagic.errors import AntimagicError, LoopError, ParallelEdgeError
-from antimagic.graph import MERGED_ROLE, Graph, VertexId, merge_vertices_mapped, u, v, x
-from antimagic.labeling import is_local_antimagic
+import antimagic.transforms as transforms_module
+from antimagic.errors import AntimagicError, BijectionError, LoopError, ParallelEdgeError
+from antimagic.graph import MERGED_ROLE, Graph, VertexId, merge_vertices_mapped, merged, u, v, x
+from antimagic.labeling import induce, is_local_antimagic
 from antimagic.schemes import EVEN, ODD, block_columns, build_matrix
-from antimagic.sweep import compositions_min2
+from antimagic.sweep import compositions_min2, sweep
 from antimagic.transforms import (
     block_merge,
     chunk_blocks,
@@ -156,3 +157,91 @@ def test_planted_bad_groups_are_rejected(groups, message):
     with pytest.raises(AntimagicError) as got:
         merge_vertices_mapped(P3, groups)
     assert str(got.value) == message
+
+
+PAIRS = block_merge(from_matrix(build_matrix(EVEN, 1, 2)), 2, 1)  # k(2P_2 ∨ O_2) at k = 2, its x vertices in bundles
+
+
+@pytest.mark.parametrize("groups,error,message", [
+    pytest.param([[u(1), x(9, 9)]], AntimagicError, "merge group member not in graph: x9.9", id="missing-member"),
+    pytest.param([[v(1), v(2)], [v(2), v(3)]], AntimagicError, "merge groups must be pairwise disjoint",
+                 id="overlapping-groups"),
+    pytest.param([[v(1), v(1)]], AntimagicError, "merged parts must be pairwise distinct", id="member-twice"),
+    pytest.param([[u(1), v(1)]], LoopError, "loop at m(u1|v1)", id="loop"),
+    pytest.param([[v(1), v(4)]], ParallelEdgeError,
+                 "surgery maps two edges onto m(v1|v4)-m(x1.1|x4.1) (parallel edge)", id="parallel-edge"),
+])
+def test_every_guard_raises_from_the_merge_call(groups, error, message):
+    """The merge mints no id until ``names`` is read, but it guards at
+    once: each bad group raises from the call itself, with the message the
+    minted ids would give."""
+    with pytest.raises(error) as got:
+        merge_vertices_mapped(PAIRS.graph, groups)
+    assert str(got.value) == message
+    good = merge_vertices_mapped(PAIRS.graph, [[v(1), v(2)]])
+    assert "names" not in vars(good)  # the same merge, made valid, has minted nothing
+
+
+# a document graph whose merged ids share the part u1: ordered by smallest part alone they would tie
+TIED = Graph.build(
+    [u(1), merged([u(1), v(1)]), merged([u(1), v(2)]), x(1, 1), x(1, 2), x(1, 3)],
+    [(u(1), x(1, 1)), (merged([u(1), v(1)]), x(1, 2)), (merged([u(1), v(2)]), x(1, 3))],
+)
+
+
+@pytest.mark.parametrize("groups", [
+    [[x(1, 2), x(1, 3)]],
+    [[x(1, 1), merged([u(1), v(2)])]],
+    [[x(1, 1), x(1, 2)], [merged([u(1), v(2)])]],
+])
+def test_ids_sharing_a_part_order_by_the_whole_id(groups):
+    labels = {e: t for t, e in enumerate(TIED.edge_index, 1)}
+    out = merge_vertices_mapped(TIED, groups)
+    vertices, want = merge_reference(TIED, labels, groups)
+    assert out.names == tuple(sorted(vertices))
+    assert {(out.names[a], out.names[b]): t for t, (a, b) in enumerate(out.ends, 1)} == want
+
+
+def test_a_member_sharing_a_part_with_another_raises():
+    with pytest.raises(AntimagicError, match="merged parts must be pairwise distinct"):
+        merge_vertices_mapped(TIED, [[u(1), merged([u(1), v(1)])]])
+
+
+def eager_merge(lg, groups):
+    """The reference's merge, built eagerly: the ids sorted, edge t the image
+    of edge t (found by its label), and the id -> position map."""
+    vertices, labels = merge_reference(lg.graph, lg.labeling.labels, groups)
+    names = tuple(sorted(vertices))
+    at = {w: i for i, w in enumerate(names)}
+    by_label = {lab: e for e, lab in labels.items()}
+    return names, tuple((at[a], at[b]) for a, b in map(by_label.get, lg.labeling.values)), at
+
+
+def test_every_sweep_merge_matches_an_eager_build(monkeypatch):
+    """Every merge ``sweep(4, 8)`` makes (merge-all, block, J1, J2 and the H
+    groups) is named lazily and carries its coloring; once read, its names,
+    ends and index are the eager build's and its coloring is ``induce``'s."""
+    made = []
+    real = transforms_module._merge_with_labels
+
+    def recording(lg, groups, step):
+        out = real(lg, groups, step)
+        made.append((lg, groups, step[0], out, "names" in vars(out.graph), "coloring" in vars(out.labeling)))
+        return out
+
+    monkeypatch.setattr(transforms_module, "_merge_with_labels", recording)
+    assert all(row.ok for row in sweep(4, 8))
+    assert {m[2] for m in made} == {"merge_all_x", "block_merge", "merge_v_blocks", "group_components"}
+    for lg, groups, _, out, named, carried in made:
+        assert not named and carried
+        names, ends, at = eager_merge(lg, groups)
+        assert out.graph.names == names and out.graph.ends == ends and out.graph.index == at
+        assert out.coloring.sums == induce(out.labeling).sums
+
+
+def test_relabel_onto_another_edge_count_raises():
+    labeling = PAIRS.labeling
+    g = labeling.graph
+    for ends in (g.ends[:-1], g.ends + ((0, 5),)):
+        with pytest.raises(BijectionError):
+            labeling.relabel_edges(Graph(g.names, ends))
