@@ -168,7 +168,7 @@ class Graph:
     one walk, also made on first use.  Two graphs are equal when they have
     the same vertices and edges, in any edge order.
 
-    A graph made by :func:`merge_vertices_mapped` has its ``order`` and
+    A graph made by :func:`merge_positions` has its ``order`` and
     ``ends`` at once but mints ``names`` on first read.  Its
     ``merged_from`` is ``(source, into)``: the graph it was merged from and,
     per position of ``source``, the position that vertex went to.  Any other
@@ -216,11 +216,12 @@ class Graph:
         return len(self.ends)
 
     @cached_property
-    def _merge_keys(self) -> tuple[list[tuple], list[VertexId]] | None:
-        """What :func:`merge_vertices_mapped` orders a merge of this graph
-        by, or None if two ids share a simple part.  Per position: a sort
-        key, the id itself if simple and ``(3, smallest part)`` if merged,
-        and the smallest part (a simple id's is itself).
+    def _merge_keys(self) -> tuple[list[tuple], list[VertexId]]:
+        """What :func:`merge_positions` orders a merge of this graph by.
+        Per position: a sort key, the id itself if simple and ``(3,
+        smallest part)`` if merged, and the smallest part (a simple id's is
+        itself).  Raises :class:`AntimagicError` if two ids share a simple
+        part, for then the keys could tie.
 
         Sound when no two ids share a part: a simple id sorts before every
         merged one by its rank slot, and two merged ids ``(3, *parts)``
@@ -232,7 +233,8 @@ class Graph:
         lows = [w if w[0] < 3 else w[1] for w in names]
         parts = [p for w in names for p in (w[1:] if w[0] == 3 else (w,))]
         if len(set(parts)) != len(parts):
-            return None
+            shared = next(p for p, count in Counter(parts).items() if count > 1)
+            raise AntimagicError(f"merged parts must be pairwise distinct across the graph: {shared} is in several ids")
         return [w if w[0] < 3 else (3, lo) for w, lo in zip(names, lows)], lows
 
     @cached_property
@@ -288,8 +290,11 @@ class Graph:
 def copies_of_p2_join_null(a: int, m: int) -> Graph:
     """a(P_2 ∨ O_m): a disjoint copies, copy i on u_i, v_i, x_{i,1..m}.
 
-    The edges run copy by copy: u_i v_i, then u_i x_{i,j} and v_i x_{i,j}
-    for j = 1..m (``from_matrix`` labels them in this order).
+    The vertices sit in sorted-id order, at the positions from which the
+    x merges of ``transforms`` compute theirs: u_i at i - 1, v_i at
+    a + i - 1, x_{i,j} at 2a + (i - 1)m + (j - 1).  The edges run copy by
+    copy: u_i v_i, then u_i x_{i,j} and v_i x_{i,j} for j = 1..m
+    (``from_matrix`` labels them in this order).
     """
     names = tuple([u(i) for i in range(1, a + 1)] + [v(i) for i in range(1, a + 1)]
                   + [x(i, j) for i in range(1, a + 1) for j in range(1, m + 1)])
@@ -299,22 +304,6 @@ def copies_of_p2_join_null(a: int, m: int) -> Graph:
         for xj in range(2 * a + i * m, 2 * a + (i + 1) * m):
             ends += [(i, xj), (a + i, xj)]
     return Graph(names, tuple(ends))
-
-
-def rewire(names: Sequence[VertexId], ends: Iterable[tuple[int, int]]) -> Graph:
-    """The graph left by a surgery: its vertices are the distinct ids in
-    ``names``, and its edge t joins ``names[a]`` and ``names[b]`` for the
-    t-th pair ``(a, b)`` of ``ends``.  Positions holding one id become one
-    vertex; the ids are put in sorted order and edge t stays edge t.
-    Guarded as :func:`_renumber` guards every surgery.
-    """
-    into = [0] * len(names)
-    distinct: list[VertexId] = []
-    for i in sorted(range(len(names)), key=names.__getitem__):
-        if not distinct or names[i] != distinct[-1]:
-            distinct.append(names[i])
-        into[i] = len(distinct) - 1
-    return Graph(tuple(distinct), _renumber(into, ends, distinct.__getitem__))
 
 
 def _renumber(into: Sequence[int], ends: Iterable[tuple[int, int]], name) -> tuple[tuple[int, int], ...]:
@@ -342,54 +331,57 @@ def _renumber(into: Sequence[int], ends: Iterable[tuple[int, int]], name) -> tup
     return tuple(out)
 
 
-def merge_vertices_mapped(g: Graph, groups: Sequence[Iterable[VertexId]]) -> Graph:
-    """Collapse each group to one merged vertex, preserving every edge:
-    edge t of the result is the image of edge t of ``g``.
+def merge_vertices_mapped(g: Graph, groups: Sequence[Sequence[VertexId]]) -> Graph:
+    """:func:`merge_positions` of the groups of ids ``groups``, each id
+    found in ``g``: the one conversion of merge groups from ids.
+
+    Raises :class:`AntimagicError` if a group member is not in ``g``, and
+    whatever :func:`merge_positions` raises.
+    """
+    index = g.index
+    at_groups = [[index.get(w, -1) for w in group] for group in groups]
+    for group, at in zip(groups, at_groups):
+        if -1 in at:
+            raise AntimagicError(f"merge group member not in graph: {group[at.index(-1)]}")
+    return merge_positions(g, at_groups)
+
+
+def merge_positions(g: Graph, groups: Iterable[Sequence[int]]) -> Graph:
+    """Collapse each group of positions of ``g`` to one merged vertex,
+    preserving every edge: edge t of the result is the image of edge t of
+    ``g``.
 
     Every guard runs here, before any merged id is minted: raises
-    :class:`AntimagicError` if a group member is not in ``g``, two groups
-    overlap or a group lists a vertex twice, :class:`LoopError` if a group
-    contains adjacent vertices and :class:`ParallelEdgeError` if two group
-    members share a neighbor (either would break the edge bijection).
+    :class:`AntimagicError` if two ids of ``g`` share a simple part (a
+    document may hold ``m(u1|v1)`` and ``m(u1|v2)``; no surgery makes
+    such a graph), two groups overlap or a group lists a position twice,
+    :class:`LoopError` if a group contains adjacent vertices and
+    :class:`ParallelEdgeError` if two group members share a neighbor
+    (either would break the edge bijection).
 
     The result's positions follow sorted-id order, but its ``names`` are
     minted only when first read: the vertices left alone keep ``g``'s
-    order and the new classes are slotted in by ``g._merge_keys``.  If two
-    ids of ``g`` share a part (a document may hold ``m(u1|v1)`` and
-    ``m(u1|v2)``), the merged ids are minted here and sorted whole, by
-    :func:`rewire`.
+    order and the new classes are slotted in by ``g._merge_keys``.
     """
-    index, keys = g.index, g._merge_keys
-    names = list(g.names) if keys is None else None  # position -> the id it becomes, when minted here
+    keys, lows = g._merge_keys
     seen: set[int] = set()
-    classes: list[tuple[tuple, list[int]]] = []  # (sort key, member positions) per group of two or more
-    for group in groups:
-        members = list(group)
-        at = [index.get(w, -1) for w in members]
-        if -1 in at:
-            raise AntimagicError(f"merge group member not in graph: {members[at.index(-1)]}")
+    classes: list[tuple[tuple, Sequence[int]]] = []  # (sort key, member positions) per group of two or more
+    for at in groups:
         if not seen.isdisjoint(at):
             raise AntimagicError("merge groups must be pairwise disjoint")
         seen.update(at)
-        if len(members) < 2:
+        if len(at) < 2:
             continue
-        if names is not None:
-            target = merged(members)
-            for i in at:
-                names[i] = target
-        elif len(set(at)) < len(at):
+        if len(set(at)) < len(at):
             raise AntimagicError("merged parts must be pairwise distinct")  # as ``merged`` says it
-        else:
-            classes.append(((3, min([keys[1][i] for i in at])), at))
-    if names is not None:
-        return rewire(names, g.ends)
+        classes.append(((3, min([lows[i] for i in at])), at))
     classes.sort()
-    into = [-1] * len(index)  # position in g -> position in the result; -2 until a class member is placed
+    into = [-1] * g.order  # position in g -> position in the result; -2 until a class member is placed
     for _, at in classes:
         for i in at:
             into[i] = -2
     pos, c = 0, 0
-    cuts = [bisect_left(keys[0], key) for key, _ in classes] + [len(into)]  # where each class goes among g's keys
+    cuts = [bisect_left(keys, key) for key, _ in classes] + [len(into)]  # where each class goes among g's keys
     for i in range(len(into)):
         while cuts[c] == i:
             for m in classes[c][1]:

@@ -57,7 +57,7 @@ class EdgeLabeling:
 
         If ``new_graph`` was merged from this labeling's graph, the new
         labeling carries its coloring: a class's sum is its members' sums
-        added, since every edge keeps its label and ``merge_vertices_mapped``
+        added, since every edge keeps its label and ``merge_positions``
         lets no edge join two members of one class."""
         if new_graph.size != len(self.values):
             raise BijectionError(f"labels must be a bijection onto [1..{new_graph.size}]")

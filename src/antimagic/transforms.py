@@ -24,11 +24,11 @@ from .graph import (
     components,
     copies_of_p2_join_null,
     edge,
+    _renumber,
     is_bipartite_equal_parts,
+    merge_positions,
     merge_vertices_mapped,
-    merged,
     parse_token,
-    rewire,
     u,
     v,
     x,
@@ -147,9 +147,19 @@ def _is_fresh_matrix(lg: LabeledGraph) -> bool:
     return len(lg.provenance) == 1 and lg.provenance[0][0] == "matrix"
 
 
-def _merge_with_labels(lg: LabeledGraph, groups, step: Step) -> LabeledGraph:
-    g2 = merge_vertices_mapped(lg.graph, groups)
+def _merge_with_labels(lg: LabeledGraph, g2: Graph, step: Step) -> LabeledGraph:
+    """``lg`` carried onto ``g2``, a merge whose edge t is edge t of ``lg``'s graph."""
     return LabeledGraph(lg.labeling.relabel_edges(g2), lg.provenance + (step,))
+
+
+def _x_groups(k: int, m: int, columns) -> list[list[int]]:
+    """Per list of columns in ``columns`` and per j, the positions of the
+    x_{i,j} over its columns i in the matrix graph (4k + (i-1)m + j-1)."""
+    groups = []
+    for cols in columns:
+        firsts = [4 * k + (i - 1) * m for i in cols]
+        groups += [[p + j for p in firsts] for j in range(m)]
+    return groups
 
 
 def merge_all_x(lg: LabeledGraph) -> LabeledGraph:
@@ -157,9 +167,9 @@ def merge_all_x(lg: LabeledGraph) -> LabeledGraph:
     into (2k)P_2 ∨ O_m with the labeling kept."""
     if not _is_fresh_matrix(lg):
         raise AntimagicError("merge_all_x expects a fresh matrix graph")
-    m, k = lg.m, lg.k
-    groups = [[x(i, j) for i in range(1, 2 * k + 1)] for j in range(1, m + 1)]
-    return _merge_with_labels(lg, groups, ("merge_all_x",))
+    k = lg.k
+    g2 = merge_positions(lg.graph, _x_groups(k, lg.m, [range(1, 2 * k + 1)]))
+    return _merge_with_labels(lg, g2, ("merge_all_x",))
 
 
 def block_merge(lg: LabeledGraph, r: int, s: int) -> LabeledGraph:
@@ -171,43 +181,32 @@ def block_merge(lg: LabeledGraph, r: int, s: int) -> LabeledGraph:
     k = lg.k
     if k != r * s:
         raise AntimagicError(f"k = r*s required: {k} != {r}*{s}")
-    m = lg.m
-    groups = []
-    for b in range(1, r + 1):
-        lo, hi = block_columns(k, s, b)
-        for j in range(1, m + 1):
-            groups.append([x(i, j) for i in lo + hi])
-    return _merge_with_labels(lg, groups, ("block_merge", r, s))
+    blocks = [block_columns(k, s, b) for b in range(1, r + 1)]
+    g2 = merge_positions(lg.graph, _x_groups(k, lg.m, [lo + hi for lo, hi in blocks]))
+    return _merge_with_labels(lg, g2, ("block_merge", r, s))
 
 
 def split_x(lg: LabeledGraph) -> LabeledGraph:
     """Split every merged x into two equal-color halves.
 
-    The half named after the lower column block takes the u-side edges
+    It merges the crossed matrix graph (each edge v_i x_{i,j} of the
+    matrix graph moved to v_i x_{2k+1-i,j}, edge t staying edge t) per
+    block and per j over the low columns and, apart, over their mirrors.
+    So the half named after the lower column block takes the u-side edges
     of those columns together with the v-side edges of the complementary
     columns; the cross pair identity makes the two halves equal.
     """
-    if not lg.provenance or lg.provenance[-1][0] != "block_merge":
+    if not lg.provenance or lg.provenance[-1][0] != "block_merge" or lg.graph.merged_from is None:
         raise AntimagicError("split_x expects a block_merge output")
     _, r, s = lg.provenance[-1]
-    g = lg.graph
-    index = g.index
-    movers = {lo[0]: {index[v(i)] for i in lo} | {index[u(i)] for i in hi}  # first column -> ends the z half takes
-              for lo, hi in (block_columns(lg.k, s, b) for b in range(1, r + 1))}
-    names = list(g.names)
-    to_z: dict[int, tuple[int, set[int]]] = {}  # merged x -> (its z half, the u/v ends moving there)
-    for xv, w in enumerate(g.names):
-        if w[0] == 3:  # every x is in a bundle, its s low columns first (each mirror 2k+1-i exceeds k)
-            parts = w[1:]
-            names[xv] = merged(parts[:s])
-            names.append(merged(parts[s:]))
-            to_z[xv] = (len(names) - 1, movers[parts[0].i])
-    ends = list(g.ends)
-    for t, (a, b) in enumerate(ends):
-        if b in to_z and a in to_z[b][1]:
-            ends[t] = (a, to_z[b][0])
-    labeling = lg.labeling.relabel_edges(rewire(names, ends))
-    return LabeledGraph(labeling, lg.provenance + (("split_x",),))
+    k, m = lg.k, lg.m
+    source = lg.graph.merged_from[0]
+    v_lo, x_lo = 2 * k, 4 * k  # the positions of v_1 and x_{1,1}; a v's edge to an x has the v first
+    mirror = [x_lo + (2 * k - i) * m + j for i in range(1, 2 * k + 1) for j in range(m)]  # x_{i,j+1} -> x_{2k+1-i,j+1}
+    crossed = Graph(source.names, tuple([(e[0], mirror[e[1] - x_lo]) if v_lo <= e[0] < x_lo else e
+                                         for e in source.ends]))
+    halves = [cols for b in range(1, r + 1) for cols in block_columns(k, s, b)] if s > 1 else []  # s = 1: no merge
+    return _merge_with_labels(lg, merge_positions(crossed, _x_groups(k, m, halves)), ("split_x",))
 
 
 def _uv_side(w: VertexId) -> bool:
@@ -251,7 +250,7 @@ def delete_add(lg: LabeledGraph, spec: SwapSpec) -> LabeledGraph:
         if a not in index or b not in index:
             raise AntimagicError(f"added edge endpoint not in vertex set: {a}-{b}")
         ends[t] = (index[a], index[b])
-    labeling = lg.labeling.relabel_edges(rewire(names, ends))
+    labeling = lg.labeling.relabel_edges(Graph(names, _renumber(range(g.order), ends, names.__getitem__)))
     before = lg.coloring.sums
     after = labeling.coloring.sums
     if before != after:
@@ -306,7 +305,7 @@ def merge_v_blocks(lg: LabeledGraph, blocks) -> LabeledGraph:
     if any(w.roles != {side} for b in blocks for w in b):
         raise AntimagicError(f"blocks must contain only {side}-vertices for {lg.parity} parity")
     step = ("merge_v_blocks", side, tuple(tuple(w.token() for w in b) for b in blocks))
-    return _merge_with_labels(lg, blocks, step)
+    return _merge_with_labels(lg, merge_vertices_mapped(lg.graph, blocks), step)
 
 
 def chunk_blocks(lg: LabeledGraph, s: int) -> list[list[VertexId]]:
@@ -340,7 +339,7 @@ def group_components(lg: LabeledGraph, ks) -> LabeledGraph:
             c_here, c_next = comps[a], comps[(a + 1) % ka]
             blocks.append([make(c_here), make(2 * k + 1 - c_next)])
         start += ka
-    return _merge_with_labels(lg, blocks, ("group_components", lg.side, ks))
+    return _merge_with_labels(lg, merge_vertices_mapped(lg.graph, blocks), ("group_components", lg.side, ks))
 
 
 def source_components(names, k: int) -> list[int]:

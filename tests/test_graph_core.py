@@ -12,14 +12,16 @@ from antimagic.graph import (
     copies_of_p2_join_null,
     edge,
     is_bipartite_equal_parts,
+    merge_positions,
     merge_vertices_mapped,
     merged,
     parse_token,
-    rewire,
     u,
     v,
     x,
 )
+from antimagic.labeling import EdgeLabeling
+from antimagic.transforms import LabeledGraph, SwapSpec, delete_add
 
 
 def degree(g: Graph, w) -> int:
@@ -187,38 +189,59 @@ class TestMerge:
             assert out.size == g.size
 
 
+def two_stars() -> LabeledGraph:
+    """x1.1 joined to u1 (label 1) and v1 (4), x1.2 to u2 (2) and v2 (3),
+    and u1 to x1.3 (5): a labeled graph for delete_add, which rewires on
+    the graph's own vertices."""
+    labels = {(u(1), x(1, 1)): 1, (u(2), x(1, 2)): 2, (v(2), x(1, 2)): 3, (v(1), x(1, 1)): 4, (u(1), x(1, 3)): 5}
+    g = Graph.build([u(1), u(2), v(1), v(2), x(1, 1), x(1, 2), x(1, 3)], labels)
+    return LabeledGraph(EdgeLabeling.from_dict(g, labels), ())
+
+
+# x1.1 and x1.2 trade their pairs of sum 5, so every vertex keeps its sum
+SWAP = SwapSpec(delete=((u(1), x(1, 1)), (v(1), x(1, 1)), (u(2), x(1, 2)), (v(2), x(1, 2))),
+                add=(((u(1), x(1, 2)), 1), ((v(1), x(1, 2)), 4), ((u(2), x(1, 1)), 2), ((v(2), x(1, 1)), 3)))
+
+
 class TestRewire:
+    """delete_add moves edges among the graph's own vertices; it and the
+    merge share one renumbering, which holds the loop and parallel-edge
+    guards."""
+
     def test_builds_the_images_on_the_given_vertices(self):
-        g = two_p2()
-        at = g.index
-        out = rewire(g.names, [(at[v(2)], at[u(1)]), (at[u(2)], at[v(1)])])
-        assert set(out.names) == set(g.names) and set(out.edge_index) == {edge(u(1), v(2)), edge(u(2), v(1))}
-        assert out.edge_index == {edge(u(1), v(2)): 0, edge(u(2), v(1)): 1}
+        lg = two_stars()
+        out = delete_add(lg, SWAP)
+        assert set(out.graph.names) == set(lg.graph.names)
+        assert out.labeling.labels == {edge(*e): lab for e, lab in SWAP.add} | {edge(u(1), x(1, 3)): 5}
 
     def test_names_are_sorted_and_edges_keep_their_position(self):
-        names = [x(1, 1), v(1), u(1)]
-        out = rewire(names, [(0, 1), (2, 0)])
-        assert out.names == (u(1), v(1), x(1, 1))
-        assert list(out.edge_index) == [edge(v(1), x(1, 1)), edge(u(1), x(1, 1))]
+        lg = two_stars()
+        out = delete_add(lg, SWAP).graph
+        assert out.names is lg.graph.names  # kept as they are, not sorted again
+        before = lg.graph.edge_index
+        for (e, _), d in zip(SWAP.add, SWAP.delete):  # each added edge carries the label of the deleted one
+            assert out.edge_index[edge(*e)] == before[edge(*d)]
+        assert out.edge_index[edge(u(1), x(1, 3))] == before[edge(u(1), x(1, 3))]
 
     def test_two_edges_onto_one_raise_parallel(self):
-        g = two_p2()
-        at = g.index
-        with pytest.raises(ParallelEdgeError, match="u1-v1"):
-            rewire(g.names, [(at[u(1)], at[v(1)])] * g.size)
+        lg = two_stars()
+        with pytest.raises(ParallelEdgeError, match="u1-x1.3"):
+            delete_add(lg, SwapSpec(delete=((u(1), x(1, 1)),), add=(((u(1), x(1, 3)), 1),)))
 
     def test_edge_onto_one_vertex_raises_loop(self):
-        with pytest.raises(LoopError, match="loop at v1"):
-            rewire([u(1), v(1)], [(0, 1), (1, 1)])
-
+        g = two_p2()  # names u1 u2 v1 v2: u1 and v1 are adjacent
+        with pytest.raises(LoopError, match=r"loop at m\(u1\|v1\)"):
+            merge_positions(g, [[0, 2]])
 
 
 class TestDeleteAdd:
     def test_identity_on_empty_lists(self):
-        # Deleting and adding nothing is the identity edge map: rewire
-        # must hand back the same graph.
-        g = two_p2()
-        assert rewire(g.names, g.ends) == g
+        # Deleting and adding nothing is the identity edge map: delete_add
+        # must hand back the same graph, on the same names.
+        lg = two_stars()
+        out = delete_add(lg, SwapSpec((), ())).graph
+        assert out == lg.graph and out.ends == lg.graph.ends and out.names is lg.graph.names
+
 
 class TestComponentsAndBipartition:
     def test_two_p2_components(self):

@@ -337,6 +337,26 @@ def test_pruned_search_agrees_with_plain_exhaustion(g):
         assert (None if found is None else found.labels) == first.get(c)
 
 
+def connected_graph(seed: int) -> Graph:
+    """A random connected graph with 2 to 9 edges: a random tree on u_1..u_n,
+    then random further edges up to the drawn edge count."""
+    rng = random.Random(seed)
+    q = rng.randint(2, 9)
+    n = rng.randint(next(n for n in itertools.count(3) if n * (n - 1) // 2 >= q), q + 1)
+    edges = {(rng.randrange(1, i), i) for i in range(2, n + 1)}
+    edges |= set(rng.sample(sorted(set(itertools.combinations(range(1, n + 1), 2)) - edges), q - len(edges)))
+    return numbered(sorted(edges))
+
+
+@pytest.mark.parametrize("seed", range(30), ids=[f"connected-{seed}" for seed in range(30)])
+def test_every_connected_graph_but_k2_has_a_labeling(seed):
+    """Haslegrave (2018) proves that every connected graph other than K_2
+    has a local antimagic labeling, so the exact search must find one."""
+    g = connected_graph(seed)
+    assert len(components(g)) == 1 and 2 <= g.size <= 9
+    assert exact_chi_la(g).value is not None
+
+
 @pytest.mark.parametrize("name, reason", [
     ("P5", "two-color-divisibility"), ("P7", "two-color-divisibility"), ("K2,3", "two-color-divisibility"),
     ("P3+C4", "two-color-divisibility"), ("P3+O1", "two-color-divisibility"), ("K1,3", "adjacent-pair"),

@@ -14,7 +14,7 @@ import pytest
 
 import antimagic.transforms as transforms_module
 from antimagic.errors import AntimagicError, BijectionError, LoopError, ParallelEdgeError
-from antimagic.graph import MERGED_ROLE, Graph, VertexId, merge_vertices_mapped, merged, u, v, x
+from antimagic.graph import MERGED_ROLE, Graph, VertexId, merge_positions, merge_vertices_mapped, merged, u, v, x
 from antimagic.labeling import induce, is_local_antimagic
 from antimagic.schemes import EVEN, ODD, block_columns, build_matrix
 from antimagic.sweep import compositions_min2, sweep
@@ -42,7 +42,7 @@ def bundle(parts):
 
 
 def reference(labels, move):
-    """edge -> label after moving each edge (a, b) to move(a, b), guarded as rewire is."""
+    """edge -> label after moving each edge (a, b) to move(a, b), guarded as every surgery is."""
     out = {}
     for (a, b), lab in labels.items():
         a, b = move(a, b)
@@ -194,12 +194,11 @@ TIED = Graph.build(
     [[x(1, 1), merged([u(1), v(2)])]],
     [[x(1, 1), x(1, 2)], [merged([u(1), v(2)])]],
 ])
-def test_ids_sharing_a_part_order_by_the_whole_id(groups):
-    labels = {e: t for t, e in enumerate(TIED.edge_index, 1)}
-    out = merge_vertices_mapped(TIED, groups)
-    vertices, want = merge_reference(TIED, labels, groups)
-    assert out.names == tuple(sorted(vertices))
-    assert {(out.names[a], out.names[b]): t for t, (a, b) in enumerate(out.ends, 1)} == want
+def test_a_merge_of_ids_sharing_a_part_raises(groups):
+    """Merged ids order by their smallest part only when no two ids share
+    a part, so the merge refuses such a graph, whatever the groups."""
+    with pytest.raises(AntimagicError, match="pairwise distinct across the graph: u1 is in several ids"):
+        merge_vertices_mapped(TIED, groups)
 
 
 def test_a_member_sharing_a_part_with_another_raises():
@@ -207,10 +206,10 @@ def test_a_member_sharing_a_part_with_another_raises():
         merge_vertices_mapped(TIED, [[u(1), merged([u(1), v(1)])]])
 
 
-def eager_merge(lg, groups):
-    """The reference's merge, built eagerly: the ids sorted, edge t the image
-    of edge t (found by its label), and the id -> position map."""
-    vertices, labels = merge_reference(lg.graph, lg.labeling.labels, groups)
+def eager_build(lg, vertices, labels):
+    """The reference's output built eagerly from ``lg``: the ids sorted,
+    edge t the image of edge t (found by its label), and the id -> position
+    map."""
     names = tuple(sorted(vertices))
     at = {w: i for i, w in enumerate(names)}
     by_label = {lab: e for e, lab in labels.items()}
@@ -218,23 +217,44 @@ def eager_merge(lg, groups):
 
 
 def test_every_sweep_merge_matches_an_eager_build(monkeypatch):
-    """Every merge ``sweep(4, 8)`` makes (merge-all, block, J1, J2 and the H
-    groups) is named lazily and carries its coloring; once read, its names,
-    ends and index are the eager build's and its coloring is ``induce``'s."""
+    """Every merge ``sweep(4, 8)`` makes (merge-all, block, split, J1, J2 and
+    the H groups) is named lazily; once read, its names, ends and index are
+    the eager build's.  A merge of ``lg``'s own graph carries its coloring,
+    and it equals ``induce``'s.  A split is a merge of the crossed matrix
+    graph, so it is checked against ``split_reference`` instead."""
     made = []
+    groups_of = {}  # id of a merged graph -> the groups of ids it was merged by
     real = transforms_module._merge_with_labels
 
-    def recording(lg, groups, step):
-        out = real(lg, groups, step)
-        made.append((lg, groups, step[0], out, "names" in vars(out.graph), "coloring" in vars(out.labeling)))
+    def recording(lg, g2, step):
+        out = real(lg, g2, step)
+        made.append((lg, step[0], out, "names" in vars(out.graph), "coloring" in vars(out.labeling)))
         return out
 
+    def grouping(merge, to_ids):
+        def wrapped(g, groups):
+            out = merge(g, groups)
+            groups_of[id(out)] = [to_ids(g, group) for group in groups]
+            return out
+        return wrapped
+
     monkeypatch.setattr(transforms_module, "_merge_with_labels", recording)
+    monkeypatch.setattr(transforms_module, "merge_positions",
+                        grouping(merge_positions, lambda g, group: [g.names[p] for p in group]))
+    monkeypatch.setattr(transforms_module, "merge_vertices_mapped",
+                        grouping(merge_vertices_mapped, lambda g, group: list(group)))
     assert all(row.ok for row in sweep(4, 8))
-    assert {m[2] for m in made} == {"merge_all_x", "block_merge", "merge_v_blocks", "group_components"}
-    for lg, groups, _, out, named, carried in made:
-        assert not named and carried
-        names, ends, at = eager_merge(lg, groups)
+    assert {m[1] for m in made} == {"merge_all_x", "block_merge", "split_x", "merge_v_blocks", "group_components"}
+    for lg, tag, out, named, carried in made:
+        assert not named
+        if tag == "split_x":
+            vertices, labels = split_reference(lg)
+            assert out.graph.merged_from[0] is not lg.graph and not carried
+            check(out, vertices, labels)
+        else:
+            vertices, labels = merge_reference(lg.graph, lg.labeling.labels, groups_of[id(out.graph)])
+            assert out.graph.merged_from[0] is lg.graph and carried
+        names, ends, at = eager_build(lg, vertices, labels)
         assert out.graph.names == names and out.graph.ends == ends and out.graph.index == at
         assert out.coloring.sums == induce(out.labeling).sums
 

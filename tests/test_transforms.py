@@ -4,9 +4,10 @@ import pytest
 
 from antimagic.errors import AntimagicError, ParallelEdgeError, SumDriftError
 from antimagic.graph import Graph, components, edge, is_bipartite_equal_parts, merged, u, v, x
-from antimagic.labeling import induce
+from antimagic.labeling import EdgeLabeling, induce
 from antimagic.schemes import EVEN, ODD, build_matrix
 from antimagic.transforms import (
+    LabeledGraph,
     SwapSpec,
     block_merge,
     chunk_blocks,
@@ -137,6 +138,14 @@ class TestSplitX:
             split_x(even_base(2, 2))
         with pytest.raises(AntimagicError):
             split_x(merge_all_x(even_base(2, 2)))
+
+    def test_requires_a_graph_merged_from_the_matrix_graph(self):
+        # tagged block_merge, but its graph was built whole: there is no matrix graph to cross
+        block = block_merge(even_base(2, 2), 2, 1)
+        g = Graph(block.graph.names, block.graph.ends)
+        lg = LabeledGraph(EdgeLabeling(g, block.labeling.values), block.provenance)
+        with pytest.raises(AntimagicError, match="split_x expects a block_merge output"):
+            split_x(lg)
 
 
 def merge_vertices_back(split_lg):
