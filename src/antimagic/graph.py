@@ -291,10 +291,10 @@ def copies_of_p2_join_null(a: int, m: int) -> Graph:
     """a(P_2 ∨ O_m): a disjoint copies, copy i on u_i, v_i, x_{i,1..m}.
 
     The vertices sit in sorted-id order, at the positions from which the
-    x merges of ``transforms`` compute theirs: u_i at i - 1, v_i at
-    a + i - 1, x_{i,j} at 2a + (i - 1)m + (j - 1).  The edges run copy by
-    copy: u_i v_i, then u_i x_{i,j} and v_i x_{i,j} for j = 1..m
-    (``from_matrix`` labels them in this order).
+    merges of ``transforms`` compute their u, v and x positions: u_i at
+    i - 1, v_i at a + i - 1, x_{i,j} at 2a + (i - 1)m + (j - 1).  The
+    edges run copy by copy: u_i v_i, then u_i x_{i,j} and v_i x_{i,j} for
+    j = 1..m (``from_matrix`` labels them in this order).
     """
     names = tuple([u(i) for i in range(1, a + 1)] + [v(i) for i in range(1, a + 1)]
                   + [x(i, j) for i in range(1, a + 1) for j in range(1, m + 1)])
@@ -405,6 +405,15 @@ def components(g: Graph) -> list[list[int]]:
     in ``g.names``, ordered by their smallest vertex (read off ``g._walk``:
     shared, so read-only)."""
     return g._walk[0]
+
+
+def component_of(g: Graph) -> list[int]:
+    """Per position of ``g``, the index of its component in ``components(g)``."""
+    comp_of = [0] * g.order
+    for c, comp in enumerate(components(g)):
+        for i in comp:
+            comp_of[i] = c
+    return comp_of
 
 
 def bipartition(g: Graph) -> list[tuple[list[int], list[int]] | None]:

@@ -14,7 +14,7 @@ from itertools import accumulate, groupby
 from typing import Iterable, Iterator
 
 from .errors import UseSpecialCase
-from .graph import Edge, bipartition, components
+from .graph import Edge, bipartition, component_of, components
 from .labeling import chi_la_lower_bound, is_local_antimagic
 from .schemes import EVEN, ODD, build_matrix, check_identities, u_color, v_color
 from .transforms import (
@@ -29,7 +29,6 @@ from .transforms import (
     group_components,
     merge_all_x,
     merge_v_blocks,
-    source_components,
     special_labeled,
     split_x,
     theorem_certificate,
@@ -102,8 +101,8 @@ class _GroupTable:
 
     def __init__(self, lg: LabeledGraph, expected: set[int]):
         self.lg, self.expected = lg, expected
-        # position in lg's graph -> the component of k(2P_2 ∨ O_m) it comes from, read once
-        self.component = source_components(lg.graph.names, lg.k)
+        # position in lg's graph -> its component, read once; component c - 1 holds u_c, its smallest position
+        self.component = component_of(lg.graph)
         # (start, ka) -> (its smallest violating edge or None, its colors)
         self.verdicts: dict[tuple[int, int], tuple[Edge | None, frozenset[int]]] = {}
         # (start, ka) -> whether its components are bipartite with equal parts
@@ -151,9 +150,7 @@ class _GroupTable:
         its components have equal sides.  ``built`` was merged from the
         table's graph, so each of its vertices is found through the
         positions it was merged from."""
-        owner = [0]  # component c -> the index of its group, at index c
-        for t, (_, ka) in enumerate(groups):
-            owner += [t] * ka
+        owner = [t for t, (_, ka) in enumerate(groups) for _ in range(ka)]  # component index -> the index of its group
         group_of = list(map(owner.__getitem__, self.component))  # position in the table's graph -> its group
         into = built.graph.merged_from[1]
         colors: list[set[int]] = [set() for _ in groups]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 from .errors import AntimagicError, SumDriftError
@@ -21,7 +22,7 @@ from .graph import (
     V_ROLE,
     VertexId,
     X_ROLE,
-    components,
+    component_of,
     copies_of_p2_join_null,
     edge,
     _renumber,
@@ -152,6 +153,13 @@ def _merge_with_labels(lg: LabeledGraph, g2: Graph, step: Step) -> LabeledGraph:
     return LabeledGraph(lg.labeling.relabel_edges(g2), lg.provenance + (step,))
 
 
+def _side_positions(k: int, side: str) -> range:
+    """At i - 1, the position of u_i (side u) or v_i (side v) in the matrix
+    graph and in each graph merged from it by x's alone: i - 1 or
+    2k + i - 1, for simple ids sort before merged ones."""
+    return range(0, 2 * k) if side == U_ROLE else range(2 * k, 4 * k)
+
+
 def _x_groups(k: int, m: int, columns) -> list[list[int]]:
     """Per list of columns in ``columns`` and per j, the positions of the
     x_{i,j} over its columns i in the matrix graph (4k + (i-1)m + j-1)."""
@@ -265,13 +273,17 @@ def delete_add(lg: LabeledGraph, spec: SwapSpec) -> LabeledGraph:
 
 
 def _check_j_input(lg: LabeledGraph) -> None:
-    """J/H inputs are k(2P_2 ∨ O_m) or its split."""
+    """J/H inputs are k(2P_2 ∨ O_m), of order 4k + km, or its split, of
+    order 4k + 2km: the graphs whose side vertices sit at ``_side_positions``."""
     tags = [st[0] for st in lg.provenance]
     if tags[-1:] == ["block_merge"] and lg.provenance[-1][2] == 1:
-        return
-    if tags[-2:] == ["block_merge", "split_x"] and lg.provenance[-2][2] == 1:
-        return
-    raise AntimagicError("expected k(2P_2 ∨ O_m) or its split graph")
+        order = lg.k * (4 + lg.m)
+    elif tags[-2:] == ["block_merge", "split_x"] and lg.provenance[-2][2] == 1:
+        order = lg.k * (4 + 2 * lg.m)
+    else:
+        raise AntimagicError("expected k(2P_2 ∨ O_m) or its split graph")
+    if lg.graph.order != order:
+        raise AntimagicError(f"graph has {lg.graph.order} vertices, its provenance gives {order}")
 
 
 def theorem_certificate(g: Graph) -> str:
@@ -330,26 +342,11 @@ def group_components(lg: LabeledGraph, ks) -> LabeledGraph:
         raise AntimagicError(f"group sizes must sum to k={k}, got {ks}")
     if any(ka < 2 for ka in ks):
         raise AntimagicError("every group must hold at least 2 components")
-    make = v if lg.side == V_ROLE else u
-    blocks: list[list[VertexId]] = []
-    start = 1
-    for ka in ks:
-        comps = list(range(start, start + ka))
-        for a in range(ka):
-            c_here, c_next = comps[a], comps[(a + 1) % ka]
-            blocks.append([make(c_here), make(2 * k + 1 - c_next)])
-        start += ka
-    return _merge_with_labels(lg, merge_vertices_mapped(lg.graph, blocks), ("group_components", lg.side, ks))
-
-
-def source_components(names, k: int) -> list[int]:
-    """Per id in ``names``, taken from a ``group_components`` output, the
-    component of k(2P_2 ∨ O_m) (or of its split) it comes from.  The id's
-    column i is its index, or its first part's index for a merged id, and
-    column i lies in component min(i, 2k+1-i): ``block_merge`` with s = 1
-    joins columns c and 2k+1-c into component c."""
-    component = [0, *range(1, k + 1), *range(k, 0, -1)]  # column -> component
-    return [component[w[1][1] if w[0] == 3 else w[1]] for w in names]
+    at = _side_positions(k, lg.side)
+    # per group of components start..start+ka-1: side_c with side_{2k+1-c'}, c' the component after c in the group
+    groups = [[at[start + a - 1], at[2 * k - start - (a + 1) % ka]]
+              for start, ka in zip(accumulate(ks, initial=1), ks) for a in range(ka)]
+    return _merge_with_labels(lg, merge_positions(lg.graph, groups), ("group_components", lg.side, ks))
 
 
 # --- expected color triples -------------------------------------------------
@@ -443,13 +440,9 @@ def connecting_swaps(lg: LabeledGraph) -> LabeledGraph:
     current = lg
     while True:
         g = current.graph
-        comps = components(g)
-        if len(comps) < 2:
+        comp_of = component_of(g)
+        if not any(comp_of):  # every vertex in component 0: connected
             return current
-        comp_of = [0] * g.order  # vertex position -> its component
-        for c, comp in enumerate(comps):
-            for i in comp:
-                comp_of[i] = c
         rng = random.Random(0)
         for _ in range(500):
             spec = random_swap_spec(current, rng)

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from antimagic.graph import components, is_bipartite_equal_parts, merged, u, v, x
+from antimagic.graph import component_of, components, is_bipartite_equal_parts, merged, u, v, x
 from antimagic.labeling import EdgeLabeling
 from antimagic.schemes import EVEN, ODD, build_matrix
 import antimagic.sweep as sweep_module
@@ -22,7 +22,6 @@ from antimagic.transforms import (
     expected_colors_j,
     from_matrix,
     group_components,
-    source_components,
     split_x,
 )
 
@@ -145,13 +144,18 @@ def test_serial_grid_builds_and_reads_as_planned(monkeypatch):
 
 
 @pytest.mark.parametrize("parity", [EVEN, ODD])
-def test_source_components_name_the_component_each_vertex_comes_from(parity):
+def test_component_c_of_each_h_input_starts_at_u_c(parity):
+    """In k(2P_2 ∨ O_m) and its split, ``components(g)[c - 1]`` is component
+    c: it starts at u_c, at position c - 1, and holds exactly the vertices
+    of columns c and 2k+1-c (a merged id by its parts).  The H tables
+    number components by this order, through ``component_of``."""
     k = 6
     pairs = pairs_graph(parity, 1, k)
     for lg in (pairs, split_x(pairs)):
         g = lg.graph
-        component = {g.names[i]: c for c, comp in enumerate(components(g), 1) for i in comp}
-        for ks in ((2, 4), (3, 3), (2, 2, 2), (4, 2)):
-            names = group_components(lg, ks).graph.names
-            want = [component[w] if w in component else component[w.parts[0]] for w in names]
-            assert source_components(names, k) == want
+        comps = components(g)
+        assert len(comps) == k
+        for c, comp in enumerate(comps, 1):
+            assert comp[0] == c - 1 and g.names[c - 1] == u(c)
+            assert {p.i for i in comp for p in (g.names[i].parts or (g.names[i],))} == {c, 2 * k + 1 - c}
+        assert component_of(g) == [next(c for c, comp in enumerate(comps) if i in comp) for i in range(g.order)]

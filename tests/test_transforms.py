@@ -460,3 +460,35 @@ class TestExpectedColorFormulas:
     def test_split_formula_matches_worked_values(self):
         assert expected_colors_split(ODD, 2, 3, 1) == {261, 111, 73}
         assert expected_colors_split(EVEN, 2, 3, 1) == {161, 114, 55}
+
+
+def _pairs(parity=EVEN, n=1, k=4):
+    return block_merge(from_matrix(build_matrix(parity, n, k)), k, 1)
+
+
+def _forged(graph_of, provenance_of):
+    """``graph_of``'s labeling under ``provenance_of``'s log."""
+    return LabeledGraph(graph_of.labeling, provenance_of.provenance)
+
+
+@pytest.mark.parametrize("call,match", [
+    pytest.param(lambda: block_merge(merge_all_x(even_base(1, 4)), 4, 1), "fresh matrix graph", id="block-of-merge-all"),
+    pytest.param(lambda: merge_v_blocks(block_merge(even_base(1, 4), 2, 2), [[v(1), v(2)]]),
+                 r"k\(2P_2 ∨ O_m\) or its split", id="j-input-block-s2"),
+    pytest.param(lambda: group_components(even_base(1, 4), (2, 2)), r"k\(2P_2 ∨ O_m\) or its split", id="j-input-matrix"),
+    pytest.param(lambda: group_components(_forged(split_x(_pairs()), _pairs()), (2, 2)),
+                 "graph has 32 vertices, its provenance gives 24", id="order-split-as-pairs"),
+    pytest.param(lambda: merge_v_blocks(_forged(_pairs(ODD), split_x(_pairs(ODD))), [[u(1), u(2)]]),
+                 "graph has 28 vertices, its provenance gives 40", id="order-pairs-as-split"),
+    pytest.param(lambda: merge_v_blocks(_pairs(), []), "no blocks given", id="no-blocks"),
+    pytest.param(lambda: merge_v_blocks(_pairs(), [[]]), "block size must be >= 1", id="empty-block"),
+    pytest.param(lambda: chunk_blocks(_pairs(), 1), r"need 2 <= s <= k", id="chunk-s1"),
+    pytest.param(lambda: chunk_blocks(_pairs(), 8), r"need 2 <= s <= k", id="chunk-s-above-k"),
+    pytest.param(lambda: group_components(_pairs(), (1, 3)), "at least 2 components", id="group-part-1"),
+    pytest.param(lambda: replay([("matrix", EVEN, 1, 2), ("bogus",)]), "unknown provenance step 'bogus'",
+                 id="replay-unknown-tag"),
+    pytest.param(lambda: replay([]), "empty provenance", id="replay-empty"),
+])
+def test_refusals(call, match):
+    with pytest.raises(AntimagicError, match=match):
+        call()
