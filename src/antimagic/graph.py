@@ -2,17 +2,16 @@
 
 Vertices carry their role (u_i / v_i / x_{i,j} / merged bundle) so that
 statements like "merge v_1 and v_11" stay expressible after arbitrary
-surgery.  A graph holds its ids once, sorted, and its edges as pairs of
-positions into them, so surgery, coloring and traversal run on ints.
-Ids enter through ``Graph.build``, ``index`` and ``edge_index`` and
-leave through ``names``.  All graph operations return new graphs;
-nothing mutates.
+surgery.  A graph holds its ids once and its edges as pairs of positions
+into them, so surgery, coloring and traversal run on ints.  Ids enter
+through ``Graph.build``, which sorts them, ``index`` and ``edge_index``,
+and leave through ``names``; a merge reads no id and keeps positions, not
+id order.  All graph operations return new graphs; nothing mutates.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
 from collections import Counter
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -160,13 +159,14 @@ def edge(a: VertexId, b: VertexId) -> Edge:
 class Graph:
     """Finite simple undirected graph over :class:`VertexId`, held as indices.
 
-    ``names`` lists the vertex ids in sorted order and ``ends`` holds one
-    ``(a, b)`` pair of positions in ``names`` per edge, ``a < b``; edge
-    ``t`` is ``ends[t]``, the position an :class:`EdgeLabeling` keys its
-    labels by.  ``index`` and ``edge_index``, built on first use, map an id
-    or an edge back to its position; ``components`` and ``bipartition`` read
-    one walk, also made on first use.  Two graphs are equal when they have
-    the same vertices and edges, in any edge order.
+    ``names`` lists the vertex ids, sorted if the graph came from
+    :meth:`build`, and ``ends`` holds one ``(a, b)`` pair of positions in
+    ``names`` per edge, ``a < b``; edge ``t`` is ``ends[t]``, the position
+    an :class:`EdgeLabeling` keys its labels by.  ``index`` and
+    ``edge_index``, built on first use, map an id or an edge back to its
+    position; ``components`` and ``bipartition`` read one walk, also made
+    on first use.  Two graphs are equal when they have the same vertices
+    and edges, in any order.
 
     A graph made by :func:`merge_positions` has its ``order`` and
     ``ends`` at once but mints ``names`` on first read.  Its
@@ -182,8 +182,8 @@ class Graph:
 
     @staticmethod
     def build(vertices: Iterable[VertexId], edges: Iterable[tuple[VertexId, VertexId]]) -> "Graph":
-        """The graph on ``vertices`` with ``edges`` (given in either
-        direction, repeats merged); the one conversion in from ids."""
+        """The graph on ``vertices``, sorted, with ``edges`` (given in
+        either direction, repeats merged); the one conversion in from ids."""
         names = tuple(sorted(set(vertices)))
         at = {w: i for i, w in enumerate(names)}
         es = {edge(a, b) for a, b in edges}
@@ -195,7 +195,7 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.names == other.names and set(self.ends) == set(other.ends)
+        return set(self.names) == set(other.names) and self.edge_index.keys() == other.edge_index.keys()
 
     def __repr__(self) -> str:
         return f"Graph(names={self.names!r}, ends={self.ends!r})"
@@ -216,37 +216,19 @@ class Graph:
         return len(self.ends)
 
     @cached_property
-    def _merge_keys(self) -> tuple[list[tuple], list[VertexId]]:
-        """What :func:`merge_positions` orders a merge of this graph by.
-        Per position: a sort key, the id itself if simple and ``(3,
-        smallest part)`` if merged, and the smallest part (a simple id's is
-        itself).  Raises :class:`AntimagicError` if two ids share a simple
-        part, for then the keys could tie.
-
-        Sound when no two ids share a part: a simple id sorts before every
-        merged one by its rank slot, and two merged ids ``(3, *parts)``
-        first differ at their smallest parts, which are distinct; so the
-        keys order as the ids do.  A merge of such a graph keeps its parts
-        disjoint, and a new class's id has the smallest of its members'
-        smallest parts."""
-        names = self.names
-        lows = [w if w[0] < 3 else w[1] for w in names]
-        parts = [p for w in names for p in (w[1:] if w[0] == 3 else (w,))]
-        if len(set(parts)) != len(parts):
-            shared = next(p for p, count in Counter(parts).items() if count > 1)
-            raise AntimagicError(f"merged parts must be pairwise distinct across the graph: {shared} is in several ids")
-        return [w if w[0] < 3 else (3, lo) for w, lo in zip(names, lows)], lows
-
-    @cached_property
     def index(self) -> dict[VertexId, int]:
         """Vertex id -> its position in ``names``."""
         return {w: i for i, w in enumerate(self.names)}
 
     @cached_property
     def edge_index(self) -> dict[Edge, int]:
-        """Edge -> its position in ``ends``, in edge order."""
-        names = self.names
-        return {(names[a], names[b]): t for t, (a, b) in enumerate(self.ends)}
+        """Edge, in its canonical ``edge()`` form, -> its position in
+        ``ends``, in edge order."""
+        names, out = self.names, {}
+        for t, (a, b) in enumerate(self.ends):
+            wa, wb = names[a], names[b]
+            out[(wa, wb) if wa < wb else (wb, wa)] = t
+        return out
 
     @cached_property
     def neighbors(self) -> list[list[int]]:
@@ -313,7 +295,7 @@ def _renumber(into: Sequence[int], ends: Iterable[tuple[int, int]], name) -> tup
     Raises :class:`LoopError` if an edge joins a vertex to itself and
     :class:`ParallelEdgeError` if two edges join one pair (either would
     break the edge bijection); ``name(a)`` is the id at new position a,
-    read only for the message.
+    read only for the message, which names the pair in id order.
     """
     out: list[tuple[int, int]] = []
     append = out.append
@@ -326,8 +308,8 @@ def _renumber(into: Sequence[int], ends: Iterable[tuple[int, int]], name) -> tup
         else:
             raise LoopError(f"loop at {name(a)}")
     if len(set(out)) != len(out):
-        a, b = next(e for e, count in Counter(out).items() if count > 1)
-        raise ParallelEdgeError(f"surgery maps two edges onto {name(a)}-{name(b)} (parallel edge)")
+        a, b = sorted(map(name, next(e for e, count in Counter(out).items() if count > 1)))
+        raise ParallelEdgeError(f"surgery maps two edges onto {a}-{b} (parallel edge)")
     return tuple(out)
 
 
@@ -335,14 +317,17 @@ def merge_vertices_mapped(g: Graph, groups: Sequence[Sequence[VertexId]]) -> Gra
     """:func:`merge_positions` of the groups of ids ``groups``, each id
     found in ``g``: the one conversion of merge groups from ids.
 
-    Raises :class:`AntimagicError` if a group member is not in ``g``, and
-    whatever :func:`merge_positions` raises.
+    Raises :class:`AntimagicError` if a group member is not in ``g`` or
+    two members of a group share a simple part (as :func:`merged` would
+    refuse their id), and whatever :func:`merge_positions` raises.
     """
     index = g.index
     at_groups = [[index.get(w, -1) for w in group] for group in groups]
     for group, at in zip(groups, at_groups):
         if -1 in at:
             raise AntimagicError(f"merge group member not in graph: {group[at.index(-1)]}")
+        if len(group) > 1:
+            merged(group)
     return merge_positions(g, at_groups)
 
 
@@ -351,49 +336,33 @@ def merge_positions(g: Graph, groups: Iterable[Sequence[int]]) -> Graph:
     preserving every edge: edge t of the result is the image of edge t of
     ``g``.
 
-    Every guard runs here, before any merged id is minted: raises
-    :class:`AntimagicError` if two ids of ``g`` share a simple part (a
-    document may hold ``m(u1|v1)`` and ``m(u1|v2)``; no surgery makes
-    such a graph), two groups overlap or a group lists a position twice,
-    :class:`LoopError` if a group contains adjacent vertices and
-    :class:`ParallelEdgeError` if two group members share a neighbor
-    (either would break the edge bijection).
-
-    The result's positions follow sorted-id order, but its ``names`` are
-    minted only when first read: the vertices left alone keep ``g``'s
-    order and the new classes are slotted in by ``g._merge_keys``.
+    Each class takes the position of its first member in ``g``, and every
+    other vertex keeps its order; the kernel reads no id, and the result
+    mints its ``names`` only when first read.  Every guard runs here:
+    raises :class:`AntimagicError` if two groups overlap or a group lists a
+    position twice, :class:`LoopError` if a group contains adjacent
+    vertices and :class:`ParallelEdgeError` if two group members share a
+    neighbor (either would break the edge bijection).
     """
-    keys, lows = g._merge_keys
+    into = list(range(g.order))  # position in g -> its class's first member, then its position in the result
     seen: set[int] = set()
-    classes: list[tuple[tuple, Sequence[int]]] = []  # (sort key, member positions) per group of two or more
     for at in groups:
         if not seen.isdisjoint(at):
             raise AntimagicError("merge groups must be pairwise disjoint")
         seen.update(at)
-        if len(at) < 2:
-            continue
         if len(set(at)) < len(at):
             raise AntimagicError("merged parts must be pairwise distinct")  # as ``merged`` says it
-        classes.append(((3, min([lows[i] for i in at])), at))
-    classes.sort()
-    into = [-1] * g.order  # position in g -> position in the result; -2 until a class member is placed
-    for _, at in classes:
-        for i in at:
-            into[i] = -2
-    pos, c = 0, 0
-    cuts = [bisect_left(keys, key) for key, _ in classes] + [len(into)]  # where each class goes among g's keys
-    for i in range(len(into)):
-        while cuts[c] == i:
-            for m in classes[c][1]:
-                into[m] = pos
-            pos, c = pos + 1, c + 1
-        if into[i] == -1:
+        if at:
+            first = min(at)
+            for i in at:
+                into[i] = first
+    pos = 0
+    for i, first in enumerate(into):
+        if first == i:
             into[i] = pos
             pos += 1
-    for _, at in classes[c:]:
-        for m in at:
-            into[m] = pos
-        pos += 1
+        else:  # a later member: its first member, before it, is already renumbered
+            into[i] = into[first]
     out = Graph.__new__(Graph)
     out.order, out.merged_from = pos, (g, into)
     out.ends = _renumber(into, g.ends, lambda a: out.names[a])

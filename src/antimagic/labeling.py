@@ -11,14 +11,14 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import BijectionError
-from .graph import Edge, Graph, VertexId, bipartition, is_bipartite_equal_parts
+from .graph import Edge, Graph, VertexId, bipartition, edge, is_bipartite_equal_parts
 
 
 @dataclass(frozen=True, eq=False)
 class EdgeLabeling:
     """``values[t]`` labels edge t, ``graph.ends[t]``; ``labels`` is the
     id-keyed view, built on first use.  Two labelings are equal when they
-    put the same labels on the same graph, in any edge order."""
+    put the same labels on the same graph, in any vertex or edge order."""
 
     graph: Graph
     values: tuple[int, ...]
@@ -43,8 +43,7 @@ class EdgeLabeling:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EdgeLabeling):
             return NotImplemented
-        return (self.graph.names == other.graph.names
-                and set(zip(self.graph.ends, self.values)) == set(zip(other.graph.ends, other.values)))
+        return set(self.graph.names) == set(other.graph.names) and self.labels == other.labels
 
     @cached_property
     def labels(self) -> dict[Edge, int]:
@@ -108,13 +107,14 @@ def induce(labeling: EdgeLabeling) -> InducedColoring:
 
 
 def is_local_antimagic(labeling: EdgeLabeling) -> tuple[bool, list[Edge]]:
-    """Check the defining condition; violating edges are listed sorted."""
+    """Check the defining condition; violating edges are listed as
+    ``edge()`` pairs, sorted by id."""
     sums = labeling.coloring.sums
     bad = [(a, b) for a, b in labeling.graph.ends if sums[a] == sums[b]]
     if not bad:
         return True, []
     names = labeling.graph.names
-    return False, [(names[a], names[b]) for a, b in sorted(bad)]
+    return False, sorted(edge(names[a], names[b]) for a, b in bad)
 
 
 def chi_la_lower_bound(g: Graph) -> tuple[int, str]:

@@ -38,13 +38,14 @@ def _check_cap(g: Graph, cap: int | None) -> None:
 
 
 def _edge_order(g: Graph) -> list[tuple[int, int]]:
-    """The search's edge order, as position pairs (positions order as the sorted ids do):
+    """The search's edge order, as position pairs (on a ``Graph.build`` input, as every
+    document read is, positions order as the sorted ids do):
     edges grouped by their earlier-ranked end, each group in pair order.  The vertices
     are ranked one component after another, each breadth first from its first vertex
     in a stable descending-degree order, visiting neighbours in that order too, so a
     component's vertices finish before the next component starts."""
     nbrs = g.neighbors
-    by_degree = sorted(range(g.order), key=lambda w: -len(nbrs[w]))  # stable: ties stay in id order
+    by_degree = sorted(range(g.order), key=lambda w: -len(nbrs[w]))  # stable: ties stay in position order
     ordered: list[list[int]] = [[] for _ in nbrs]  # each vertex's neighbours in by_degree order
     for w in by_degree:
         for nb in nbrs[w]:

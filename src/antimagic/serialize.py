@@ -13,11 +13,30 @@ from .schemes import LabelMatrix
 _SHAPES = {U_ROLE: "box", V_ROLE: "diamond", MERGED_ROLE: "octagon"}
 
 
+def _in_id_order(g: Graph) -> tuple[list[VertexId], list[str], list[tuple[int, int]]]:
+    """``g``'s ids sorted, their tokens, and per edge t its two ends as
+    indices into those lists, the smaller first: the one id-order view a
+    document is written from, for a merge leaves positions out of id order."""
+    names = g.names
+    order = sorted(range(g.order), key=names.__getitem__)
+    rank = [0] * g.order
+    for r, i in enumerate(order):
+        rank[i] = r
+    ends = [(ra, rb) if (ra := rank[a]) < (rb := rank[b]) else (rb, ra) for a, b in g.ends]
+    ids = [names[i] for i in order]
+    return ids, [w.token() for w in ids], ends
+
+
 def graph_doc(g: Graph) -> dict[str, Any]:
-    tokens = [w.token() for w in g.names]
+    """Vertices and edges in sorted-id order."""
+    _, tokens, ends = _in_id_order(g)
+    return _graph_doc(tokens, ends)
+
+
+def _graph_doc(tokens: list[str], ends: list[tuple[int, int]]) -> dict[str, Any]:
     return {
         "vertices": [{"id": tok} for tok in tokens],
-        "edges": [[tokens[a], tokens[b]] for a, b in sorted(g.ends)],
+        "edges": [[tokens[a], tokens[b]] for a, b in sorted(ends)],
     }
 
 
@@ -62,12 +81,12 @@ def _graph_from_doc(doc: dict[str, Any], tokens: _Tokens) -> Graph:
 
 
 def labeling_doc(labeling: EdgeLabeling) -> dict[str, Any]:
-    g = labeling.graph
-    tokens = [w.token() for w in g.names]
+    """The graph as ``graph_doc`` writes it, then the labels in label order."""
+    _, tokens, ends = _in_id_order(labeling.graph)
     return {
-        "graph": graph_doc(g),
+        "graph": _graph_doc(tokens, ends),
         "labels": [{"edge": [tokens[a], tokens[b]], "label": lab}
-                   for lab, (a, b) in sorted(zip(labeling.values, g.ends))],
+                   for lab, (a, b) in sorted(zip(labeling.values, ends))],
     }
 
 
@@ -112,13 +131,13 @@ def matrix_doc(mx: LabelMatrix) -> dict[str, Any]:
 
 
 def dot(labeling: EdgeLabeling) -> str:
-    """The labeled graph in DOT: role-shaped nodes, every edge with its label."""
-    g = labeling.graph
-    tokens = [w.token() for w in g.names]
+    """The labeled graph in DOT: role-shaped nodes, every edge with its
+    label, both in sorted-id order."""
+    ids, tokens, ends = _in_id_order(labeling.graph)
     lines = ["graph G {"]
-    for w, tok in zip(g.names, tokens):
+    for w, tok in zip(ids, tokens):
         lines.append(f'  "{tok}" [shape={_SHAPES.get(w.role, "ellipse")}];')
-    for (a, b), lab in sorted(zip(g.ends, labeling.values)):
+    for (a, b), lab in sorted(zip(ends, labeling.values)):
         lines.append(f'  "{tokens[a]}" -- "{tokens[b]}" [label="{lab}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

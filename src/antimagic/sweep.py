@@ -157,7 +157,7 @@ class _GroupTable:
         for t, c in set(zip(group_of, map(built.coloring.sums.__getitem__, into))):
             colors[t].add(c)
         bad: list = [None] * len(groups)
-        violating = is_local_antimagic(built.labeling)[1]  # sorted, so a group's first is its smallest
+        violating = is_local_antimagic(built.labeling)[1]  # sorted by id, so a group's first is its smallest
         if violating or bipartite:
             source = [0] * built.graph.order  # position in built -> the index of its group
             for at, t in zip(into, group_of):

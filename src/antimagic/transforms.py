@@ -156,7 +156,8 @@ def _merge_with_labels(lg: LabeledGraph, g2: Graph, step: Step) -> LabeledGraph:
 def _side_positions(k: int, side: str) -> range:
     """At i - 1, the position of u_i (side u) or v_i (side v) in the matrix
     graph and in each graph merged from it by x's alone: i - 1 or
-    2k + i - 1, for simple ids sort before merged ones."""
+    2k + i - 1, for each x class takes its first member's slot, after
+    every u and v."""
     return range(0, 2 * k) if side == U_ROLE else range(2 * k, 4 * k)
 
 
@@ -387,7 +388,7 @@ def random_swap_spec(lg: LabeledGraph, rng: random.Random) -> SwapSpec:
     k = lg.k
 
     names = g.names
-    # each x-side vertex, in id order, to the ids of its neighbors
+    # each x-side vertex, in position order (id order on a merge by x's alone), to the ids of its neighbors
     adj = {w: {names[nb] for nb in nbs} for w, nbs in zip(names, g.neighbors) if not _uv_side(w)}
     by_j: dict[int, list[VertexId]] = {}
     for xv in adj:

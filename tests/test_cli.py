@@ -1,5 +1,7 @@
+import hashlib
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -135,6 +137,19 @@ class TestConstruct:
         calls.clear()
         assert main(["verify", str(tmp_path / "labeling.json")]) == 0
         assert len(calls) == 1
+
+
+# sha256 of every file construct writes, per flag set: all ten families at one
+# small cell, the odd J2 and H-group merges of the u side, and delete-add at
+# two r/s choices, recorded when merges still kept positions in id order
+CONSTRUCT_SHA256 = json.loads((Path(__file__).parent / "construct_sha256.json").read_text())
+
+
+@pytest.mark.parametrize("flags", list(CONSTRUCT_SHA256))
+def test_construct_writes_pinned_bytes(tmp_path, capsys, flags):
+    assert main(["construct", *flags.split(), "--out", str(tmp_path)]) == 0
+    got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in sorted(tmp_path.iterdir())}
+    assert got == CONSTRUCT_SHA256[flags]
 
 
 class TestVerify:

@@ -12,13 +12,16 @@ import random
 
 import pytest
 
+import antimagic.sweep as sweep_module
 import antimagic.transforms as transforms_module
 from antimagic.errors import AntimagicError, BijectionError, LoopError, ParallelEdgeError
-from antimagic.graph import MERGED_ROLE, Graph, VertexId, merge_positions, merge_vertices_mapped, merged, u, v, x
-from antimagic.labeling import induce, is_local_antimagic
+from antimagic.graph import MERGED_ROLE, Graph, VertexId, edge, merge_positions, merge_vertices_mapped, merged, u, v, x
+from antimagic.labeling import EdgeLabeling, induce, is_local_antimagic
 from antimagic.schemes import EVEN, ODD, block_columns, build_matrix
+from antimagic.serialize import dot, graph_doc, labeling_doc
 from antimagic.sweep import compositions_min2, sweep
 from antimagic.transforms import (
+    LabeledGraph,
     block_merge,
     chunk_blocks,
     delete_add,
@@ -182,7 +185,16 @@ def test_every_guard_raises_from_the_merge_call(groups, error, message):
     assert "names" not in vars(good)  # the same merge, made valid, has minted nothing
 
 
-# a document graph whose merged ids share the part u1: ordered by smallest part alone they would tie
+@pytest.mark.parametrize("parity", [EVEN, ODD])
+def test_merges_read_no_ids(parity):
+    """The H chain and the split merge by position alone: on a lazily
+    named k(2P_2 ∨ O_m) neither mints an id, in its input or its outputs."""
+    pairs = block_merge(from_matrix(build_matrix(parity, 1, 4)), 4, 1)
+    outs = [group_components(pairs, (2, 2)), split_x(pairs)]
+    assert not any("names" in vars(g) for g in [pairs.graph] + [out.graph for out in outs])
+
+
+# a document graph whose merged ids share the part u1, as no surgery makes them
 TIED = Graph.build(
     [u(1), merged([u(1), v(1)]), merged([u(1), v(2)]), x(1, 1), x(1, 2), x(1, 3)],
     [(u(1), x(1, 1)), (merged([u(1), v(1)]), x(1, 2)), (merged([u(1), v(2)]), x(1, 3))],
@@ -194,11 +206,18 @@ TIED = Graph.build(
     [[x(1, 1), merged([u(1), v(2)])]],
     [[x(1, 1), x(1, 2)], [merged([u(1), v(2)])]],
 ])
-def test_a_merge_of_ids_sharing_a_part_raises(groups):
-    """Merged ids order by their smallest part only when no two ids share
-    a part, so the merge refuses such a graph, whatever the groups."""
-    with pytest.raises(AntimagicError, match="pairwise distinct across the graph: u1 is in several ids"):
-        merge_vertices_mapped(TIED, groups)
+def test_a_merge_of_ids_sharing_a_part_is_written_in_id_order(groups):
+    """The merge reads no id, so a graph whose ids share a part merges as
+    any other does; the documents list the ids sorted, as a build of the
+    reference's vertices and edges does."""
+    labels = {e: t for t, e in enumerate(TIED.edge_index, 1)}
+    vertices, want = merge_reference(TIED, labels, groups)
+    out = EdgeLabeling(merge_vertices_mapped(TIED, groups), tuple(labels.values()))
+    assert set(out.graph.names) == vertices and out.labels == want
+    doc = graph_doc(out.graph)
+    assert [item["id"] for item in doc["vertices"]] == [w.token() for w in sorted(vertices)]
+    assert doc == graph_doc(Graph.build(vertices, want))
+    assert labeling_doc(out) == labeling_doc(EdgeLabeling.from_dict(Graph.build(vertices, want), want))
 
 
 def test_a_member_sharing_a_part_with_another_raises():
@@ -206,22 +225,25 @@ def test_a_member_sharing_a_part_with_another_raises():
         merge_vertices_mapped(TIED, [[u(1), merged([u(1), v(1)])]])
 
 
-def eager_build(lg, vertices, labels):
-    """The reference's output built eagerly from ``lg``: the ids sorted,
-    edge t the image of edge t (found by its label), and the id -> position
-    map."""
-    names = tuple(sorted(vertices))
+def eager_build(source, groups, vertices, labels, values):
+    """The reference's output built eagerly from a merge of ``source`` by
+    ``groups`` (of ids): each vertex at the smallest position in ``source``
+    of its members (a class's are its group's, any other vertex is its
+    own), edge t the one labeled ``values[t]``, and the id -> position map."""
+    members = {bundle(group): group for group in groups}
+    first = {w: min(source.index[p] for p in members.get(w, (w,))) for w in vertices}
+    names = tuple(sorted(vertices, key=first.__getitem__))
     at = {w: i for i, w in enumerate(names)}
     by_label = {lab: e for e, lab in labels.items()}
-    return names, tuple((at[a], at[b]) for a, b in map(by_label.get, lg.labeling.values)), at
+    return names, tuple(tuple(sorted((at[a], at[b]))) for a, b in map(by_label.get, values)), at
 
 
-def test_every_sweep_merge_matches_an_eager_build(monkeypatch):
-    """Every merge ``sweep(4, 8)`` makes (merge-all, block, split, J1, J2 and
-    the H groups) is named lazily; once read, its names, ends and index are
-    the eager build's.  A merge of ``lg``'s own graph carries its coloring,
-    and it equals ``induce``'s.  A split is a merge of the crossed matrix
-    graph, so it is checked against ``split_reference`` instead."""
+@pytest.fixture(scope="module")
+def sweep_merges():
+    """Every merge ``sweep(4, 8)`` makes (merge-all, block, split, J1, J2
+    and the H groups), as (input, tag, output, whether the output was
+    named when made, whether it carried its coloring, the groups of ids
+    it was merged by)."""
     made = []
     groups_of = {}  # id of a merged graph -> the groups of ids it was merged by
     real = transforms_module._merge_with_labels
@@ -238,25 +260,79 @@ def test_every_sweep_merge_matches_an_eager_build(monkeypatch):
             return out
         return wrapped
 
-    monkeypatch.setattr(transforms_module, "_merge_with_labels", recording)
-    monkeypatch.setattr(transforms_module, "merge_positions",
-                        grouping(merge_positions, lambda g, group: [g.names[p] for p in group]))
-    monkeypatch.setattr(transforms_module, "merge_vertices_mapped",
-                        grouping(merge_vertices_mapped, lambda g, group: list(group)))
-    assert all(row.ok for row in sweep(4, 8))
-    assert {m[1] for m in made} == {"merge_all_x", "block_merge", "split_x", "merge_v_blocks", "group_components"}
-    for lg, tag, out, named, carried in made:
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(transforms_module, "_merge_with_labels", recording)
+        patch.setattr(transforms_module, "merge_positions",
+                      grouping(merge_positions, lambda g, group: [g.names[p] for p in group]))
+        patch.setattr(transforms_module, "merge_vertices_mapped",
+                      grouping(merge_vertices_mapped, lambda g, group: list(group)))
+        assert all(row.ok for row in sweep(4, 8))
+    return [(*m, groups_of[id(m[2].graph)]) for m in made]
+
+
+def test_every_sweep_merge_matches_an_eager_build(sweep_merges):
+    """Each merge is named lazily; once read, its names, ends and index are
+    the eager build's.  A merge of ``lg``'s own graph carries its coloring,
+    and it equals ``induce``'s.  A split is a merge of the crossed matrix
+    graph, so it is checked against ``split_reference`` instead."""
+    assert {m[1] for m in sweep_merges} == {"merge_all_x", "block_merge", "split_x", "merge_v_blocks",
+                                           "group_components"}
+    for lg, tag, out, named, carried, groups in sweep_merges:
         assert not named
+        source = out.graph.merged_from[0]
         if tag == "split_x":
             vertices, labels = split_reference(lg)
-            assert out.graph.merged_from[0] is not lg.graph and not carried
+            assert source is not lg.graph and not carried
             check(out, vertices, labels)
         else:
-            vertices, labels = merge_reference(lg.graph, lg.labeling.labels, groups_of[id(out.graph)])
-            assert out.graph.merged_from[0] is lg.graph and carried
-        names, ends, at = eager_build(lg, vertices, labels)
+            vertices, labels = merge_reference(lg.graph, lg.labeling.labels, groups)
+            assert source is lg.graph and carried
+        names, ends, at = eager_build(source, groups, vertices, labels, lg.labeling.values)
         assert out.graph.names == names and out.graph.ends == ends and out.graph.index == at
         assert out.coloring.sums == induce(out.labeling).sums
+
+
+def test_every_sweep_merge_is_written_as_its_id_build(sweep_merges):
+    """A merge leaves positions out of id order (a J class sits at its first
+    member's slot), but no output shows it: the documents and the DOT of
+    each merge are those of its ids, edges and labels built anew, and
+    ``edge_index`` holds each edge in its ``edge()`` form."""
+    out_of_order = 0
+    for _, _, out, _, _, _ in sweep_merges:
+        g = out.graph
+        rebuilt = EdgeLabeling.from_dict(Graph.build(g.names, out.labeling.labels), out.labeling.labels)
+        assert graph_doc(g) == graph_doc(rebuilt.graph)
+        assert labeling_doc(out.labeling) == labeling_doc(rebuilt)
+        assert dot(out.labeling) == dot(rebuilt)
+        assert all(edge(*e) == e for e in g.edge_index)
+        out_of_order += list(g.names) != sorted(g.names)
+    assert out_of_order
+
+
+def test_violations_of_an_out_of_order_merge_are_listed_in_id_order():
+    """On odd J2 the u classes sit at the u slots, ahead of the v's and x's
+    that sort before them.  Labels planted by swaps make two violating
+    edges, m(u1|u2)-x1.1 (u class first by position) and v6-x7.1 (first by
+    id); they are listed by id, and the sweep's detail names the smallest."""
+    pairs = block_merge(from_matrix(build_matrix(ODD, 1, 6)), 6, 1)
+    lg = merge_v_blocks(split_x(pairs), chunk_blocks(pairs, 2))
+    g, at = lg.graph, lg.graph.edge_index
+    big, first, second = merged([u(1), u(2)]), edge(merged([u(1), u(2)]), x(1, 1)), edge(v(6), x(7, 1))
+    # m(u1|u2): 1 + .. + 7 + 8 = 36, x1.1: 8 + 28; v6: 9 + 10 + 11 + c, x7.1: 30 + c
+    plant = dict(zip([e for e in at if big in e and e != first], range(1, 8))) | {first: 8, edge(v(12), x(1, 1)): 28}
+    plant |= dict(zip([e for e in at if v(6) in e and e != second], (9, 10, 11)))
+    plant[edge(merged([u(7), u(8)]), x(7, 1))] = 30
+    values = list(lg.labeling.values)
+    for e, lab in plant.items():  # one label swap each; a later swap never moves an earlier planted label
+        t, s = at[e], values.index(lab)
+        values[t], values[s] = values[s], values[t]
+    planted = EdgeLabeling(g, tuple(values))
+    ok, bad = is_local_antimagic(planted)
+    assert not ok and {first, second} <= set(bad) and bad == sorted(bad)
+    by_position = [e for e in (edge(g.names[a], g.names[b]) for a, b in sorted(g.ends)) if e in bad]
+    assert by_position.index(first) < by_position.index(second)
+    assert sweep_module._colors_ok(LabeledGraph(planted, lg.provenance), set()) == (
+        False, f"equal colors across {bad[0][0]}-{bad[0][1]}")
 
 
 def test_relabel_onto_another_edge_count_raises():
