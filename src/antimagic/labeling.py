@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import BijectionError
-from .graph import Edge, Graph, VertexId, bipartition, edge, is_bipartite_equal_parts
+from .graph import Edge, Graph, bipartition, edge, is_bipartite_equal_parts
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,7 +66,7 @@ class EdgeLabeling:
             sums = [0] * new_graph.order
             for at, c in zip(new_graph.merged_from[1], self.coloring.sums):
                 sums[at] += c
-            out.__dict__["coloring"] = InducedColoring(new_graph, tuple(sums))
+            out.__dict__["coloring"] = InducedColoring(tuple(sums))
         return out
 
     @cached_property
@@ -76,16 +76,10 @@ class EdgeLabeling:
 
 @dataclass(frozen=True)
 class InducedColoring:
-    """``sums[i]`` is the color of vertex ``graph.names[i]``; ``colors`` is
-    the id-keyed view, built on first use, and the one part that reads the
-    graph's ids."""
+    """``sums[i]`` is the color of the vertex at position i of the labeled
+    graph; ids are read through the graph's ``names``."""
 
-    graph: Graph
     sums: tuple[int, ...]
-
-    @cached_property
-    def colors(self) -> dict[VertexId, int]:
-        return dict(zip(self.graph.names, self.sums))
 
     @cached_property
     def color_set(self) -> frozenset[int]:
@@ -103,7 +97,7 @@ def induce(labeling: EdgeLabeling) -> InducedColoring:
     for (a, b), lab in zip(g.ends, labeling.values):
         sums[a] += lab
         sums[b] += lab
-    return InducedColoring(g, tuple(sums))
+    return InducedColoring(tuple(sums))
 
 
 def is_local_antimagic(labeling: EdgeLabeling) -> tuple[bool, list[Edge]]:

@@ -14,12 +14,13 @@ from itertools import accumulate, groupby
 from typing import Iterable, Iterator
 
 from .errors import UseSpecialCase
-from .graph import Edge, bipartition, component_of, components
+from .graph import Edge, U_ROLE, V_ROLE, bipartition, component_of, components
 from .labeling import chi_la_lower_bound, is_local_antimagic
 from .schemes import EVEN, ODD, build_matrix, check_identities, u_color, v_color
 from .transforms import (
     LabeledGraph,
     SPECIAL_COLOR_SET,
+    _side_positions,
     block_merge,
     chunk_blocks,
     expected_colors_block,
@@ -148,27 +149,23 @@ class _GroupTable:
         """Record each group's smallest violating edge and colors in
         ``built``, the H graph of ``groups``, and with ``bipartite`` whether
         its components have equal sides.  ``built`` was merged from the
-        table's graph, so each of its vertices is found through the
-        positions it was merged from."""
+        table's graph, so one array gives each of its positions the group
+        of the positions merged into it, and every check reads that array."""
         owner = [t for t, (_, ka) in enumerate(groups) for _ in range(ka)]  # component index -> the index of its group
-        group_of = list(map(owner.__getitem__, self.component))  # position in the table's graph -> its group
-        into = built.graph.merged_from[1]
+        group_at = [0] * built.graph.order  # position in built -> the index of its group
+        for at, c in zip(built.graph.merged_from[1], self.component):
+            group_at[at] = owner[c]
         colors: list[set[int]] = [set() for _ in groups]
-        for t, c in set(zip(group_of, map(built.coloring.sums.__getitem__, into))):
+        for t, c in set(zip(group_at, built.coloring.sums)):
             colors[t].add(c)
         bad: list = [None] * len(groups)
-        violating = is_local_antimagic(built.labeling)[1]  # sorted by id, so a group's first is its smallest
-        if violating or bipartite:
-            source = [0] * built.graph.order  # position in built -> the index of its group
-            for at, t in zip(into, group_of):
-                source[at] = t
-            for e in violating:
-                t = source[built.graph.index[e[0]]]
-                bad[t] = bad[t] or e
+        for e in is_local_antimagic(built.labeling)[1]:  # sorted by id, so a group's first is its smallest
+            t = group_at[built.graph.index[e[0]]]
+            bad[t] = bad[t] or e
         for key, e, cs in zip(groups, bad, colors):
             self.verdicts.setdefault(key, (e, frozenset(cs)))
         if bipartite:
-            unequal = {source[comp[0]] for comp, p in zip(components(built.graph), bipartition(built.graph))
+            unequal = {group_at[comp[0]] for comp, p in zip(components(built.graph), bipartition(built.graph))
                        if p is None or len(p[0]) != len(p[1])}
             for t, key in enumerate(groups):
                 self.bipartite[key] = t not in unequal
@@ -222,13 +219,11 @@ def _sweep_cell(parity: str, n: int, k: int, want: frozenset[str]) -> Iterator[S
 
     base = from_matrix(mx)
     if "join" in want:
-        uc, vc = u_color(parity, n, k), v_color(parity, n, k)
-        bad = [w for w, c in zip(base.graph.names, base.coloring.sums)
-               if (w.role == "u" and c != uc) or (w.role == "v" and c != vc)]
-        yield SweepRow(
-            "join", parity, base_params, tuple(sorted(base.colors)), not bad,
-            f"{len(bad)} vertices off the closed form" if bad else "",
-        )
+        uc, vc, sums = u_color(parity, n, k), v_color(parity, n, k), base.coloring.sums
+        off = (sum(sums[p] != uc for p in _side_positions(k, U_ROLE))
+               + sum(sums[p] != vc for p in _side_positions(k, V_ROLE)))
+        yield SweepRow("join", parity, base_params, tuple(sorted(base.colors)), not off,
+                       f"{off} vertices off the closed form" if off else "")
 
     if "merge-all" in want:
         yield checked("merge-all", base_params, merge_all_x(base), expected_colors_block(parity, n, k, s=k))

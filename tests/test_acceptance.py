@@ -5,10 +5,13 @@ pass lines.  The grid sweep (criteria 3/4/6) is computed once and shared.
 """
 
 import csv
+import functools
 import hashlib
 import itertools
 import random
+import sys
 import time
+from collections import Counter
 
 import pytest
 
@@ -91,7 +94,7 @@ def test_criterion_2_color_triples():
     for name, labeling, expected in cases:
         coloring = induce(labeling)
         assert coloring.color_set == frozenset(expected), name
-        colors = coloring.colors
+        colors = dict(zip(labeling.graph.names, coloring.sums))
         assert all(colors[a] != colors[b] for a, b in labeling.graph.edge_index), name
     elapsed = time.perf_counter() - t0
     _report("2 (color triples)", elapsed < 1.0, f"{len(cases)} fixtures in {elapsed:.3f}s")
@@ -161,6 +164,43 @@ def test_planted_missing_certificate_fails_every_j2_row(monkeypatch):
     assert rows and all(not r.ok and r.detail == "unverified by theorem; no structural certificate" for r in rows)
 
 
+@pytest.mark.parametrize("planted", [("v_color",), ("u_color",), ("u_color", "v_color")])
+def test_planted_closed_form_fails_every_join_row_by_its_count(monkeypatch, planted):
+    """With a closed form planted one too high, each of the 2k u's (or
+    v's) of the matrix graph is off it: every join row fails and counts 2k
+    vertices per planted side."""
+    for name in planted:
+        monkeypatch.setattr(sweep_module, name, lambda *cell, real=getattr(sweep_module, name): real(*cell) + 1)
+    rows = list(sweep(2, 4, ("join",)))
+    assert len(rows) == 15  # both parities, n <= 2, k <= 4, less even n = k = 1, which has no matrix
+    for r in rows:
+        k = int(r.params.split("k=")[1])
+        assert not r.ok and r.detail == f"{2 * k * len(planted)} vertices off the closed form", r
+
+
+@pytest.mark.parametrize("n,k,via_index,via_certificate", [(2, 6, 40, 12), (2, 12, 88, 36)])
+def test_serial_sweep_mints_ids_where_planned(monkeypatch, n, k, via_index, via_certificate):
+    """A merged graph mints its ids on the first read of ``names``.  A
+    serial sweep mints them through ``Graph.index``, which
+    ``merge_v_blocks`` reads on the pairs and split graphs of each cell
+    with k >= 2, and in ``theorem_certificate``, which reads the roles of
+    the J2 graphs that are not bipartite with equal parts.  A change to
+    where the sweep reads ids shows here."""
+    prop = Graph.__dict__["names"]
+    callers = Counter()
+
+    def counted(g, mint=prop.func):
+        frame = sys._getframe(1)
+        while frame.f_code.co_filename == functools.__file__:  # cached_property's own frames
+            frame = frame.f_back
+        callers[frame.f_code.co_name] += 1
+        return mint(g)
+
+    monkeypatch.setattr(prop, "func", counted)
+    assert all(row.ok for row in sweep(n, k))
+    assert callers == {"index": via_index, "theorem_certificate": via_certificate}
+
+
 def test_criterion_4_matrix_identity_suite(grid):
     rows, _ = grid
     matrix_rows = [r for r in rows if r.family == "matrix"]
@@ -221,11 +261,11 @@ def test_criterion_7_surgery_conservation():
     count = 0
     for base in bases:
         lg = base
-        before = base.coloring.colors
+        before = dict(zip(base.graph.names, base.coloring.sums))
         for _ in range(200):
             spec = random_swap_spec(lg, rng)
             lg = delete_add(lg, spec)
-            assert lg.coloring.colors == before  # bit-identical vertex map
+            assert dict(zip(lg.graph.names, lg.coloring.sums)) == before  # bit-identical vertex map
             count += 1
 
     # invalid specs must be rejected

@@ -202,12 +202,12 @@ class TestSpecialFixture:
 
     def test_color_total_is_twice_label_sum(self):
         labeling = special_labeled().labeling
-        assert sum(induce(labeling).colors.values()) == 110  # q(q+1) at q = 10
+        assert sum(induce(labeling).sums) == 110  # q(q+1) at q = 10
 
     def test_degree_four_vertices_get_22(self):
         lg = special_labeled()
         g, labeling = lg.graph, lg.labeling
-        colors = induce(labeling).colors
+        colors = dict(zip(g.names, induce(labeling).sums))
         for w, nbs in zip(g.names, g.neighbors):
             expected = {1: None, 3: 19 if w.role == "u" else 14, 4: 22}[len(nbs)]
             assert colors[w] == expected
