@@ -10,16 +10,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cache
-from itertools import accumulate, groupby
+from itertools import accumulate, chain
 from typing import Iterable, Iterator
 
 from .errors import UseSpecialCase
-from .graph import Edge, U_ROLE, V_ROLE, bipartition, component_of, components
+from .graph import Edge, U_ROLE, V_ROLE, bipartition, component_of, components, is_bipartite_equal_parts
 from .labeling import chi_la_lower_bound, is_local_antimagic
 from .schemes import EVEN, ODD, build_matrix, check_identities, u_color, v_color
 from .transforms import (
     LabeledGraph,
     SPECIAL_COLOR_SET,
+    _chain_pairs,
     _side_positions,
     block_merge,
     chunk_blocks,
@@ -91,84 +92,123 @@ def _colors_ok(lg: LabeledGraph, expected: set[int]) -> tuple[bool, str]:
     return _verdict(None if ok else bad[0], lg.colors, expected)
 
 
+def _built_row(h: LabeledGraph, expected: set[int], check_bipartite: bool) -> tuple[tuple[int, ...], bool, str]:
+    """Colors, verdict and detail of the H row whose graph is ``h``, read
+    off the whole graph: ``_colors_ok``, then, if ``check_bipartite``,
+    ``is_bipartite_equal_parts``."""
+    ok, detail = _colors_ok(h, expected)
+    if ok and check_bipartite and not is_bipartite_equal_parts(h.graph):
+        ok, detail = False, "even groups should be bipartite with equal parts"
+    return tuple(sorted(h.colors)), ok, detail
+
+
+def _memo(table: dict, compute, key: tuple):
+    """``table[key]``, computed as ``compute(*key)`` on first use."""
+    if key not in table:
+        table[key] = compute(*key)
+    return table[key]
+
+
 class _GroupTable:
     """The H rows of one cell on one input, written from per-group verdicts.
 
     ``group_components`` merges side vertices only inside a group, so H(ks)
     is the disjoint union of one piece per group (start, ka), the same
-    labeled piece in every composition holding it; a verdict read off one
-    whole H graph holds for its group in all of them; each build is read once.
+    labeled piece in every composition holding it.  Each group's verdict is
+    computed once from the input's own sums, edges, components and
+    2-colourings, with no graph built: a row builds ``group_components``
+    only when one of its groups fails, and the first row asked is checked
+    against one build.
     """
 
     def __init__(self, lg: LabeledGraph, expected: set[int]):
         self.lg, self.expected = lg, expected
-        # position in lg's graph -> its component, read once; component c - 1 holds u_c, its smallest position
-        self.component = component_of(lg.graph)
-        # (start, ka) -> (its smallest violating edge or None, its colors)
-        self.verdicts: dict[tuple[int, int], tuple[Edge | None, frozenset[int]]] = {}
-        # (start, ka) -> whether its components are bipartite with equal parts
+        g = lg.graph
+        self.sums, self.neighbors = lg.coloring.sums, g.neighbors
+        # position -> its component; component c - 1 holds u_c, its smallest position
+        self.component = component_of(g)
+        self.comps, self.parts = components(g), bipartition(g)
+        self.odd = set(chain.from_iterable(p[1] for p in self.parts if p))  # the second side of each 2-colouring
+        self.violations = [(a, b) for a, b in g.ends if self.sums[a] == self.sums[b]]  # edges joining equal sums
+        # (start, ka) -> whether every check passed (else a row holding it builds), its colors
+        self.verdicts: dict[tuple[int, int], tuple[bool, frozenset[int]]] = {}
+        # (start, ka) -> whether its piece is bipartite with equal parts
         self.bipartite: dict[tuple[int, int], bool] = {}
+        self.audited = False
 
     def row(self, groups: list[tuple[int, int]], check_bipartite: bool) -> tuple[tuple[int, ...], bool, str]:
         """Colors, verdict and detail of the H row whose groups are
         ``groups`` (``group_keys(ks)``), as ``group_components`` then
-        ``_colors_ok`` (then ``is_bipartite_equal_parts`` if
-        ``check_bipartite``) give them."""
-        verdicts = self.verdicts
-        known = self.bipartite if check_bipartite else verdicts
-        if not all(map(known.__contains__, groups)):
-            plan = self._plan(groups, known)
-            self._read(group_components(self.lg, [ka for _, ka in plan]), plan, check_bipartite)
-        entries = [verdicts[key] for key in groups]
-        colors = frozenset().union(*[e[1] for e in entries])
-        ok, detail = _verdict(min([e[0] for e in entries if e[0]], default=None), colors, self.expected)
-        if ok and check_bipartite and not all(map(self.bipartite.__getitem__, groups)):
+        ``_built_row`` give them.  The first row asked is also built, and
+        fails if the groups' verdicts, with or without the bipartite check,
+        disagree with the build's."""
+        got = self._row(groups, check_bipartite)
+        if not self.audited:
+            self.audited = True
+            built = group_components(self.lg, [ka for _, ka in groups])
+            if any(self._row(groups, check) != _built_row(built, self.expected, check) for check in (False, True)):
+                return got[0], False, "group verdicts disagree with a group_components build"
+        return got
+
+    def _row(self, groups: list[tuple[int, int]], check_bipartite: bool) -> tuple[tuple[int, ...], bool, str]:
+        verdicts = [_memo(self.verdicts, self._group, key) for key in groups]
+        if not all(clean for clean, _ in verdicts):  # a failing row names its smallest violating edge by id
+            return _built_row(group_components(self.lg, [ka for _, ka in groups]), self.expected, check_bipartite)
+        colors = frozenset().union(*[cs for _, cs in verdicts])
+        ok, detail = _verdict(None, colors, self.expected)
+        if ok and check_bipartite and not all(_memo(self.bipartite, self._bipartite, key) for key in groups):
             ok, detail = False, "even groups should be bipartite with equal parts"
         return tuple(sorted(colors)), ok, detail
 
-    # retiling the gaps reads groups that later rows need: 892 group_components builds on sweep(2, 12), not 1,032
-    def _plan(self, groups: list[tuple[int, int]], known) -> list[tuple[int, int]]:
-        """The composition to build for a row of ``groups``: the row's
-        groups missing from ``known``, with each stretch between them
-        retiled from the left by the shortest parts that are missing too."""
-        plan: list[tuple[int, int]] = []
-        for own, run in groupby(groups, lambda key: key not in known):
-            run = list(run)
-            if own:
-                plan += run
-                continue
-            s, end = run[0][0], sum(run[-1])
-            while s < end:  # a part leaves 0 or at least 2 behind it
-                ka = next((ka for ka in range(2, end - s + 1) if end - s - ka != 1 and (s, ka) not in known),
-                          3 if end - s == 3 else 2)
-                plan.append((s, ka))
-                s += ka
-        return plan
+    def _group(self, start: int, ka: int) -> tuple[bool, frozenset[int]]:
+        """The verdict of group (start, ka) from the input's own data.  A
+        merge keeps every edge and its label, so an edge with no end in a
+        class keeps both of its sums: only the touched edges, those at class
+        members, are mapped and compared.  Each class is checked on the far
+        ends of its touched edges: they are clean when no two map to one
+        vertex (two edges onto one pair, or two adjacent members: a loop)
+        and none has the class's sum."""
+        sums, nbrs = self.sums, self.neighbors
+        pairs = _chain_pairs(self.lg.k, self.lg.side, start, ka)
+        vals = list(sums)  # the sums after the merge: each member at its class's sum
+        into = {}  # class member -> its class's first member, the vertex it becomes
+        for p, q in pairs:
+            vals[p] = vals[q] = sums[p] + sums[q]
+            into[p] = into[q] = p
+        clean = True
+        for p, q in pairs:
+            around = nbrs[p] + nbrs[q]
+            clean = (clean and len(set(map(into.get, around, around))) == len(around)
+                     and vals[p] not in map(vals.__getitem__, around))
+        # untouched edges keep their sums: the input's own violations among them
+        mine = range(start - 1, start - 1 + ka)
+        clean = clean and not any(self.component[a] in mine and a not in into and b not in into
+                                  for a, b in self.violations)
+        return clean, frozenset(map(vals.__getitem__, chain.from_iterable(self.comps[start - 1:start - 1 + ka])))
 
-    def _read(self, built: LabeledGraph, groups: list[tuple[int, int]], bipartite: bool) -> None:
-        """Record each group's smallest violating edge and colors in
-        ``built``, the H graph of ``groups``, and with ``bipartite`` whether
-        its components have equal sides.  ``built`` was merged from the
-        table's graph, so one array gives each of its positions the group
-        of the positions merged into it, and every check reads that array."""
-        owner = [t for t, (_, ka) in enumerate(groups) for _ in range(ka)]  # component index -> the index of its group
-        group_at = [0] * built.graph.order  # position in built -> the index of its group
-        for at, c in zip(built.graph.merged_from[1], self.component):
-            group_at[at] = owner[c]
-        colors: list[set[int]] = [set() for _ in groups]
-        for t, c in set(zip(group_at, built.coloring.sums)):
-            colors[t].add(c)
-        bad: list = [None] * len(groups)
-        for e in is_local_antimagic(built.labeling)[1]:  # sorted by id, so a group's first is its smallest
-            t = group_at[built.graph.index[e[0]]]
-            bad[t] = bad[t] or e
-        for key, e, cs in zip(groups, bad, colors):
-            self.verdicts.setdefault(key, (e, frozenset(cs)))
-        if bipartite:
-            unequal = {group_at[comp[0]] for comp, p in zip(components(built.graph), bipartition(built.graph))
-                       if p is None or len(p[0]) != len(p[1])}
-            for t, key in enumerate(groups):
-                self.bipartite[key] = t not in unequal
+    def _bipartite(self, start: int, ka: int) -> bool:
+        """Whether the piece of group (start, ka) is bipartite with equal
+        parts, from the 2-colourings of its components.  A 2-colouring of
+        the piece pulls back to one of each component, the input's own up
+        to a flip, with a class's members on one side; such flips push
+        forward to a 2-colouring of the piece.  A class's two members then
+        count as one vertex of their side."""
+        comp, odd, parts = self.component, self.odd, self.parts
+        if not all(parts[c] for c in range(start - 1, start - 1 + ka)):
+            return False
+        pairs = _chain_pairs(self.lg.k, self.lg.side, start, ka)
+        flip = {comp[pairs[0][0]]: 0}  # component -> whether its sides swap; each class reaches the next component
+        for p, q in pairs:
+            side = (p in odd) ^ flip[comp[p]]  # the side of p's class
+            if flip.setdefault(comp[q], side ^ (q in odd)) != side ^ (q in odd):
+                return False
+        count = [0, 0]
+        for c, f in flip.items():
+            count[f] += len(parts[c][0])
+            count[1 - f] += len(parts[c][1])
+        for p, _ in pairs:
+            count[(p in odd) ^ flip[comp[p]]] -= 1
+        return count[0] == count[1]
 
 
 def sweep(
@@ -262,7 +302,7 @@ def _sweep_cell(parity: str, n: int, k: int, want: frozenset[str]) -> Iterator[S
                 ok, detail = False, "no structural certificate"
             yield SweepRow("J2", parity, f"{base_params} s={s}", tuple(sorted(lg.colors)), ok, f"{cert}{'; ' + detail if detail else ''}")
 
-    if "H" in want:
+    if "H" in want and compositions_min2(k):
         h1 = _GroupTable(pairs_graph(), expected_colors_j(parity, n, k, 2, split=False))
         h2 = _GroupTable(split_graph(), expected_colors_j(parity, n, k, 2, split=True))
         for ks in compositions_min2(k):

@@ -287,11 +287,25 @@ def _check_j_input(lg: LabeledGraph) -> None:
         raise AntimagicError(f"graph has {lg.graph.order} vertices, its provenance gives {order}")
 
 
+def _position_roles(g: Graph) -> list[frozenset[str]]:
+    """Per position of ``g``, the roles of its id: a merged graph's are the
+    union of its sources' roles, read through ``merged_from`` down to a
+    graph whose ``names`` were given, so no merged id is minted."""
+    if g.merged_from is None:
+        return [w.roles for w in g.names]
+    source, into = g.merged_from
+    roles: list = [None] * g.order
+    for at, r in zip(into, _position_roles(source)):
+        have = roles[at]
+        roles[at] = r if have is None or have is r else have | r  # members of one role share one set
+    return roles
+
+
 def theorem_certificate(g: Graph) -> str:
     """Structural applicability certificate for the merge theorems."""
     if is_bipartite_equal_parts(g):
         return "bipartite-equal-parts"
-    roles = [w.roles for w in g.names]
+    roles = _position_roles(g)
     if all(len(roles[a]) == 1 == len(roles[b]) and roles[a] != roles[b] for a, b in g.ends):
         return "tripartite"
     return "unverified by theorem"
@@ -343,11 +357,17 @@ def group_components(lg: LabeledGraph, ks) -> LabeledGraph:
         raise AntimagicError(f"group sizes must sum to k={k}, got {ks}")
     if any(ka < 2 for ka in ks):
         raise AntimagicError("every group must hold at least 2 components")
-    at = _side_positions(k, lg.side)
-    # per group of components start..start+ka-1: side_c with side_{2k+1-c'}, c' the component after c in the group
-    groups = [[at[start + a - 1], at[2 * k - start - (a + 1) % ka]]
-              for start, ka in zip(accumulate(ks, initial=1), ks) for a in range(ka)]
+    groups = [pair for start, ka in zip(accumulate(ks, initial=1), ks) for pair in _chain_pairs(k, lg.side, start, ka)]
     return _merge_with_labels(lg, merge_positions(lg.graph, groups), ("group_components", lg.side, ks))
+
+
+def _chain_pairs(k: int, side: str, start: int, ka: int) -> list[list[int]]:
+    """The position pairs ``group_components`` merges to chain components
+    start..start+ka-1 of k(2P_2 ∨ O_m) or its split into one piece: per
+    component c of the group, side_c with side_{2k+1-c'}, c' the component
+    after c in the group (after the last comes the first)."""
+    at = _side_positions(k, side)
+    return [[at[start + a - 1], at[2 * k - start - (a + 1) % ka]] for a in range(ka)]
 
 
 # --- expected color triples -------------------------------------------------

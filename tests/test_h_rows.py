@@ -1,7 +1,8 @@
 """H rows written from per-group verdicts against rows of a direct build.
 
-The sweep reads each group's verdicts once and writes every H1/H2 row from
-them.  The direct row builds the whole composition with
+The sweep computes each group's verdicts once, from the sums, edges,
+components and 2-colourings of the table's input, and writes every H1/H2
+row from them.  The direct row builds the whole composition with
 ``group_components`` and checks it with ``_colors_ok``, then, for an
 all-even H2 row, with ``is_bipartite_equal_parts``.
 """
@@ -11,13 +12,16 @@ import random
 
 import pytest
 
-from antimagic.graph import component_of, components, is_bipartite_equal_parts, merged, u, v, x
+from antimagic.cli import main
+from antimagic.errors import LoopError, ParallelEdgeError
+from antimagic.graph import Graph, component_of, components, is_bipartite_equal_parts, merged, u, v, x
 from antimagic.labeling import EdgeLabeling
 from antimagic.schemes import EVEN, ODD, build_matrix
 import antimagic.sweep as sweep_module
 from antimagic.sweep import _colors_ok, _GroupTable, _sweep_cell, compositions_min2, group_keys
 from antimagic.transforms import (
     LabeledGraph,
+    _chain_pairs,
     block_merge,
     expected_colors_j,
     from_matrix,
@@ -38,7 +42,9 @@ def pairs_graph(parity, n, k):
     return block_merge(from_matrix(build_matrix(parity, n, k)), k, 1)
 
 
-@pytest.mark.parametrize("parity,n,k", [(p, n, k) for p in (EVEN, ODD) for n in (1, 2) for k in range(2, 13)])
+# the grid-deep-k cells, then the grid-wide-m cells with H rows (m up to 49)
+@pytest.mark.parametrize("parity,n,k", [(p, n, k) for p in (EVEN, ODD) for n in (1, 2) for k in range(2, 13)]
+                         + [(p, n, k) for p in (EVEN, ODD) for n in (12, 24) for k in range(2, 5)])
 def test_derived_rows_equal_direct_rows(parity, n, k):
     pairs = pairs_graph(parity, n, k)
     split = split_x(pairs)
@@ -130,17 +136,100 @@ def test_two_faulted_groups_report_the_smallest_violating_edge():
 
 
 def test_serial_grid_builds_and_reads_as_planned(monkeypatch):
-    """A serial ``sweep(2, 12)`` makes 892 ``group_components`` builds and
-    checks 124 of them with ``bipartition``: a change to the build plan, or
-    a build read twice, shows here."""
-    calls = {"group_components": 0, "bipartition": 0}
+    """A serial ``sweep(2, 12)`` makes one ``group_components`` build per
+    H table, the audit of its first row, and checks each audit build with
+    ``is_bipartite_equal_parts``: 72 of each, two per cell with k >= 4.  Each
+    table reads its input's ``bipartition`` once.  A passing sweep makes no
+    other build: a change to the plan, or a fallback build, shows here."""
+    calls = {"group_components": 0, "bipartition": 0, "is_bipartite_equal_parts": 0}
     for name in calls:
         def counted(*args, real=getattr(sweep_module, name), name=name):
             calls[name] += 1
             return real(*args)
         monkeypatch.setattr(sweep_module, name, counted)
     assert all(row.ok for row in sweep_module.sweep(2, 12))
-    assert calls == {"group_components": 892, "bipartition": 124}
+    assert calls == {"group_components": 72, "bipartition": 72, "is_bipartite_equal_parts": 72}
+
+
+AUDIT_DETAIL = "group verdicts disagree with a group_components build"
+
+
+def drop_a_colour(monkeypatch):
+    """Every group's verdict loses its largest colour."""
+    real = _GroupTable._group
+
+    def wrong(self, start, ka):
+        clean, colors = real(self, start, ka)
+        return clean, colors - {max(colors)}
+    monkeypatch.setattr(_GroupTable, "_group", wrong)
+
+
+def flip_a_bipartite_verdict(monkeypatch):
+    """The bipartite verdict of each row's last group, the one ending at
+    component k, is flipped."""
+    def wrong(self, start, ka, real=_GroupTable._bipartite):
+        return real(self, start, ka) != (start + ka - 1 == self.lg.k)
+    monkeypatch.setattr(_GroupTable, "_bipartite", wrong)
+
+
+@pytest.mark.parametrize("fault,families", [(drop_a_colour, ("H1", "H2")), (flip_a_bipartite_verdict, ("H2",))])
+def test_a_wrong_delta_fails_each_audited_row(monkeypatch, tmp_path, fault, families):
+    """The first H1 and the first H2 row of each cell are checked against a
+    build, with and without the bipartite check.  A delta made wrong fails
+    the audited rows it shows in, and ``sweep`` exits 1.  A flipped
+    bipartite verdict shows in H2's first row, all of whose other groups
+    are bipartite with equal parts (its last group may be odd); no H1 group
+    is bipartite, so one flip there leaves the row's answer as it was."""
+    fault(monkeypatch)
+    rows = list(sweep_module.sweep(1, 6, ("H",)))
+    cell = lambda r: (r.parity, r.params.split(" ks=")[0])  # noqa: E731
+    assert len({cell(r) for r in rows}) == 6  # both parities, k = 4, 5, 6
+    for family in families:
+        first = {}
+        for r in rows:
+            if r.family == family:
+                first.setdefault(cell(r), r)
+        assert len(first) == 6 and all(not r.ok and r.detail == AUDIT_DETAIL for r in first.values()), family
+    assert main(["sweep", "--n-max", "1", "--k-max", "6", "--families", "H", "--out", str(tmp_path / "h.csv")]) == 1
+
+
+def doctored(lg, extra):
+    """``lg`` with one more edge, ``extra``, labeled q + 1: of the order its
+    provenance gives, so ``group_components`` accepts it."""
+    g = lg.graph
+    g2 = Graph(g.names, g.ends + (tuple(sorted(extra)),))
+    return LabeledGraph(EdgeLabeling(g2, lg.labeling.values + (g.size + 1,)), lg.provenance)
+
+
+@pytest.mark.parametrize("parity", [EVEN, ODD])
+@pytest.mark.parametrize("error", [LoopError, ParallelEdgeError])
+def test_doctored_inputs_raise_what_group_components_raises(parity, error):
+    """An edge joining the two members of a class makes the merge a loop;
+    one from a member to its classmate's neighbour makes two edges map onto
+    one pair.  The class doctored is the last of group (1, 3), which only
+    row 3+3 holds, so the rows before it, the audited first row among them,
+    build nothing that holds it.  Row by row, the table raises where
+    ``group_components`` raises, and the same error."""
+    k = 6
+    lg = pairs_graph(parity, 1, k)
+    p, q = _chain_pairs(k, lg.side, 1, 3)[-1]
+    bad = doctored(lg, (p, q) if error is LoopError else (q, lg.graph.neighbors[p][-1]))
+    table = _GroupTable(bad, expected_colors_j(parity, 1, k, 2, split=False))
+    raised = []
+    for ks in compositions_min2(k):
+        try:
+            group_components(bad, ks)
+            want = None
+        except error as exc:
+            want = str(exc)
+        try:
+            table.row(group_keys(ks), False)
+            got = None
+        except error as exc:
+            got = str(exc)
+        assert got == want, ks
+        raised.append(got is not None)
+    assert raised == [ks == (3, 3) for ks in compositions_min2(k)]
 
 
 @pytest.mark.parametrize("parity", [EVEN, ODD])
