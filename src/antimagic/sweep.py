@@ -130,6 +130,11 @@ class _GroupTable:
         self.comps, self.parts = components(g), bipartition(g)
         self.odd = set(chain.from_iterable(p[1] for p in self.parts if p))  # the second side of each 2-colouring
         self.violations = [(a, b) for a, b in g.ends if self.sums[a] == self.sums[b]]  # edges joining equal sums
+        # the layout the verdicts read: k components, component c - 1 holding columns c and 2k + 1 - c; with it, a
+        # group's classes lie in its own components, two members of a class in two of them
+        k = lg.k
+        self.layout = len(self.comps) == k and all(
+            self.component[p] == min(i, 2 * k - 1 - i) for i, p in enumerate(_side_positions(k, lg.side)))
         # (start, ka) -> whether every check passed (else a row holding it builds), its colors
         self.verdicts: dict[tuple[int, int], tuple[bool, frozenset[int]]] = {}
         # (start, ka) -> whether its piece is bipartite with equal parts
@@ -167,7 +172,9 @@ class _GroupTable:
         members, are mapped and compared.  Each class is checked on the far
         ends of its touched edges: they are clean when no two map to one
         vertex (two edges onto one pair, or two adjacent members: a loop)
-        and none has the class's sum."""
+        and none has the class's sum.  Without the layout every group fails."""
+        if not self.layout:
+            return False, frozenset()
         sums, nbrs = self.sums, self.neighbors
         pairs = _chain_pairs(self.lg.k, self.lg.side, start, ka)
         vals = list(sums)  # the sums after the merge: each member at its class's sum
@@ -180,11 +187,11 @@ class _GroupTable:
             around = nbrs[p] + nbrs[q]
             clean = (clean and len(set(map(into.get, around, around))) == len(around)
                      and vals[p] not in map(vals.__getitem__, around))
+        mine = range(start - 1, start - 1 + ka)  # the group's components
         # untouched edges keep their sums: the input's own violations among them
-        mine = range(start - 1, start - 1 + ka)
         clean = clean and not any(self.component[a] in mine and a not in into and b not in into
                                   for a, b in self.violations)
-        return clean, frozenset(map(vals.__getitem__, chain.from_iterable(self.comps[start - 1:start - 1 + ka])))
+        return clean, frozenset(map(vals.__getitem__, chain.from_iterable(self.comps[c] for c in mine)))
 
     def _bipartite(self, start: int, ka: int) -> bool:
         """Whether the piece of group (start, ka) is bipartite with equal

@@ -193,43 +193,69 @@ def test_a_wrong_delta_fails_each_audited_row(monkeypatch, tmp_path, fault, fami
     assert main(["sweep", "--n-max", "1", "--k-max", "6", "--families", "H", "--out", str(tmp_path / "h.csv")]) == 1
 
 
-def doctored(lg, extra):
-    """``lg`` with one more edge, ``extra``, labeled q + 1: of the order its
-    provenance gives, so ``group_components`` accepts it."""
-    g = lg.graph
-    g2 = Graph(g.names, g.ends + (tuple(sorted(extra)),))
-    return LabeledGraph(EdgeLabeling(g2, lg.labeling.values + (g.size + 1,)), lg.provenance)
+def doctored(lg, ends, swap=()):
+    """``lg`` on edge list ``ends``, edge t of ``lg`` keeping its label
+    and any edge past them labeled q + 1 on, with the labels of the two
+    edges ``swap`` names exchanged: of the order its provenance gives, so
+    ``group_components`` accepts it."""
+    values = list(lg.labeling.values) + list(range(lg.graph.size + 1, len(ends) + 1))
+    for t1, t2 in [swap] if swap else []:
+        values[t1], values[t2] = values[t2], values[t1]
+    return LabeledGraph(EdgeLabeling(Graph(lg.graph.names, tuple(tuple(sorted(e)) for e in ends)), tuple(values)),
+                        lg.provenance)
+
+
+def outcome(row):
+    """What ``row()`` returns, or the type and message of the merge error it raises."""
+    try:
+        return row()
+    except (LoopError, ParallelEdgeError) as exc:
+        return type(exc), str(exc)
 
 
 @pytest.mark.parametrize("parity", [EVEN, ODD])
-@pytest.mark.parametrize("error", [LoopError, ParallelEdgeError])
-def test_doctored_inputs_raise_what_group_components_raises(parity, error):
-    """An edge joining the two members of a class makes the merge a loop;
-    one from a member to its classmate's neighbour makes two edges map onto
-    one pair.  The class doctored is the last of group (1, 3), which only
-    row 3+3 holds, so the rows before it, the audited first row among them,
-    build nothing that holds it.  Row by row, the table raises where
-    ``group_components`` raises, and the same error."""
-    k = 6
+@pytest.mark.parametrize("fault", ["loop", "parallel", "moved"])
+def test_doctored_inputs_give_what_group_components_gives(parity, fault):
+    """Row by row, the table gives what a direct build gives, a merge error
+    included, on inputs doctored at group (4, 2) of k = 7, which only row
+    3+2+2 holds; the audited first row, 2+2+3, builds without error.
+
+    - loop: an edge joining the two members of the group's last class, a
+      class no other group has.  It also joins two components, so the
+      table reads no layout and every row builds.
+    - parallel: inside components 4 and 5, one edge each between the
+      group's two classes.  The layout holds, so the table's own check
+      must find the two edges that map onto one pair.  A label swap
+      between the two classes' first edges makes their sums differ, so
+      the edge between them is no violation to fall back on.
+    - moved: the side vertex of column 4 gets, in place of its own
+      edges, edges to the neighbours of column 5's.  There are still k
+      components, but one side vertex sits in the wrong one: the table
+      reads no layout.  Rows that class it with a vertex sharing those
+      neighbours raise the build's ``ParallelEdgeError``.
+    """
+    k = 7
     lg = pairs_graph(parity, 1, k)
-    p, q = _chain_pairs(k, lg.side, 1, 3)[-1]
-    bad = doctored(lg, (p, q) if error is LoopError else (q, lg.graph.neighbors[p][-1]))
-    table = _GroupTable(bad, expected_colors_j(parity, 1, k, 2, split=False))
-    raised = []
-    for ks in compositions_min2(k):
-        try:
-            group_components(bad, ks)
-            want = None
-        except error as exc:
-            want = str(exc)
-        try:
-            table.row(group_keys(ks), False)
-            got = None
-        except error as exc:
-            got = str(exc)
-        assert got == want, ks
-        raised.append(got is not None)
-    assert raised == [ks == (3, 3) for ks in compositions_min2(k)]
+    expected = expected_colors_j(parity, 1, k, 2, split=False)
+    ends = list(lg.graph.ends)
+    (p0, q0), (p1, q1) = _chain_pairs(k, lg.side, 4, 2)  # p0 and q1 lie in component 4, p1 and q0 in 5
+    if fault == "loop":
+        bad = doctored(lg, ends + [(p1, q1)])
+    elif fault == "parallel":
+        firsts = [next(t for t, e in enumerate(ends) if p in e) for p in (p0, p1)]
+        bad = doctored(lg, ends + [(p0, q1), (p1, q0)], swap=firsts)
+    else:
+        nbrs = lg.graph.neighbors
+        moved = iter(nbrs[p1])
+        bad = doctored(lg, [(p0, next(moved)) if p0 in e else e for e in ends])
+    table = _GroupTable(bad, expected)
+    assert table.layout == (fault == "parallel")
+    order = compositions_min2(k)
+    got = [outcome(lambda: table.row(group_keys(ks), False)) for ks in order]
+    assert got == [outcome(lambda: direct_row(bad, ks, expected, False)) for ks in order]
+    raised = [(ks, row[0]) for ks, row in zip(order, got) if isinstance(row[0], type)]
+    if fault != "moved":
+        assert raised == [((3, 2, 2), LoopError if fault == "loop" else ParallelEdgeError)]
 
 
 @pytest.mark.parametrize("parity", [EVEN, ODD])
