@@ -229,7 +229,7 @@ def test_doctored_inputs_give_what_group_components_gives(parity, fault):
       between the two classes' first edges makes their sums differ, so
       the edge between them is no violation to fall back on.
     - moved: the side vertex of column 4 gets, in place of its own
-      edges, edges to the neighbours of column 5's.  There are still k
+      edges, edges to the neighbours of column 5's side vertex.  There are still k
       components, but one side vertex sits in the wrong one: the table
       reads no layout.  Rows that class it with a vertex sharing those
       neighbours raise the build's ``ParallelEdgeError``.
@@ -245,8 +245,7 @@ def test_doctored_inputs_give_what_group_components_gives(parity, fault):
         firsts = [next(t for t, e in enumerate(ends) if p in e) for p in (p0, p1)]
         bad = doctored(lg, ends + [(p0, q1), (p1, q0)], swap=firsts)
     else:
-        nbrs = lg.graph.neighbors
-        moved = iter(nbrs[p1])
+        moved = iter(lg.graph.neighbors[p1])
         bad = doctored(lg, [(p0, next(moved)) if p0 in e else e for e in ends])
     table = _GroupTable(bad, expected)
     assert table.layout == (fault == "parallel")
