@@ -164,9 +164,10 @@ class Graph:
     ``names`` per edge, ``a < b``; edge ``t`` is ``ends[t]``, the position
     an :class:`EdgeLabeling` keys its labels by.  ``index`` and
     ``edge_index``, built on first use, map an id or an edge back to its
-    position; ``components`` and ``bipartition`` read one walk, also made
-    on first use.  Two graphs are equal when they have the same vertices
-    and edges, in any order.
+    position; ``components`` and ``bipartition`` read one walk, and
+    ``id_order`` is the id-sorted view every document is written from, both
+    also made on first use.  Two graphs are equal when they have the same
+    vertices and edges, in any order.
 
     A graph made by :func:`merge_positions` has its ``order`` and
     ``ends`` at once but mints ``names`` on first read.  Its
@@ -219,6 +220,21 @@ class Graph:
     def index(self) -> dict[VertexId, int]:
         """Vertex id -> its position in ``names``."""
         return {w: i for i, w in enumerate(self.names)}
+
+    @cached_property
+    def id_order(self) -> tuple[list[VertexId], list[str], list[tuple[int, int]]]:
+        """The ids sorted, their tokens, and per edge t its two ends as
+        indices into those lists, the smaller first: the one id-order view
+        documents are written from, for a merge leaves positions out of id
+        order.  Made on first use and shared, so no caller may change it."""
+        names = self.names
+        order = sorted(range(self.order), key=names.__getitem__)
+        rank = [0] * self.order
+        for r, i in enumerate(order):
+            rank[i] = r
+        ends = [(ra, rb) if (ra := rank[a]) < (rb := rank[b]) else (rb, ra) for a, b in self.ends]
+        ids = [names[i] for i in order]
+        return ids, [w.token() for w in ids], ends
 
     @cached_property
     def edge_index(self) -> dict[Edge, int]:

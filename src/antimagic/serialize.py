@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import Any
 
 from .errors import AntimagicError, BijectionError
@@ -13,23 +15,9 @@ from .schemes import LabelMatrix
 _SHAPES = {U_ROLE: "box", V_ROLE: "diamond", MERGED_ROLE: "octagon"}
 
 
-def _in_id_order(g: Graph) -> tuple[list[VertexId], list[str], list[tuple[int, int]]]:
-    """``g``'s ids sorted, their tokens, and per edge t its two ends as
-    indices into those lists, the smaller first: the one id-order view a
-    document is written from, for a merge leaves positions out of id order."""
-    names = g.names
-    order = sorted(range(g.order), key=names.__getitem__)
-    rank = [0] * g.order
-    for r, i in enumerate(order):
-        rank[i] = r
-    ends = [(ra, rb) if (ra := rank[a]) < (rb := rank[b]) else (rb, ra) for a, b in g.ends]
-    ids = [names[i] for i in order]
-    return ids, [w.token() for w in ids], ends
-
-
 def graph_doc(g: Graph) -> dict[str, Any]:
     """Vertices and edges in sorted-id order."""
-    _, tokens, ends = _in_id_order(g)
+    _, tokens, ends = g.id_order
     return _graph_doc(tokens, ends)
 
 
@@ -82,7 +70,7 @@ def _graph_from_doc(doc: dict[str, Any], tokens: _Tokens) -> Graph:
 
 def labeling_doc(labeling: EdgeLabeling) -> dict[str, Any]:
     """The graph as ``graph_doc`` writes it, then the labels in label order."""
-    _, tokens, ends = _in_id_order(labeling.graph)
+    _, tokens, ends = labeling.graph.id_order
     return {
         "graph": _graph_doc(tokens, ends),
         "labels": [{"edge": [tokens[a], tokens[b]], "label": lab}
@@ -109,8 +97,73 @@ def labeling_from_doc(doc: dict[str, Any]) -> EdgeLabeling:
     return EdgeLabeling.from_dict(g, labels)
 
 
-def dumps(doc: dict[str, Any]) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def dumps(doc: Any) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, byte for byte,
+    for any value that call accepts, without its pure-Python indent path:
+    see ``_json``."""
+    return _json(doc, "\n") + "\n"
+
+
+_TEXT = {str: encode_basestring_ascii, int: int.__repr__}  # a bool is no plain int: type(True) is bool
+
+
+def _json(value: Any, nl: str) -> str:
+    """``value`` as the stdlib writes it with ``indent=2, sort_keys=True``
+    where ``nl``, a newline and spaces, starts its lines.  A list of items
+    of one shape is written by one template (``_shape``); every value
+    neither a str, a plain int, a non-empty list nor a non-empty dict with
+    str keys is the stdlib's own text, its newlines indented by ``nl``
+    (JSON text holds no raw newline, so only its line breaks change)."""
+    kind, inner = type(value), nl + "  "
+    if kind in _TEXT:
+        return _TEXT[kind](value)
+    if kind is list and value:
+        shaped = _shape(value, inner)
+        if shaped is None:
+            texts = [_json(item, inner) for item in value]
+        else:
+            template, columns = shaped
+            texts = columns[0] if template == "%s" else map(template.__mod__, zip(*columns))
+        return "[" + inner + ("," + inner).join(texts) + nl + "]"
+    if kind is dict and value and set(map(type, value)) == {str}:
+        return "{" + inner + ("," + inner).join(
+            f"{encode_basestring_ascii(key)}: {_json(value[key], inner)}" for key in sorted(value)) + nl + "}"
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", nl)
+
+
+def _shape(items: list, nl: str) -> tuple[str, list[list[str]]] | None:
+    """A ``%`` template and per slot a column of field texts that write each
+    of ``items`` at ``nl``, or None unless every item has the first one's
+    shape: its type, and that is a str, a plain int, or a non-empty list of
+    one length or dict of the same str keys whose fields share a shape in
+    turn.  Every item is checked before any is written."""
+    first = items[0]
+    kind = type(first)
+    if set(map(type, items)) != {kind}:
+        return None
+    if kind in _TEXT:
+        return "%s", [list(map(_TEXT[kind], items))]
+    if kind is list:
+        slots, labels = range(len(first)), [""] * len(first)
+    elif kind is dict and set(map(type, first)) == {str}:
+        slots = sorted(first)
+        labels = [encode_basestring_ascii(key).replace("%", "%%") + ": " for key in slots]
+    else:
+        return None
+    if not slots or set(map(len, items)) != {len(slots)}:
+        return None
+    inner, parts, columns = nl + "  ", [], []
+    for slot, label in zip(slots, labels):
+        try:  # equal key counts: a key of the first item missing from another means other keys
+            shaped = _shape(list(map(itemgetter(slot), items)), inner)
+        except KeyError:
+            return None
+        if shaped is None:
+            return None
+        parts.append(label + shaped[0])
+        columns += shaped[1]
+    opening, closing = "[]" if kind is list else "{}"
+    return opening + inner + ("," + inner).join(parts) + nl + closing, columns
 
 
 def matrix_csv(mx: LabelMatrix) -> str:
@@ -133,7 +186,7 @@ def matrix_doc(mx: LabelMatrix) -> dict[str, Any]:
 def dot(labeling: EdgeLabeling) -> str:
     """The labeled graph in DOT: role-shaped nodes, every edge with its
     label, both in sorted-id order."""
-    ids, tokens, ends = _in_id_order(labeling.graph)
+    ids, tokens, ends = labeling.graph.id_order
     lines = ["graph G {"]
     for w, tok in zip(ids, tokens):
         lines.append(f'  "{tok}" [shape={_SHAPES.get(w.role, "ellipse")}];')

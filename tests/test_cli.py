@@ -1,11 +1,12 @@
 import hashlib
 import json
 import sys
+from functools import cached_property
 from pathlib import Path
 
 import pytest
 
-from antimagic.cli import main
+from antimagic.cli import FAMILIES, main
 from antimagic.serialize import dumps, graph_doc, matrix_doc
 from antimagic.graph import Graph, copies_of_p2_join_null, u, v, x
 from antimagic.schemes import ODD, build_matrix
@@ -150,6 +151,34 @@ def test_construct_writes_pinned_bytes(tmp_path, capsys, flags):
     assert main(["construct", *flags.split(), "--out", str(tmp_path)]) == 0
     got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in sorted(tmp_path.iterdir())}
     assert got == CONSTRUCT_SHA256[flags]
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_construct_json_equals_the_stdlib_encoding(tmp_path, capsys, family, parity):
+    """Every JSON file construct writes is the stdlib's indent=2,
+    sort_keys=True encoding of its own content."""
+    flags = ["--family", family, "--parity", parity, "--n", "2", "--k", "6", "--r", "2", "--s", "3",
+             "--block-size", "3", "--ks", "2,4"]
+    assert main(["construct", *flags, "--out", str(tmp_path)]) == 0
+    written = sorted(tmp_path.glob("*.json"))
+    assert len(written) >= 4
+    for path in written:
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", path.name
+
+
+def test_construct_sorts_ids_once_per_graph(tmp_path, capsys, monkeypatch):
+    """graph.json, labeling.json and graph.dot are written from one id-order
+    view of the one graph they list: its ids are sorted once."""
+    graphs = []
+    prop = cached_property(lambda g, real=Graph.__dict__["id_order"].func: graphs.append(g) or real(g))
+    prop.__set_name__(Graph, "id_order")
+    monkeypatch.setattr(Graph, "id_order", prop)
+    flags = ["--family", "J2", "--parity", "odd", "--n", "2", "--k", "6", "--block-size", "3"]
+    assert main(["construct", *flags, "--out", str(tmp_path)]) == 0
+    assert len(graphs) == 1
+    assert graph_doc(graphs[0]) == json.loads((tmp_path / "graph.json").read_text())
 
 
 class TestVerify:

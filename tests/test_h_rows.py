@@ -137,10 +137,11 @@ def test_two_faulted_groups_report_the_smallest_violating_edge():
 
 def test_serial_grid_builds_and_reads_as_planned(monkeypatch):
     """A serial ``sweep(2, 12)`` makes one ``group_components`` build per
-    H table, the audit of its first row, and checks each audit build with
-    ``is_bipartite_equal_parts``: 72 of each, two per cell with k >= 4.  Each
-    table reads its input's ``bipartition`` once.  A passing sweep makes no
-    other build: a change to the plan, or a fallback build, shows here."""
+    H table, the audit of its first row: 72, two per cell with k >= 4.
+    ``is_bipartite_equal_parts`` checks each H2 audit build (36); no H1 row
+    asks that check, so H1's audits leave it out.  Each table reads its
+    input's ``bipartition`` once (72).  A passing sweep makes no other
+    build: a change to the plan, or a fallback build, shows here."""
     calls = {"group_components": 0, "bipartition": 0, "is_bipartite_equal_parts": 0}
     for name in calls:
         def counted(*args, real=getattr(sweep_module, name), name=name):
@@ -148,7 +149,7 @@ def test_serial_grid_builds_and_reads_as_planned(monkeypatch):
             return real(*args)
         monkeypatch.setattr(sweep_module, name, counted)
     assert all(row.ok for row in sweep_module.sweep(2, 12))
-    assert calls == {"group_components": 72, "bipartition": 72, "is_bipartite_equal_parts": 72}
+    assert calls == {"group_components": 72, "bipartition": 72, "is_bipartite_equal_parts": 36}
 
 
 AUDIT_DETAIL = "group verdicts disagree with a group_components build"
@@ -175,11 +176,11 @@ def flip_a_bipartite_verdict(monkeypatch):
 @pytest.mark.parametrize("fault,families", [(drop_a_colour, ("H1", "H2")), (flip_a_bipartite_verdict, ("H2",))])
 def test_a_wrong_delta_fails_each_audited_row(monkeypatch, tmp_path, fault, families):
     """The first H1 and the first H2 row of each cell are checked against a
-    build, with and without the bipartite check.  A delta made wrong fails
-    the audited rows it shows in, and ``sweep`` exits 1.  A flipped
-    bipartite verdict shows in H2's first row, all of whose other groups
-    are bipartite with equal parts (its last group may be odd); no H1 group
-    is bipartite, so one flip there leaves the row's answer as it was."""
+    build: H2's with and without the bipartite check, H1's without it, the
+    only way an H1 row is asked.  A delta made wrong fails the audited rows
+    it shows in, and ``sweep`` exits 1.  A flipped bipartite verdict shows
+    in H2's first row, all of whose other groups are bipartite with equal
+    parts (its last group may be odd)."""
     fault(monkeypatch)
     rows = list(sweep_module.sweep(1, 6, ("H",)))
     cell = lambda r: (r.parity, r.params.split(" ks=")[0])  # noqa: E731

@@ -14,6 +14,7 @@ from antimagic.serialize import (
     labeling_doc,
     labeling_from_doc,
     matrix_csv,
+    matrix_doc,
 )
 from antimagic.transforms import block_merge, from_matrix, group_components, replay, special_labeled, split_x
 
@@ -61,6 +62,67 @@ class TestLabelingDoc:
         assert dumps(labeling_doc(lg.labeling)) == dumps(
             labeling_doc(block_merge(from_matrix(build_matrix(EVEN, 2, 2)), 2, 1).labeling)
         )
+
+
+def stdlib(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def labels(*fields: dict) -> list[dict]:
+    """Label records as a labeling document lists them, the last one or
+    more replaced by ``fields``: a break partway through a list."""
+    return [{"edge": ["u1", f"x1.{i}"], "label": i} for i in range(1, 4)] + list(fields)
+
+
+# lists that break their first item's shape partway (the whole list then takes the generic path), values no
+# template writes, and a template whose keys and strings hold % and escapes
+WRITER_CASES = {
+    "extra key": labels({"edge": ["u1", "v1"], "label": 4, "note": "x"}),
+    "missing key": labels({"edge": ["u1", "v1"]}),
+    "other key": labels({"edge": ["u1", "v1"], "lab": 4}),
+    "bool label": labels({"edge": ["u1", "v1"], "label": True}),
+    "float label": labels({"edge": ["u1", "v1"], "label": 4.0}),
+    "str label": labels({"edge": ["u1", "v1"], "label": "4"}),
+    "edge of length 1": labels({"edge": ["u1"], "label": 4}),
+    "edge of length 3": labels({"edge": ["u1", "v1", "x1.1"], "label": 4}),
+    "tuple edge": labels({"edge": ("u1", "v1"), "label": 4}),
+    "int in an edge": labels({"edge": ["u1", 1], "label": 4}),
+    "None item": labels(None),
+    "int dict keys in a record": labels({1: ["u1", "v1"], 2: 4}),
+    "int dict keys": [{1: "a", 2: "b"}, {1: "c", 10: "d"}],
+    "mixed scalars": ["u1", "v1", 3, None, False, 0.5],
+    "bools": [True, False],
+    "empty lists": [[], [], {"edges": [], "vertices": []}],
+    "empty dicts": [{}, {}, [{}]],
+    "tuples": [("u1", "v1"), ("u2", "v2")],
+    "nested shapes": [{"a": {"b": [1, 2]}}, {"a": {"b": [3, 4]}}, {"a": {"b": [5]}}],
+    "escapes": {'%s "\\': [{"%d": "\u00e9\n\x00", "%": 1}, {"%d": "%s", "%": -2}]},
+    "empty document": {"graph": {"edges": [], "vertices": []}, "labels": []},
+}
+
+
+class TestDumps:
+    @pytest.mark.parametrize("value", list(WRITER_CASES.values()), ids=list(WRITER_CASES))
+    def test_equals_the_stdlib(self, value):
+        assert dumps(value) == stdlib(value)
+        assert dumps({"labels": value, "n": 1}) == stdlib({"labels": value, "n": 1})
+
+    def test_document_lists_are_written_by_template(self):
+        """Vertices, edges, labels and matrix rows each take one template,
+        the fast path; a broken shape takes none."""
+        lg = group_components(block_merge(from_matrix(build_matrix(EVEN, 2, 4)), 4, 1), (2, 2))
+        doc, rows = labeling_doc(lg.labeling), matrix_doc(build_matrix(EVEN, 2, 4))["rows"]
+        for items in (doc["graph"]["vertices"], doc["graph"]["edges"], doc["labels"], rows):
+            assert serialize._shape(items, "\n  ") is not None
+        assert serialize._shape(WRITER_CASES["bool label"], "\n  ") is None
+        assert dumps(doc) == stdlib(doc)
+
+    def test_fails_as_the_stdlib_fails(self):
+        for value in ({1: "a", "b": 2}, [{1: "a", "b": 2}], {"a": {1, 2}}, [object()]):
+            with pytest.raises(TypeError):
+                stdlib(value)
+            with pytest.raises(TypeError):
+                dumps(value)
 
 
 class TestTokenTable:
